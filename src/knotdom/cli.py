@@ -99,7 +99,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_poset = sub.add_parser("poset", parents=[common], help="build the certified domination graph")
     p_poset.add_argument("corpus_path", nargs="?", help="corpus file (overrides --corpus)")
-    p_poset.add_argument("--jobs", type=int, default=1, help="parallel pair evaluation")
+    p_poset.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
 
     p_bound = sub.add_parser("chain-bound", parents=[common], help="chain-length bounds for a corpus knot")
     p_bound.add_argument("name")
@@ -118,7 +118,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_check(args.dominator, args.dominated, corpus_path, args.json)
         if args.command == "poset":
             path = Path(args.corpus_path) if args.corpus_path else corpus_path
-            return _cmd_poset(path, args.jobs, args.json)
+            return _cmd_poset(path, args.json)
         if args.command == "chain-bound":
             return _cmd_chain_bound(args.name, corpus_path, args.json)
         if args.command == "verify-paper":
@@ -197,9 +197,9 @@ def _cmd_check(name1: str, name2: str, corpus_path: Path, as_json: bool) -> int:
     return _VERDICT_EXIT[verdict.kind]
 
 
-def _cmd_poset(corpus_path: Path, jobs: int, as_json: bool) -> int:
+def _cmd_poset(corpus_path: Path, as_json: bool) -> int:
     corpus = load_corpus(corpus_path)
-    graph = poset.build_graph(corpus, workers=max(1, jobs))
+    graph = poset.build_graph(corpus)
     if as_json:
         _emit(graph.to_json_dict())
     else:

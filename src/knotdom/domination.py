@@ -333,8 +333,8 @@ def evaluate_full(
     certified: frozenset[tuple[str, str]] | set | None = None,
 ) -> tuple[list[ObstructionReport], list[ObstructionReport], list[str], Certificate | None]:
     """All three scans, unconditionally: (obstructions, rigidity reports,
-    passed obstruction rules, certificate).  Used by the graph builder,
-    which audits certificates against obstructions."""
+    passed obstruction rules, certificate), from which evaluate_pair
+    reads its verdict."""
     _require_enriched(k1, k2)
     fired, passed = _scan_obstructions(k1, k2)
     rigidity = rigidity_scan(k1, k2) if k1.name != k2.name else []

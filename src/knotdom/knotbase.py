@@ -436,6 +436,18 @@ def build_corpus(records: list[KnotRecord]) -> Corpus:
             if ref not in by_name:
                 raise CorpusError(f"{record.name}: dangling cross-reference to {ref!r}")
 
+    # Two names for one summand multiset are one knot, and each would
+    # certify the other by connected-sum projection.
+    sums: dict[tuple[str, ...], str] = {}
+    for record in records:
+        if record.connected_sum_of is not None:
+            key = tuple(sorted(record.connected_sum_of))
+            if key in sums:
+                raise CorpusError(
+                    f"{sums[key]} and {record.name} are both the connected sum of {' # '.join(key)}"
+                )
+            sums[key] = record.name
+
     mutant_members: dict[str, int] = {}
     for record in records:
         if record.mutant_class is not None:

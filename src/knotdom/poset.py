@@ -3,17 +3,17 @@ transitive closure, longest chains, and chain-length bounds.
 
 Edges use certificates only; Unknown pairs never contribute, so every
 reported chain is a lower bound on the true partial order.  Building the
-graph evaluates all ordered pairs (optionally in parallel) and then runs
-a sequential deterministic reduction, so serialization is byte-identical
-across runs and worker counts.
+graph certifies only the candidate edges that record structure allows
+and scans obstructions only where the audit reads them, in one
+deterministic pass, so serialization is byte-identical across runs.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
+from graphlib import TopologicalSorter
 
-from .domination import Certificate, certificate_search, evaluate_full
+from .domination import Certificate, certificate_search, obstruction_scan, rigidity_scan
 from .knotbase import Corpus, CorpusError, KnotRecord
 from .laurent import is_prime_power
 
@@ -35,14 +35,17 @@ class DominationGraph:
     edges: tuple[Edge, ...]
     audit_log: tuple[str, ...]
 
+    def __post_init__(self) -> None:
+        out: dict[str, dict[str, Edge]] = {name: {} for name in self.nodes}
+        for e in sorted(self.edges, key=lambda e: (e.src, e.dst)):
+            out.setdefault(e.src, {})[e.dst] = e
+        object.__setattr__(self, "_out", out)
+
     def successors(self, name: str) -> list[str]:
-        return sorted(e.dst for e in self.edges if e.src == name)
+        return list(self._out.get(name, ()))
 
     def edge(self, src: str, dst: str) -> Edge | None:
-        for e in self.edges:
-            if e.src == src and e.dst == dst:
-                return e
-        return None
+        return self._out.get(src, {}).get(dst)
 
     def to_json_dict(self) -> dict:
         return {
@@ -73,60 +76,79 @@ class ChainBound:
 
 
 def build_graph(corpus: Corpus, workers: int = 1) -> DominationGraph:
-    """Evaluate all ordered pairs, keep certified edges, close under
-    transitivity, and audit certificates against obstructions."""
+    """Certify the candidate edges listed from record structure, close
+    under transitivity, and audit certificates against obstructions.
+
+    Every certificate but reflexivity and transitivity comes from
+    structure: `flags.unknot`, `satellite_of`, or `connected_sum_of`, whose
+    summands may pair through earlier edges.  So the candidates out of a
+    knot are the unknots, its pattern and companion, and, for a composite,
+    the records whose summands all lie among its own summands and their
+    direct successors.  The obstruction and rigidity scans run only on
+    pairs the audit reads.  `workers` is accepted for compatibility and
+    has no effect."""
     names = corpus.names()
     records = {name: corpus.get(name) for name in names}
-    pairs = [(a, b) for a in names for b in names if a != b]
+    unknots = [name for name in names if records[name].flags.unknot is True]
+    holders: dict[str, list[str]] = {}  # summand -> records having it
+    for name in names:
+        for summand in set(records[name].summands()):
+            holders.setdefault(summand, []).append(name)
 
-    def scan(pair: tuple[str, str]):
-        return evaluate_full(records[pair[0]], records[pair[1]])
+    scanned: dict[tuple[str, str], list[str]] = {}
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(pairs, pool.map(scan, pairs)))
-    else:
-        results = {pair: scan(pair) for pair in pairs}
+    def negatives(pair: tuple[str, str]) -> list[str]:
+        if pair not in scanned:
+            k1, k2 = records[pair[0]], records[pair[1]]
+            scanned[pair] = [r.rule_id for r in obstruction_scan(k1, k2)] + [
+                r.rule_id for r in rigidity_scan(k1, k2)
+            ]
+        return scanned[pair]
 
-    audit: list[str] = []
     direct: dict[tuple[str, str], Certificate] = {}
-    blocked: set[tuple[str, str]] = set()
-    for pair in pairs:
-        fired, rigidity, _, certificate = results[pair]
-        negative = [r.rule_id for r in fired] + [r.rule_id for r in rigidity]
-        if negative:
-            blocked.add(pair)
-        if certificate is not None and negative:
-            audit.append(
-                f"conflict: {pair[0]} -> {pair[1]} certified by {certificate.rule_id} "
-                f"but obstructed by {sorted(negative)}"
-            )
-            continue
-        if certificate is not None:
-            direct[pair] = certificate
-
-    # Second pass: connected-sum certificates may pair summands through
-    # edges certified in the first pass (k1#k2 >= k1'#k2').
-    changed = True
-    while changed:
-        changed = False
-        known = frozenset(direct)
-        for pair in pairs:
-            if pair in direct or pair in blocked:
+    succ: dict[str, list[str]] = {name: [] for name in names}
+    conflicts: list[tuple[tuple[str, str], str]] = []
+    # Summands first, so that a composite pairs its summands through
+    # their final out-edges: one pass reaches the least fixed point.
+    order = TopologicalSorter({name: records[name].connected_sum_of or () for name in names})
+    for src in order.static_order():
+        record = records[src]
+        candidates = set(unknots)
+        if record.satellite_of is not None:
+            candidates.update(record.satellite_of[:2])
+        known: frozenset[tuple[str, str]] = frozenset()
+        if record.connected_sum_of is not None:
+            reach = set(record.connected_sum_of)
+            known = frozenset((s, t) for s in reach for t in succ[s])
+            reach.update(t for _, t in known)
+            for summand in reach:
+                candidates.update(
+                    name for name in holders.get(summand, ())
+                    if reach.issuperset(records[name].summands())
+                )
+        candidates.discard(src)
+        for dst in sorted(candidates):
+            pair = (src, dst)
+            certificate = certificate_search(record, records[dst])
+            if certificate is not None and negatives(pair):
+                conflicts.append((pair, certificate.rule_id))
                 continue
-            certificate = certificate_search(records[pair[0]], records[pair[1]], known)
-            if certificate is not None:
+            if certificate is None and known:
+                # an obstructed pair certified only through earlier
+                # edges is left out without an audit entry
+                certificate = certificate_search(record, records[dst], known)
+            if certificate is not None and not negatives(pair):
                 direct[pair] = certificate
-                changed = True
+                succ[src].append(dst)
+
+    audit = [
+        f"conflict: {src} -> {dst} certified by {rule_id} "
+        f"but obstructed by {sorted(negatives((src, dst)))}"
+        for (src, dst), rule_id in sorted(conflicts)
+    ]
 
     # Transitive closure with canonical witness chains: shortest, then
     # lexicographically least, over the direct edges.
-    succ: dict[str, list[str]] = {name: [] for name in names}
-    for src, dst in direct:
-        succ[src].append(dst)
-    for name in names:
-        succ[name].sort()
-
     closure: dict[tuple[str, str], Certificate] = dict(direct)
     for src in names:
         chains = _canonical_chains(src, succ)
@@ -134,7 +156,7 @@ def build_graph(corpus: Corpus, workers: int = 1) -> DominationGraph:
             pair = (src, dst)
             if pair in closure:
                 continue
-            if pair in blocked:
+            if negatives(pair):
                 audit.append(
                     f"conflict: {src} -> {dst} reachable through {list(chain)} but obstructed"
                 )
@@ -204,12 +226,6 @@ def longest_chain(graph: DominationGraph, start: str) -> list[str]:
     broken by lexicographic order of the name sequence."""
     if start not in graph.nodes:
         raise CorpusError(f"unknown knot name {start!r}")
-    succ: dict[str, list[str]] = {name: [] for name in graph.nodes}
-    for e in graph.edges:
-        succ[e.src].append(e.dst)
-    for name in succ:
-        succ[name].sort()
-
     visiting: set[str] = set()
 
     @lru_cache(maxsize=None)
@@ -218,7 +234,7 @@ def longest_chain(graph: DominationGraph, start: str) -> list[str]:
             raise CorpusError("certified edges contain a cycle; no longest chain")
         visiting.add(node)
         best = (0, (node,))
-        for nxt in succ[node]:
+        for nxt in graph.successors(node):
             length, tail = best_from(nxt)
             candidate = (length + 1, (node,) + tail)
             if candidate[0] > best[0] or (
@@ -234,15 +250,10 @@ def longest_chain(graph: DominationGraph, start: str) -> list[str]:
 def iter_chains(graph: DominationGraph, start: str):
     """All strict certified chains out of start (including the trivial
     one-node chain), in DFS order."""
-    succ: dict[str, list[str]] = {name: [] for name in graph.nodes}
-    for e in graph.edges:
-        succ[e.src].append(e.dst)
-    for name in succ:
-        succ[name].sort()
 
     def walk(path: list[str]):
         yield tuple(path)
-        for nxt in succ[path[-1]]:
+        for nxt in graph.successors(path[-1]):
             if nxt not in path:
                 yield from walk(path + [nxt])
 

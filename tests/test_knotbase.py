@@ -229,3 +229,14 @@ def test_build_corpus_requires_composites_enrichable(corpus):
     b = KnotRecord(name="b", delta=parse_poly("1"), satellite_of=("a", "a", 0))
     with pytest.raises(CorpusError, match="circular composite"):
         build_corpus([a, b])
+
+
+def test_build_corpus_rejects_two_names_for_one_connected_sum():
+    # a#b and b#a are one knot; as two records each would certify the
+    # other by connected-sum projection, a cycle in the order
+    a = KnotRecord(name="a", delta=parse_poly("1 - t + t^2"))
+    b = KnotRecord(name="b", delta=parse_poly("1 - 3t + t^2"))
+    s1 = KnotRecord(name="s1", connected_sum_of=("a", "b"))
+    s2 = KnotRecord(name="s2", connected_sum_of=("b", "a"))
+    with pytest.raises(CorpusError, match="s1 and s2 are both the connected sum of a # b"):
+        build_corpus([a, b, s1, s2])
