@@ -4,9 +4,13 @@ The Alexander polynomial is computed classically: Fox derivatives of the
 Wirtinger relations with every meridian abelianized to t, one relation row
 and one generator column deleted, and the determinant taken by
 fraction-free Bareiss elimination over Z[t].  Every interior division in
-the elimination is exact and asserted.  The Jones polynomial comes from
-the Kauffman bracket state sum with the writhe correction (-A^3)^-w and
-the substitution t = A^-4.
+the elimination is exact and asserted; it is integer long division
+(`LaurentPoly.divided_by`), with no rationals.  The Jones polynomial
+comes from the Kauffman bracket with the writhe correction (-A^3)^-w and
+the substitution t = A^-4.  The bracket is computed by a frontier sweep:
+crossings are contracted one at a time, keeping one polynomial per planar
+matching of the open arc ends, as in Bar-Natan's tangle contraction for
+Khovanov homology (arXiv math/0606318).
 """
 from __future__ import annotations
 
@@ -15,6 +19,9 @@ from dataclasses import dataclass
 from .diagram import DiagramError, PDCode, WirtingerPresentation, wirtinger
 from .laurent import LaurentPoly
 
+# Diagrams above this many crossings get no computed Jones polynomial.
+# The sweep would be fast there too; the budget keeps the `invariants`
+# output of larger diagrams unchanged (no `jones` field).
 JONES_CROSSING_BUDGET = 24
 
 _ONE = LaurentPoly.const(1)
@@ -154,54 +161,73 @@ def satellite_delta(pattern: LaurentPoly, companion: LaurentPoly, winding: int) 
 
 
 def kauffman_bracket(pd: PDCode) -> LaurentPoly:
-    """Kauffman bracket state sum in the variable A over all 2^n
-    resolutions: each A-smoothing joins (a,b) and (c,d), each B-smoothing
-    joins (a,d) and (b,c), a state with k loops contributing
-    A^(#A - #B) * (-A^2 - A^-2)^(k-1)."""
-    n = pd.crossing_count
-    if n == 0:
+    """Kauffman bracket in the variable A by a frontier sweep.
+
+    Crossings are contracted one at a time, in the order of
+    `_sweep_order`.  Each state is a planar matching of the open arc ends
+    (the labels seen once so far) with its polynomial in A.  A crossing
+    (a,b,c,d) branches every state into the A-smoothing, which joins
+    (a,b) and (c,d) with weight A, and the B-smoothing, which joins (a,d)
+    and (b,c) with weight A^-1; each loop that closes multiplies by
+    delta = -A^2 - A^-2, except the last, as in the state sum
+    A^(#A - #B) * delta^(k-1).  The work grows with the number of
+    matchings of the widest frontier, not with 2^n."""
+    if not pd.crossings:
         return LaurentPoly.const(1)
+    states: dict[frozenset, dict[int, int]] = {frozenset(): {0: 1}}
+    for a, b, c, d in _sweep_order(pd.crossings):
+        swept: dict[frozenset, dict[int, int]] = {}
+        for matching, poly in states.items():
+            for weight, strands in ((1, ((a, b), (c, d))), (-1, ((a, d), (b, c)))):
+                ends = dict(matching)
+                loops = _join(ends, *strands[0]) + _join(ends, *strands[1])
+                if not ends:
+                    loops -= 1
+                target = swept.setdefault(frozenset(ends.items()), {})
+                for e, coeff in poly.items():
+                    for de, dc in _DELTA_POWERS[loops]:
+                        exp = e + weight + de
+                        target[exp] = target.get(exp, 0) + coeff * dc
+        states = swept
+    (bracket,) = states.values()
+    return LaurentPoly.from_dict(bracket)
 
-    slots_of_edge: dict[int, list[int]] = {}
-    for ci, (a, b, c, d) in enumerate(pd.crossings):
-        for pos, edge in enumerate((a, b, c, d)):
-            slots_of_edge.setdefault(edge, []).append(4 * ci + pos)
-    edge_pairs = [tuple(slots) for slots in slots_of_edge.values()]
 
-    delta = LaurentPoly.from_dict({2: -1, -2: -1})
-    delta_powers = [LaurentPoly.const(1)]
-    for _ in range(2 * n):
-        delta_powers.append(delta_powers[-1] * delta)
+# delta^k = (-A^2 - A^-2)^k for the at most two loops one crossing closes
+_DELTA_POWERS = (((0, 1),), ((-2, -1), (2, -1)), ((-4, 1), (0, 2), (4, 1)))
 
-    total = LaurentPoly()
-    size = 4 * n
-    for state in range(1 << n):
-        parent = list(range(size))
 
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
+def _join(ends: dict[int, int], x: int, y: int) -> int:
+    """Join arc ends x and y in the matching `ends` (each open end maps to
+    the far end of its path).  A label already open closes, and its path
+    extends to the far end.  Returns 1 when the join closes a loop."""
+    if x == y or ends.get(x) == y:
+        ends.pop(x, None)
+        ends.pop(y, None)
+        return 1
+    far_x = ends.pop(x, x)
+    far_y = ends.pop(y, y)
+    ends[far_x] = far_y
+    ends[far_y] = far_x
+    return 0
 
-        def union(x: int, y: int) -> None:
-            parent[find(x)] = find(y)
 
-        for x, y in edge_pairs:
-            union(x, y)
-        a_count = 0
-        for ci in range(n):
-            base = 4 * ci
-            if state >> ci & 1:
-                a_count += 1
-                union(base + 0, base + 1)
-                union(base + 2, base + 3)
+def _sweep_order(crossings):
+    """Greedy contraction order: next, the crossing with the most arc
+    labels on the open frontier; ties go to the lower index."""
+    remaining = list(range(len(crossings)))
+    frontier: set[int] = set()
+    order = []
+    while remaining:
+        best = max(remaining, key=lambda i: (sum(x in frontier for x in crossings[i]), -i))
+        remaining.remove(best)
+        order.append(crossings[best])
+        for x in crossings[best]:  # a label seen twice leaves the frontier
+            if x in frontier:
+                frontier.remove(x)
             else:
-                union(base + 0, base + 3)
-                union(base + 1, base + 2)
-        loops = len({find(x) for x in range(size)})
-        total = total + LaurentPoly.t(2 * a_count - n) * delta_powers[loops - 1]
-    return total
+                frontier.add(x)
+    return order
 
 
 def jones_polynomial(pd: PDCode) -> LaurentPoly:
@@ -213,7 +239,7 @@ def jones_polynomial(pd: PDCode) -> LaurentPoly:
     n = pd.crossing_count
     if n > JONES_CROSSING_BUDGET:
         raise DiagramError(
-            f"diagram has {n} crossings, over the {JONES_CROSSING_BUDGET}-crossing state-sum budget"
+            f"diagram has {n} crossings, over the {JONES_CROSSING_BUDGET}-crossing Jones budget"
         )
     bracket = kauffman_bracket(pd)
     w = pd.writhe()

@@ -347,11 +347,19 @@ def evaluate_pair(
     k2: KnotRecord,
     certified: frozenset[tuple[str, str]] | set | None = None,
 ) -> Verdict:
-    """Verdict for the ordered query "does k1 1-dominate k2?"."""
+    """Verdict for the ordered query "does k1 1-dominate k2?".  Raises
+    CorpusError when a certificate and an obstruction both fire, since
+    then the corpus contradicts itself and neither verdict can stand."""
     _require_enriched(k1, k2)
     if k1.name == k2.name:
         return Verdict("equal")
     fired, rigidity, passed, certificate = evaluate_full(k1, k2, certified)
+    if certificate is not None and (fired or rigidity):
+        negative = sorted(r.rule_id for r in fired + rigidity)
+        raise CorpusError(
+            f"contradiction: {k1.name} -> {k2.name} certified by {certificate.rule_id} "
+            f"but obstructed by {negative}"
+        )
     if fired or rigidity:
         return Verdict("obstructed", obstructions=tuple(fired) + tuple(rigidity))
     if certificate is not None:

@@ -331,6 +331,12 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
     jones = record.jones
     if diagram is not None and diagram.crossing_count <= JONES_CROSSING_BUDGET:
         jones = _merge(name, "jones", jones, jones_polynomial(diagram))
+    if jones is not None:
+        at_one, at_minus_one = jones.eval_int(1), abs(jones.eval_int(-1))
+        if at_one != 1:
+            raise CorpusError(f"{name}: jones(1) = {at_one}, expected 1")
+        if at_minus_one != determinant:
+            raise CorpusError(f"{name}: |jones(-1)| = {at_minus_one} != determinant {determinant}")
 
     if top % 2 != 0:
         raise CorpusError(f"{name}: delta has odd degree {top}")

@@ -170,27 +170,33 @@ class LaurentPoly:
 
         Returns q with self = divisor * q, or None when no such Laurent
         polynomial exists.  Raises ZeroDivisionError on a zero divisor.
+        Long division over Z: a quotient exists exactly when every step
+        divides by the divisor's leading coefficient without remainder
+        and nothing is left over at the end.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
-        shift = self.min_degree - divisor.min_degree
-        num = [Fraction(c) for c in _dense(self.shift(-self.min_degree))]
-        den = [Fraction(c) for c in _dense(divisor.shift(-divisor.min_degree))]
-        if len(num) < len(den):
+        rem = _dense(self)
+        den = _dense(divisor)
+        if len(rem) < len(den):
             return None
-        quot = [Fraction(0)] * (len(num) - len(den) + 1)
-        rem = num[:]
+        lead = den[-1]
+        top = len(den) - 1
+        quot = [0] * (len(rem) - top)
         for i in range(len(quot) - 1, -1, -1):
-            q = rem[i + len(den) - 1] / den[-1]
-            quot[i] = q
+            q, r = divmod(rem[i + top], lead)
+            if r:
+                return None
             if q:
+                quot[i] = q
                 for j, d in enumerate(den):
                     rem[i + j] -= q * d
-        if any(rem) or any(q.denominator != 1 for q in quot):
+        if any(rem[:top]):
             return None
-        return LaurentPoly.from_dict({i: int(q) for i, q in enumerate(quot)}).shift(shift)
+        shift = self.min_degree - divisor.min_degree
+        return LaurentPoly(tuple((i + shift, q) for i, q in enumerate(quot) if q))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -222,10 +228,12 @@ def _coerce(value: LaurentPoly | int) -> LaurentPoly:
 
 
 def _dense(p: LaurentPoly) -> list[int]:
-    """Dense coefficient list of a polynomial with min degree 0."""
-    out = [0] * (p.max_degree + 1)
+    """Dense coefficient list of a nonzero polynomial, from its minimum
+    degree up."""
+    low = p.min_degree
+    out = [0] * (p.max_degree - low + 1)
     for e, c in p.terms:
-        out[e] = c
+        out[e - low] = c
     return out
 
 

@@ -130,14 +130,13 @@ def build_graph(corpus: Corpus, workers: int = 1) -> DominationGraph:
         for dst in sorted(candidates):
             pair = (src, dst)
             certificate = certificate_search(record, records[dst])
-            if certificate is not None and negatives(pair):
-                conflicts.append((pair, certificate.rule_id))
-                continue
             if certificate is None and known:
-                # an obstructed pair certified only through earlier
-                # edges is left out without an audit entry
                 certificate = certificate_search(record, records[dst], known)
-            if certificate is not None and not negatives(pair):
+            if certificate is None:
+                continue
+            if negatives(pair):
+                conflicts.append((pair, certificate.rule_id))
+            else:
                 direct[pair] = certificate
                 succ[src].append(dst)
 

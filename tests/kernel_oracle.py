@@ -1,0 +1,101 @@
+"""The exponential and `Fraction` kernels that `knotdom` replaced, kept
+as test oracles.
+
+`state_sum_bracket` is the Kauffman bracket summed over all 2^n states
+with a fresh union-find per state; `fraction_divided_by` is long division
+of Laurent polynomials over Q, accepting only an integral quotient.  The
+library's frontier sweep and integer division must agree with them.
+"""
+from __future__ import annotations
+
+from fractions import Fraction
+
+from knotdom.diagram import PDCode
+from knotdom.laurent import LaurentPoly
+
+
+def state_sum_bracket(pd: PDCode) -> LaurentPoly:
+    """Kauffman bracket state sum in the variable A over all 2^n
+    resolutions: each A-smoothing joins (a,b) and (c,d), each B-smoothing
+    joins (a,d) and (b,c), a state with k loops contributing
+    A^(#A - #B) * (-A^2 - A^-2)^(k-1)."""
+    n = pd.crossing_count
+    if n == 0:
+        return LaurentPoly.const(1)
+
+    slots_of_edge: dict[int, list[int]] = {}
+    for ci, (a, b, c, d) in enumerate(pd.crossings):
+        for pos, edge in enumerate((a, b, c, d)):
+            slots_of_edge.setdefault(edge, []).append(4 * ci + pos)
+    edge_pairs = [tuple(slots) for slots in slots_of_edge.values()]
+
+    delta = LaurentPoly.from_dict({2: -1, -2: -1})
+    delta_powers = [LaurentPoly.const(1)]
+    for _ in range(2 * n):
+        delta_powers.append(delta_powers[-1] * delta)
+
+    total = LaurentPoly()
+    size = 4 * n
+    for state in range(1 << n):
+        parent = list(range(size))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        def union(x: int, y: int) -> None:
+            parent[find(x)] = find(y)
+
+        for x, y in edge_pairs:
+            union(x, y)
+        a_count = 0
+        for ci in range(n):
+            base = 4 * ci
+            if state >> ci & 1:
+                a_count += 1
+                union(base + 0, base + 1)
+                union(base + 2, base + 3)
+            else:
+                union(base + 0, base + 3)
+                union(base + 1, base + 2)
+        loops = len({find(x) for x in range(size)})
+        total = total + LaurentPoly.t(2 * a_count - n) * delta_powers[loops - 1]
+    return total
+
+
+def fraction_divided_by(self: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly | None:
+    """Literal exact division in Z[t, t^-1].
+
+    Returns q with self = divisor * q, or None when no such Laurent
+    polynomial exists.  Raises ZeroDivisionError on a zero divisor.
+    """
+    if divisor.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    if self.is_zero():
+        return self
+    shift = self.min_degree - divisor.min_degree
+    num = [Fraction(c) for c in _dense_from_zero(self.shift(-self.min_degree))]
+    den = [Fraction(c) for c in _dense_from_zero(divisor.shift(-divisor.min_degree))]
+    if len(num) < len(den):
+        return None
+    quot = [Fraction(0)] * (len(num) - len(den) + 1)
+    rem = num[:]
+    for i in range(len(quot) - 1, -1, -1):
+        q = rem[i + len(den) - 1] / den[-1]
+        quot[i] = q
+        if q:
+            for j, d in enumerate(den):
+                rem[i + j] -= q * d
+    if any(rem) or any(q.denominator != 1 for q in quot):
+        return None
+    return LaurentPoly.from_dict({i: int(q) for i, q in enumerate(quot)}).shift(shift)
+
+
+def _dense_from_zero(p: LaurentPoly) -> list[int]:
+    """Dense coefficient list of a polynomial with min degree 0."""
+    out = [0] * (p.max_degree + 1)
+    for e, c in p.terms:
+        out[e] = c
+    return out

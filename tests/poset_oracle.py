@@ -30,36 +30,42 @@ def build_graph(corpus: Corpus, workers: int = 1) -> DominationGraph:
     else:
         results = {pair: scan(pair) for pair in pairs}
 
-    audit: list[str] = []
+    conflicts: dict[tuple[str, str], str] = {}
     direct: dict[tuple[str, str], Certificate] = {}
-    blocked: set[tuple[str, str]] = set()
+    blocked: dict[tuple[str, str], list[str]] = {}
     for pair in pairs:
         fired, rigidity, _, certificate = results[pair]
         negative = [r.rule_id for r in fired] + [r.rule_id for r in rigidity]
         if negative:
-            blocked.add(pair)
+            blocked[pair] = negative
         if certificate is not None and negative:
-            audit.append(
-                f"conflict: {pair[0]} -> {pair[1]} certified by {certificate.rule_id} "
-                f"but obstructed by {sorted(negative)}"
-            )
+            conflicts[pair] = certificate.rule_id
             continue
         if certificate is not None:
             direct[pair] = certificate
 
     # Second pass: connected-sum certificates may pair summands through
-    # edges certified in the first pass (k1#k2 >= k1'#k2').
+    # edges certified in the first pass (k1#k2 >= k1'#k2').  A blocked
+    # pair certified this way is a conflict too.
     changed = True
     while changed:
         changed = False
         known = frozenset(direct)
         for pair in pairs:
-            if pair in direct or pair in blocked:
+            if pair in direct or pair in conflicts:
                 continue
             certificate = certificate_search(records[pair[0]], records[pair[1]], known)
-            if certificate is not None:
+            if certificate is not None and pair in blocked:
+                conflicts[pair] = certificate.rule_id
+            elif certificate is not None:
                 direct[pair] = certificate
                 changed = True
+
+    audit = [
+        f"conflict: {src} -> {dst} certified by {rule_id} "
+        f"but obstructed by {sorted(blocked[(src, dst)])}"
+        for (src, dst), rule_id in sorted(conflicts.items())
+    ]
 
     # Transitive closure with canonical witness chains: shortest, then
     # lexicographically least, over the direct edges.

@@ -45,6 +45,21 @@ class TestCheck:
         assert list(payload) == sorted(payload)
         assert "O1_alexander" in payload["rules"]
 
+    def test_contradiction_names_both_rules(self, capsys, tmp_path):
+        # C1 certifies a#b >= a; O10_orderability obstructs it, since
+        # a's double cover is left-orderable and the sum's is not
+        corpus = [
+            {"name": "a", "delta": "1 - t + t^2", "flags": {"lo_double_cover": True}},
+            {"name": "b", "delta": "1 - 3t + t^2"},
+            {"name": "a#b", "connected_sum_of": ["a", "b"], "flags": {"lo_double_cover": False}},
+        ]
+        path = tmp_path / "contradictory.json"
+        path.write_text(json.dumps(corpus))
+        code, out, err = run(capsys, "--corpus", str(path), "check", "a#b", "a")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "C1_connected_sum" in err and "O10_orderability" in err
+
 
 class TestInvariants:
     def test_by_name(self, capsys):

@@ -94,6 +94,23 @@ class TestEnrichment:
         with pytest.raises(CorpusError, match="declared delta"):
             enrich_record(record)
 
+    @pytest.mark.parametrize(
+        "jones, message",
+        [
+            # the trefoil's V with one coefficient raised
+            ("-t^-4 + t^-3 + 2t^-1", r"jones\(1\) = 2, expected 1"),
+            # V(1) = 1, but V(-1) = 5 against the trefoil's determinant 3
+            ("t^-4 - t^-3 + t^-2 - t^-1 + 1", r"\|jones\(-1\)\| = 5 != determinant 3"),
+        ],
+    )
+    def test_declared_jones_must_satisfy_identities(self, jones, message):
+        # metadata-only, so no diagram recomputes and overrides it
+        record = KnotRecord(
+            name="bad_jones", delta=parse_poly("1 - t + t^2"), jones=parse_poly(jones)
+        )
+        with pytest.raises(CorpusError, match="bad_jones: " + message):
+            enrich_record(record)
+
     def test_trefoil_full_enrichment(self, corpus):
         trefoil = corpus.get("3_1")
         assert trefoil.delta == parse_poly("1 - t + t^2")

@@ -283,6 +283,16 @@ class TestOracle:
         assert any(" reachable through " in a and a.endswith("but obstructed") for a in audits)
         assert through_edges > 0
 
+    def test_conflict_certified_through_earlier_edges(self):
+        # c4 -> p3 is certified by C1 only through an earlier edge out
+        # of a summand, and obstructed; it used to vanish unreported
+        graph = build_graph(random_corpus(0))
+        assert (
+            "conflict: c4 -> p3 certified by C1_connected_sum "
+            "but obstructed by ['O10_orderability', 'O9_ghat']"
+        ) in graph.audit_log
+        assert ("c4", "p3") not in edge_set(graph)
+
     def test_cycle_among_certified_edges(self):
         # two names for one summand multiset, assembled past build_corpus
         # (which rejects them) to pin the cycle finding of the audit
