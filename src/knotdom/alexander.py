@@ -14,8 +14,6 @@ Khovanov homology (arXiv math/0606318).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .diagram import DiagramError, PDCode, WirtingerPresentation, wirtinger
 from .laurent import LaurentPoly
 
@@ -28,19 +26,6 @@ _ONE = LaurentPoly.const(1)
 _MINUS_ONE = LaurentPoly.const(-1)
 _T = LaurentPoly.t()
 _ONE_MINUS_T = _ONE - _T
-
-
-@dataclass(frozen=True)
-class AlexanderMatrix:
-    """Square presentation matrix of the Alexander module, obtained from
-    the Fox-derivative matrix by deleting one relation row and one
-    generator column."""
-
-    entries: tuple[tuple[LaurentPoly, ...], ...]
-
-    @property
-    def size(self) -> int:
-        return len(self.entries)
 
 
 def fox_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
@@ -65,8 +50,9 @@ def alexander_matrix(
     pres: WirtingerPresentation,
     drop_relation: int | None = None,
     drop_generator: int | None = None,
-) -> AlexanderMatrix:
-    """Delete one relation row and one generator column; by default the
+) -> list[list[LaurentPoly]]:
+    """Square presentation matrix of the Alexander module: the Fox matrix
+    with one relation row and one generator column deleted, by default the
     last relation and the highest-numbered generator (the normalized
     determinant is independent of the choice)."""
     full = fox_matrix(pres)
@@ -78,17 +64,16 @@ def alexander_matrix(
     for i, row in enumerate(full):
         if i == drop_relation:
             continue
-        rows.append(tuple(v for j, v in enumerate(row) if j != drop_generator))
-    return AlexanderMatrix(tuple(rows))
+        rows.append([v for j, v in enumerate(row) if j != drop_generator])
+    return rows
 
 
-def bareiss_determinant(matrix: AlexanderMatrix | list[list[LaurentPoly]]) -> LaurentPoly:
+def bareiss_determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant over Z[t, t^-1] by fraction-free elimination.
 
     Rows are shifted to nonnegative exponents first; the unit correction
     is reapplied at the end, so the result is the literal determinant.
     """
-    rows = matrix.entries if isinstance(matrix, AlexanderMatrix) else matrix
     m = [list(row) for row in rows]
     n = len(m)
     if n == 0:

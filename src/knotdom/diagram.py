@@ -113,6 +113,23 @@ def _succ(label: int, n: int) -> int:
     return label % (2 * n) + 1
 
 
+def _disjoint_sets(size: int):
+    """find and union over 0..size-1, with path halving; union(x, y)
+    puts x's root under y's root."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        parent[find(x)] = find(y)
+
+    return find, union
+
+
 def _validate(crossings: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     n = len(crossings)
     if n == 0:
@@ -199,6 +216,12 @@ def braid_to_pd(braid: BraidWord) -> PDCode:
     """PD code of the trace closure (strand i top joined to strand i
     bottom).  The closure must be a knot: one permutation cycle."""
     m = braid.strand_count
+    # Each crossing joins at most two cycles of the permutation, so more
+    # strands than letters + 1 cannot close into a knot.
+    if m > len(braid.letters) + 1:
+        raise DiagramError(
+            f"braid closure has at least {m - len(braid.letters)} components, expected a knot"
+        )
     perm = list(range(m))
     for letter in braid.letters:
         i = abs(letter) - 1
@@ -232,17 +255,7 @@ def braid_to_pd(braid: BraidWord) -> PDCode:
         ports.append({"NW": nw, "NE": ne, "SW": sw, "SE": se})
         position_edge[i], position_edge[i + 1] = sw, se
 
-    parent = list(range(next_edge))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
+    find, union = _disjoint_sets(next_edge)
     for pos in range(m):
         union(position_edge[pos], pos)
 
@@ -284,17 +297,7 @@ def wirtinger(pd: PDCode) -> WirtingerPresentation:
     n = pd.crossing_count
     if n == 0:
         return WirtingerPresentation(1, ())
-    parent = list(range(1, 2 * n + 2))  # 1-based labels; index 0 unused
-
-    def find(x: int) -> int:
-        while parent[x - 1] != x:
-            parent[x - 1] = parent[parent[x - 1] - 1]
-            x = parent[x - 1]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x) - 1] = find(y)
-
+    find, union = _disjoint_sets(2 * n + 1)  # labels 1..2n; 0 unused
     for o_in in pd.over_in:
         union(_succ(o_in, n), o_in)  # over passage keeps the same arc
     roots = sorted({find(label) for label in range(1, 2 * n + 1)})
@@ -314,17 +317,7 @@ def seifert_circles(pd: PDCode) -> tuple[int, int]:
     n = pd.crossing_count
     if n == 0:
         return 1, 0
-    parent = list(range(2 * n + 1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
+    find, union = _disjoint_sets(2 * n + 1)  # labels 1..2n; 0 unused
     # The oriented smoothing joins each incoming arc to the outgoing arc
     # on the same side of the crossing.
     for (a, b, c, d), sign in zip(pd.crossings, pd.signs):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal, InvalidOperation
+from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
 
 from .alexander import (
@@ -30,23 +31,6 @@ from .laurent import LaurentPoly, format_poly, parse_poly
 class CorpusError(ValueError):
     """Raised for schema violations, dangling references, or declared
     values that contradict computed ones."""
-
-
-FLAG_NAMES = (
-    "alternating",
-    "toroidally_alternating",
-    "fibred",
-    "two_bridge",
-    "montesinos",
-    "small",
-    "free",
-    "simple",
-    "unknot",
-    "no_winding_zero_companion",
-    "hyperbolic",
-    "lo_double_cover",
-    "lspace_double_cover",
-)
 
 
 @dataclass(frozen=True)
@@ -72,6 +56,9 @@ class Flags:
 
     def as_dict(self) -> dict[str, bool]:
         return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
+
+
+FLAG_NAMES = tuple(f.name for f in fields(Flags))
 
 
 @dataclass(frozen=True)
@@ -104,6 +91,11 @@ class KnotRecord:
         """Prime decomposition as recorded: a record without
         connected_sum_of counts as the singleton multiset of itself."""
         return self.connected_sum_of if self.connected_sum_of else (self.name,)
+
+    def references(self) -> tuple[str, ...]:
+        """Names this record is built from: its summands, then the
+        pattern and the companion of a satellite."""
+        return (self.connected_sum_of or ()) + (self.satellite_of[:2] if self.satellite_of else ())
 
 
 @dataclass(frozen=True)
@@ -145,11 +137,7 @@ def normalize_volume(text: str) -> str:
     return format(value.quantize(Decimal("0.00000001")), "f")
 
 
-_RECORD_KEYS = {
-    "name", "diagram", "braid", "delta", "determinant", "jones",
-    "genus_lower", "genus_upper", "genus_exact", "ghat", "volume",
-    "flags", "sum_of_simple", "mutant_class", "connected_sum_of", "satellite_of",
-}
+_RECORD_KEYS = {f.name for f in fields(KnotRecord)} - {"enriched"}
 
 
 def record_from_json(obj: dict) -> KnotRecord:
@@ -246,34 +234,28 @@ def record_from_json(obj: dict) -> KnotRecord:
 
 # Implications applied as a monotone closure over definite flags.  Each
 # pair (antecedent, consequent) upgrades unknown to True and reports a
-# contradiction when the consequent is already False.
+# contradiction when the consequent is already False.  Every flag's own
+# implications come before any pair that reads it, so one pass in this
+# order reaches the closure.
 _IMPLICATIONS = (
-    ("fibred", "free"),
-    ("two_bridge", "alternating"),
-    ("two_bridge", "small"),
-    ("small", "free"),
     ("unknot", "fibred"),
     ("unknot", "free"),
     ("unknot", "small"),
+    ("two_bridge", "alternating"),
+    ("two_bridge", "small"),
+    ("fibred", "free"),
+    ("small", "free"),
 )
 
 
 def close_flags(flags: Flags, name: str) -> Flags:
     values = {f.name: getattr(flags, f.name) for f in fields(flags)}
-    for _ in range(4):
-        changed = False
-        for antecedent, consequent in _IMPLICATIONS:
-            if values[antecedent] is True:
-                if values[consequent] is False:
-                    raise CorpusError(
-                        f"{name}: flag contradiction: {antecedent} implies {consequent}"
-                    )
-                if values[consequent] is None:
-                    values[consequent] = True
-                    changed = True
-        if not changed:
-            return Flags(**values)
-    raise CorpusError(f"{name}: flag closure did not reach a fixed point")
+    for antecedent, consequent in _IMPLICATIONS:
+        if values[antecedent] is True:
+            if values[consequent] is False:
+                raise CorpusError(f"{name}: flag contradiction: {antecedent} implies {consequent}")
+            values[consequent] = True
+    return Flags(**values)
 
 
 def _merge(name: str, what: str, declared, computed):
@@ -323,7 +305,7 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
         raise CorpusError(f"{name}: delta(1) = {delta.eval_int(1)}, expected +-1")
     coeffs = delta.coefficients()
     top = delta.max_degree
-    if any(coeffs.get(e, 0) != coeffs.get(top - e, 0) for e in range(top + 1)):
+    if any(coeffs.get(top - e) != c for e, c in delta.terms):
         raise CorpusError(f"{name}: delta {format_poly(delta)} is not palindromic")
 
     determinant = _merge(name, "determinant", record.determinant, determinant_invariant(delta))
@@ -438,7 +420,7 @@ def build_corpus(records: list[KnotRecord]) -> Corpus:
         by_name[record.name] = record
 
     for record in records:
-        for ref in (record.connected_sum_of or ()) + tuple(record.satellite_of[:2] if record.satellite_of else ()):
+        for ref in record.references():
             if ref not in by_name:
                 raise CorpusError(f"{record.name}: dangling cross-reference to {ref!r}")
 
@@ -462,22 +444,12 @@ def build_corpus(records: list[KnotRecord]) -> Corpus:
         if count < 2:
             raise CorpusError(f"mutant class {label!r} has no peer record")
 
+    # Parts before the records built from them: one pass enriches all.
+    try:
+        order = list(TopologicalSorter({r.name: r.references() for r in records}).static_order())
+    except CycleError as exc:
+        raise CorpusError(f"circular composite references among {sorted(set(exc.args[1]))}") from None
     enriched: dict[str, KnotRecord] = {}
-    pending = list(records)
-    while pending:
-        progressed = False
-        remaining = []
-        for record in pending:
-            refs = (record.connected_sum_of or ()) + tuple(
-                record.satellite_of[:2] if record.satellite_of else ()
-            )
-            if all(ref in enriched for ref in refs):
-                enriched[record.name] = enrich_record(record, enriched)
-                progressed = True
-            else:
-                remaining.append(record)
-        if not progressed:
-            names = sorted(r.name for r in remaining)
-            raise CorpusError(f"circular composite references among {names}")
-        pending = remaining
+    for name in order:
+        enriched[name] = enrich_record(by_name[name], enriched)
     return Corpus(tuple(enriched[r.name] for r in records))

@@ -28,15 +28,13 @@ class LaurentPoly:
     terms: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        seen = set()
+        previous = None
         for exp, coeff in self.terms:
             if coeff == 0:
                 raise ValueError(f"stored coefficient is zero at exponent {exp}")
-            if exp in seen:
-                raise ValueError(f"duplicate exponent {exp}")
-            seen.add(exp)
-        if list(self.terms) != sorted(self.terms):
-            object.__setattr__(self, "terms", tuple(sorted(self.terms)))
+            if previous is not None and exp <= previous:
+                raise ValueError(f"exponents must strictly increase: {exp} after {previous}")
+            previous = exp
 
     # -- construction -----------------------------------------------------
 

@@ -175,22 +175,22 @@ def build_graph(corpus: Corpus, workers: int = 1) -> DominationGraph:
 def _canonical_chains(src: str, succ: dict[str, list[str]]) -> dict[str, tuple[str, ...]]:
     """For every node reachable from src in two or more direct steps, the
     canonical witness chain: shortest, ties broken lexicographically.
-    Relaxation to a fixed point; a strictly better (length, chain) pair is
-    accepted, so cycles cannot loop."""
-    best: dict[str, tuple[int, tuple[str, ...]]] = {src: (0, (src,))}
-    changed = True
-    while changed:
-        changed = False
-        for node in sorted(best):
-            length, chain = best[node]
+    Breadth first, one level at a time, taking each level's nodes by name:
+    a node keeps the place of its first reach and the least chain of its
+    level.  The audit lists closure conflicts in this order."""
+    chains: dict[str, tuple[str, ...]] = {src: (src,)}
+    level = [src]
+    while level:
+        reached: dict[str, tuple[str, ...]] = {}
+        for node in sorted(level):
             for nxt in succ[node]:
-                candidate = (length + 1, chain + (nxt,))
-                if nxt not in best or candidate < best[nxt]:
-                    best[nxt] = candidate
-                    changed = True
-    return {
-        dst: chain for dst, (length, chain) in best.items() if length >= 2
-    }
+                if nxt not in chains:
+                    candidate = chains[node] + (nxt,)
+                    if nxt not in reached or candidate < reached[nxt]:
+                        reached[nxt] = candidate
+        chains.update(reached)
+        level = list(reached)
+    return {dst: chain for dst, chain in chains.items() if len(chain) >= 3}
 
 
 def _find_cycle(names: tuple[str, ...] | list[str], succ: dict[str, list[str]]) -> list[str] | None:

@@ -116,6 +116,11 @@ class TestBraid:
         with pytest.raises(DiagramError, match="components"):
             braid_to_pd(BraidWord(3, ()))
 
+    def test_idle_strands_rejected_before_any_work(self):
+        # a closure has at least strands - letters components
+        with pytest.raises(DiagramError, match="at least 999999 components"):
+            braid_to_pd(parse_braid("B1000000: 1"))
+
     def test_trefoil_closure(self):
         pd = braid_to_pd(BraidWord(2, (1, 1, 1)))
         assert pd.crossing_count == 3

@@ -1,4 +1,5 @@
 """Corpus loading, record enrichment, cross-validation, flag closure."""
+import itertools
 import json
 
 import pytest
@@ -153,6 +154,12 @@ class TestEnrichment:
         with pytest.raises(CorpusError, match="palindromic"):
             enrich_record(KnotRecord(name="x", delta=parse_poly("1 - t + t^3")))
 
+    def test_sparse_palindrome_checked_over_terms(self):
+        record = enrich_record(KnotRecord(name="x", delta=parse_poly("1 - t^10000000 + t^20000000")))
+        assert record.genus_lower == 10**7
+        with pytest.raises(CorpusError, match="palindromic"):
+            enrich_record(KnotRecord(name="y", delta=parse_poly("1 - t^3 + t^20000000")))
+
     def test_delta_at_one_must_be_unit(self):
         with pytest.raises(CorpusError, match="expected \\+-1"):
             enrich_record(KnotRecord(name="x", delta=parse_poly("1 - t + 3t^2 - t^3 + t^4")))
@@ -185,6 +192,21 @@ class TestFlagClosure:
         assert flags.alternating is True
         assert flags.small is True
         assert flags.free is True
+
+    def test_unknot_closes_in_one_call(self):
+        flags = close_flags(Flags(unknot=True), "x")
+        assert flags.fibred is True and flags.free is True and flags.small is True
+
+    def test_one_pass_is_closed(self):
+        # every assignment of the flags in the implications is closed
+        # after one call
+        names = ("unknot", "two_bridge", "fibred", "small", "free", "alternating")
+        for values in itertools.product((None, False, True), repeat=len(names)):
+            try:
+                flags = close_flags(Flags(**dict(zip(names, values))), "x")
+            except CorpusError:
+                continue
+            assert close_flags(flags, "x") == flags
 
     def test_fibred_implies_free(self):
         assert close_flags(Flags(fibred=True), "x").free is True
@@ -257,3 +279,26 @@ def test_build_corpus_rejects_two_names_for_one_connected_sum():
     s2 = KnotRecord(name="s2", connected_sum_of=("b", "a"))
     with pytest.raises(CorpusError, match="s1 and s2 are both the connected sum of a # b"):
         build_corpus([a, b, s1, s2])
+
+
+def test_build_corpus_cycle_error_names_only_the_cycle():
+    a = KnotRecord(name="a", delta=parse_poly("1"), satellite_of=("b", "b", 0))
+    b = KnotRecord(name="b", delta=parse_poly("1"), satellite_of=("a", "a", 0))
+    c = KnotRecord(name="c", delta=parse_poly("1"), satellite_of=("a", "a", 0))
+    with pytest.raises(CorpusError, match=r"circular composite references among \['a', 'b'\]$"):
+        build_corpus([c, a, b])
+
+
+def test_build_corpus_enriches_parts_listed_later():
+    # a satellite whose companion is a connected sum, both listed before
+    # their parts
+    sat = KnotRecord(name="sat", satellite_of=("p", "sum", 2))
+    total = KnotRecord(name="sum", connected_sum_of=("a", "b"))
+    a = KnotRecord(name="a", delta=parse_poly("1 - t + t^2"))
+    b = KnotRecord(name="b", delta=parse_poly("1 - 3t + t^2"))
+    p = KnotRecord(name="p", delta=parse_poly("1 - t + t^2"))
+    corpus = build_corpus([sat, total, a, b, p])
+    assert [r.name for r in corpus] == ["sat", "sum", "a", "b", "p"]
+    assert all(r.enriched for r in corpus)
+    assert corpus.get("sum").delta == parse_poly("1 - 4t + 5t^2 - 4t^3 + t^4")
+    assert corpus.get("sat").delta == parse_poly("1 - t + t^2") * parse_poly("1 - 4t^2 + 5t^4 - 4t^6 + t^8")

@@ -41,6 +41,18 @@ nonzero_polys = polys.filter(lambda p: not p.is_zero())
 units = st.builds(lambda e, s: LaurentPoly.t(e, 1 if s else -1), st.integers(-5, 5), st.booleans())
 
 
+class TestConstruction:
+    def test_terms_must_strictly_increase(self):
+        with pytest.raises(ValueError, match="strictly increase"):
+            LaurentPoly(((2, 1), (0, 1)))
+        with pytest.raises(ValueError, match="strictly increase"):
+            LaurentPoly(((0, 1), (0, 2)))
+
+    def test_zero_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="zero at exponent 1"):
+            LaurentPoly(((0, 1), (1, 0)))
+
+
 class TestMul:
     def test_identity_factorization(self):
         assert (ONE + T) * (ONE - T + T**2) == P("1 + t^3")

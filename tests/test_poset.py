@@ -9,11 +9,13 @@ from knotdom.knotbase import Corpus, CorpusError, Flags, KnotRecord, build_corpu
 from knotdom.laurent import parse_poly
 from knotdom.poset import (
     ChainBound,
+    _canonical_chains,
     build_graph,
     chain_length_bound,
     iter_chains,
     longest_chain,
 )
+from poset_oracle import _canonical_chains as oracle_canonical_chains
 from poset_oracle import build_graph as oracle_build_graph
 
 
@@ -265,6 +267,40 @@ def random_corpus(seed: int):
             if summand in satellites:
                 add_sum(summands[:i] + [records[summand].satellite_of[0]] + summands[i + 1:])
     return build_corpus(list(records.values()))
+
+
+class TestCanonicalChains:
+    def test_matches_relaxation_in_order(self):
+        # names drawn so that name order differs from the order of first
+        # reach; dense enough for self-loops, cycles through the source
+        # and several shortest chains to one node
+        rng = random.Random(11)
+        loops = cycles = ties = 0
+        for _ in range(200):
+            names = rng.sample([a + b for a in "pqxyz" for b in "0123"], rng.randint(1, 12))
+            succ = {name: rng.sample(names, rng.randint(0, min(4, len(names)))) for name in names}
+            src = rng.choice(names)
+            chains = _canonical_chains(src, succ)
+            assert list(chains.items()) == list(oracle_canonical_chains(src, succ).items())
+            loops += any(name in succ[name] for name in names)
+            cycles += any(src in succ[dst] for dst in chains)
+            depth = {**dict.fromkeys(succ[src], 1), src: 0}
+            depth.update((dst, len(chain) - 1) for dst, chain in chains.items())
+            ties += any(
+                sum(depth.get(node) == depth[dst] - 1 for node in names if dst in succ[node]) > 1
+                for dst in chains
+            )
+        assert loops and cycles and ties, (loops, cycles, ties)
+
+    def test_least_chain_keeps_place_of_first_reach(self):
+        # z is first reached through x, but (s, a, y, z) < (s, b, x, z)
+        succ = {"s": ["b", "a"], "a": ["y"], "b": ["x"], "x": ["z"], "y": ["w", "z"], "w": [], "z": []}
+        assert list(_canonical_chains("s", succ).items()) == [
+            ("y", ("s", "a", "y")),
+            ("x", ("s", "b", "x")),
+            ("z", ("s", "a", "y", "z")),
+            ("w", ("s", "a", "y", "w")),
+        ]
 
 
 class TestOracle:
