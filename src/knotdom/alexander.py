@@ -71,8 +71,10 @@ def alexander_matrix(
 def bareiss_determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     """Exact determinant over Z[t, t^-1] by fraction-free elimination.
 
-    Rows are shifted to nonnegative exponents first; the unit correction
-    is reapplied at the end, so the result is the literal determinant.
+    Bareiss elimination is exact over any integral domain, and every
+    interior division is exact division in Z[t, t^-1], so entries with
+    negative exponents need no shift: the result is the literal
+    determinant.
     """
     m = [list(row) for row in rows]
     n = len(m)
@@ -80,13 +82,6 @@ def bareiss_determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
         return LaurentPoly.const(1)
     if any(len(row) != n for row in m):
         raise ValueError("determinant of a non-square matrix")
-
-    unit_shift = 0
-    for i, row in enumerate(m):
-        low = min((v.min_degree for v in row if not v.is_zero()), default=0)
-        if low < 0:
-            m[i] = [v.shift(-low) for v in row]
-            unit_shift += low
     sign = 1
     prev = LaurentPoly.const(1)
     for k in range(n - 1):
@@ -106,9 +101,7 @@ def bareiss_determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
             m[i][k] = LaurentPoly()
         prev = m[k][k]
     det = m[n - 1][n - 1]
-    if sign < 0:
-        det = -det
-    return det.shift(unit_shift)
+    return -det if sign < 0 else det
 
 
 def alexander_polynomial(

@@ -99,7 +99,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_poset = sub.add_parser("poset", parents=[common], help="build the certified domination graph")
     p_poset.add_argument("corpus_path", nargs="?", help="corpus file (overrides --corpus)")
-    p_poset.add_argument("--jobs", type=int, default=1, help="accepted for compatibility; has no effect")
 
     p_bound = sub.add_parser("chain-bound", parents=[common], help="chain-length bounds for a corpus knot")
     p_bound.add_argument("name")

@@ -145,54 +145,33 @@ def _validate(crossings: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[i
             raise DiagramError(
                 f"arc {label} appears {counts.get(label, 0)} times, expected 2"
             )
-    if set(counts) != set(range(1, 2 * n + 1)):
-        extra = sorted(set(counts) - set(range(1, 2 * n + 1)))
-        raise DiagramError(f"arc labels outside 1..{2 * n}: {extra}")
 
     # Over-strand orientation per crossing.  b = d+1 means the over-strand
     # runs d -> b (positive crossing); d = b+1 means b -> d (negative).
-    # For n = 1 both congruences hold mod 2 and the global head/tail check
-    # below picks the consistent reading.
-    candidates: list[list[tuple[int, int, int]]] = []
+    # Both hold only for n = 1, where {b, d} = {a, c}: the over-strand
+    # must enter at the label the under-strand does not.
+    signs: list[int] = []
+    over_in: list[int] = []
+    over_out: list[int] = []
     for a, b, c, d in crossings:
         if c != _succ(a, n):
             raise DiagramError(
                 f"under-strand at X({a},{b},{c},{d}) must exit at {_succ(a, n)}, got {c}"
             )
-        options = []
-        if b == _succ(d, n):
-            options.append((+1, d, b))
-        if d == _succ(b, n):
-            options.append((-1, b, d))
-        if not options:
+        forward, backward = b == _succ(d, n), d == _succ(b, n)
+        if not (forward or backward):
             raise DiagramError(
                 f"over-strand labels {b},{d} at X({a},{b},{c},{d}) are not consecutive"
             )
-        candidates.append(options)
-
-    def consistent(choice: list[tuple[int, int, int]]) -> bool:
-        heads: list[int] = []
-        tails: list[int] = []
-        for (a, _, c, _), (_, o_in, o_out) in zip(crossings, choice):
-            heads += [a, o_in]
-            tails += [c, o_out]
-        return sorted(heads) == list(range(1, 2 * n + 1)) == sorted(tails)
-
-    # At most one crossing (n = 1) can be ambiguous, so this search is tiny.
-    choice = [opts[0] for opts in candidates]
-    if not consistent(choice):
-        resolved = False
-        for i, opts in enumerate(candidates):
-            if len(opts) > 1:
-                trial = list(choice)
-                trial[i] = opts[1]
-                if consistent(trial):
-                    choice = trial
-                    resolved = True
-                    break
-        if not resolved:
-            raise DiagramError("arc labeling is not a consistent single-knot traversal")
-    return tuple(c[0] for c in choice), tuple(c[1] for c in choice)
+        positive = d != a if forward and backward else forward
+        signs.append(1 if positive else -1)
+        over_in.append(d if positive else b)
+        over_out.append(b if positive else d)
+    heads = sorted([tup[0] for tup in crossings] + over_in)
+    tails = sorted([tup[2] for tup in crossings] + over_out)
+    if not heads == list(range(1, 2 * n + 1)) == tails:
+        raise DiagramError("arc labeling is not a consistent single-knot traversal")
+    return tuple(signs), tuple(over_in)
 
 
 _BRAID_RE = re.compile(r"B(\d+)\s*:\s*(.*)$", re.DOTALL)

@@ -53,10 +53,6 @@ ANCHORS = {
     "C5_transitive": "Sec. 1, partial order (transitivity)",
 }
 
-OBSTRUCTION_RULES = tuple(r for r in ANCHORS if r.startswith("O"))
-RIGIDITY_RULES = tuple(r for r in ANCHORS if r.startswith("R"))
-
-
 @dataclass(frozen=True)
 class ObstructionReport:
     rule_id: str

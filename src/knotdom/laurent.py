@@ -222,7 +222,7 @@ def _coerce(value: LaurentPoly | int) -> LaurentPoly:
         return value
     if isinstance(value, int):
         return LaurentPoly.const(value)
-    return NotImplemented
+    raise TypeError(f"cannot combine a Laurent polynomial with {type(value).__name__}")
 
 
 def _dense(p: LaurentPoly) -> list[int]:
@@ -233,15 +233,6 @@ def _dense(p: LaurentPoly) -> list[int]:
     for e, c in p.terms:
         out[e - low] = c
     return out
-
-
-def mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact product in Z[t, t^-1]."""
-    return a * b
-
-
-def normalize(a: LaurentPoly) -> LaurentPoly:
-    return a.normalize()
 
 
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
@@ -258,10 +249,6 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
 def divides(b: LaurentPoly, a: LaurentPoly) -> bool:
     """True when b divides a up to units +-t^k."""
     return exact_div(a, b) is not None
-
-
-def eval_int(a: LaurentPoly, x: int) -> int | Fraction:
-    return a.eval_int(x)
 
 
 def is_prime_power(n: int) -> bool:

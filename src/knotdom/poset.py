@@ -10,8 +10,7 @@ deterministic pass, so serialization is byte-identical across runs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from graphlib import TopologicalSorter
+from graphlib import CycleError, TopologicalSorter
 
 from .domination import Certificate, certificate_search, obstruction_scan, rigidity_scan
 from .knotbase import Corpus, CorpusError, KnotRecord
@@ -75,7 +74,7 @@ class ChainBound:
     scope: str  # "total_length" | "alternating_count"
 
 
-def build_graph(corpus: Corpus, workers: int = 1) -> DominationGraph:
+def build_graph(corpus: Corpus) -> DominationGraph:
     """Certify the candidate edges listed from record structure, close
     under transitivity, and audit certificates against obstructions.
 
@@ -85,8 +84,7 @@ def build_graph(corpus: Corpus, workers: int = 1) -> DominationGraph:
     knot are the unknots, its pattern and companion, and, for a composite,
     the records whose summands all lie among its own summands and their
     direct successors.  The obstruction and rigidity scans run only on
-    pairs the audit reads.  `workers` is accepted for compatibility and
-    has no effect."""
+    pairs the audit reads."""
     names = corpus.names()
     records = {name: corpus.get(name) for name in names}
     unknots = [name for name in names if records[name].flags.unknot is True]
@@ -194,29 +192,30 @@ def _canonical_chains(src: str, succ: dict[str, list[str]]) -> dict[str, tuple[s
 
 
 def _find_cycle(names: tuple[str, ...] | list[str], succ: dict[str, list[str]]) -> list[str] | None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {name: WHITE for name in names}
-    stack: list[str] = []
-
-    def visit(node: str) -> list[str] | None:
-        color[node] = GRAY
-        stack.append(node)
-        for nxt in succ[node]:
-            if color[nxt] == GRAY:
-                return stack[stack.index(nxt):] + [nxt]
-            if color[nxt] == WHITE:
-                found = visit(nxt)
-                if found:
-                    return found
-        stack.pop()
-        color[node] = BLACK
-        return None
-
-    for name in names:
-        if color[name] == WHITE:
-            found = visit(name)
-            if found:
-                return found
+    """The first cycle a depth-first search meets, roots taken in the
+    given order, as [v, ..., v]; None when succ is acyclic.  The walk
+    keeps an explicit stack, so deep graphs do not hit the recursion
+    limit."""
+    ON_PATH, DONE = 1, 2
+    state: dict[str, int] = {}
+    for root in names:
+        if root in state:
+            continue
+        state[root] = ON_PATH
+        path = [root]
+        pending = [iter(succ[root])]  # per path node, its unvisited successors
+        while pending:
+            for nxt in pending[-1]:
+                if state.get(nxt) == ON_PATH:
+                    return path[path.index(nxt):] + [nxt]
+                if nxt not in state:
+                    state[nxt] = ON_PATH
+                    path.append(nxt)
+                    pending.append(iter(succ[nxt]))
+                    break
+            else:
+                state[path.pop()] = DONE
+                pending.pop()
     return None
 
 
@@ -225,25 +224,29 @@ def longest_chain(graph: DominationGraph, start: str) -> list[str]:
     broken by lexicographic order of the name sequence."""
     if start not in graph.nodes:
         raise CorpusError(f"unknown knot name {start!r}")
-    visiting: set[str] = set()
-
-    @lru_cache(maxsize=None)
-    def best_from(node: str) -> tuple[int, tuple[str, ...]]:
-        if node in visiting:
-            raise CorpusError("certified edges contain a cycle; no longest chain")
-        visiting.add(node)
-        best = (0, (node,))
-        for nxt in graph.successors(node):
-            length, tail = best_from(nxt)
-            candidate = (length + 1, (node,) + tail)
-            if candidate[0] > best[0] or (
-                candidate[0] == best[0] and candidate[1] < best[1]
-            ):
-                best = candidate
-        visiting.discard(node)
-        return best
-
-    return list(best_from(start)[1])
+    reach = {start}
+    stack = [start]
+    while stack:
+        for nxt in graph.successors(stack.pop()):
+            if nxt not in reach:
+                reach.add(nxt)
+                stack.append(nxt)
+    order = TopologicalSorter({node: graph.successors(node) for node in reach})
+    try:
+        nodes = list(order.static_order())  # successors first
+    except CycleError as exc:
+        raise CorpusError("certified edges contain a cycle; no longest chain") from exc
+    # Equal-length chains out of a node differ first at its successor, so
+    # the least chain goes through the least successor among the longest.
+    best: dict[str, tuple[int, str | None]] = {}  # node -> (-length, next node)
+    for node in nodes:
+        best[node] = min(
+            ((best[nxt][0] - 1, nxt) for nxt in graph.successors(node)), default=(0, None)
+        )
+    chain = [start]
+    while best[chain[-1]][1] is not None:
+        chain.append(best[chain[-1]][1])
+    return chain
 
 
 def iter_chains(graph: DominationGraph, start: str):

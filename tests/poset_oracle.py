@@ -1,5 +1,6 @@
 """The all-pairs domination graph builder, kept as the test oracle for
-`knotdom.poset.build_graph`.
+`knotdom.poset.build_graph`, and the recursive graph walks kept as
+oracles for `knotdom.poset._find_cycle` and `knotdom.poset.longest_chain`.
 
 It evaluates every obstruction, rigidity and certificate rule on all
 N(N-1) ordered pairs, then re-scans for connected-sum certificates until
@@ -8,9 +9,10 @@ nothing changes.  The library builder must serialize to the same bytes.
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
+from functools import lru_cache
 
 from knotdom.domination import Certificate, certificate_search, evaluate_full
-from knotdom.knotbase import Corpus
+from knotdom.knotbase import Corpus, CorpusError
 from knotdom.poset import DominationGraph, Edge
 
 
@@ -145,3 +147,29 @@ def _find_cycle(names: tuple[str, ...] | list[str], succ: dict[str, list[str]]) 
             if found:
                 return found
     return None
+
+
+def longest_chain(graph: DominationGraph, start: str) -> list[str]:
+    """A maximum-length strict chain of certified edges from start; ties
+    broken by lexicographic order of the name sequence."""
+    if start not in graph.nodes:
+        raise CorpusError(f"unknown knot name {start!r}")
+    visiting: set[str] = set()
+
+    @lru_cache(maxsize=None)
+    def best_from(node: str) -> tuple[int, tuple[str, ...]]:
+        if node in visiting:
+            raise CorpusError("certified edges contain a cycle; no longest chain")
+        visiting.add(node)
+        best = (0, (node,))
+        for nxt in graph.successors(node):
+            length, tail = best_from(nxt)
+            candidate = (length + 1, (node,) + tail)
+            if candidate[0] > best[0] or (
+                candidate[0] == best[0] and candidate[1] < best[1]
+            ):
+                best = candidate
+        visiting.discard(node)
+        return best
+
+    return list(best_from(start)[1])

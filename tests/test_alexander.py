@@ -207,6 +207,22 @@ class TestBareiss:
             rows = [[rng.choice(span_one) for _ in range(4)] for _ in range(4)]
             assert bareiss_determinant(rows) == cofactor_determinant(rows)
 
+    def test_matches_cofactor_with_negative_exponents(self):
+        rng = random.Random(20261018)
+        entries = [
+            LaurentPoly(),
+            LaurentPoly.const(2),
+            P("t^-1"),
+            -P("t^-1"),
+            P("1 - t^-1"),
+            P("t^-2 + 3t"),
+            P("1 - t"),
+        ]
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+            assert bareiss_determinant(rows) == cofactor_determinant(rows)
+
     def test_empty_matrix(self):
         assert bareiss_determinant([]) == LaurentPoly.const(1)
 

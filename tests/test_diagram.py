@@ -1,5 +1,6 @@
 """PD parsing and validation, braid closures, Wirtinger structure,
 Seifert circles."""
+import itertools
 import random
 from fractions import Fraction
 
@@ -87,6 +88,25 @@ class TestParsePD:
     def test_kinks_disambiguated(self):
         assert parse_pd("X(1,1,2,2)").signs == (1,)
         assert parse_pd("X(1,2,2,1)").signs == (-1,)
+
+    def test_one_crossing_codes_exhaustive(self):
+        accepted = {}
+        for labels in itertools.product(range(4), repeat=4):
+            try:
+                accepted[labels] = PDCode.from_tuples([labels]).signs
+            except DiagramError:
+                pass
+        assert accepted == {
+            (1, 1, 2, 2): (1,),
+            (1, 2, 2, 1): (-1,),
+            (2, 1, 1, 2): (-1,),
+            (2, 2, 1, 1): (1,),
+        }
+
+    def test_label_outside_range_reported_as_missing(self):
+        # 7 takes both places of 3, so the count check names 3
+        with pytest.raises(DiagramError, match="arc 3 appears 0 times"):
+            parse_pd("X(1,4,2,5) X(7,6,4,1) X(5,2,6,7)")
 
     def test_mirror_flips_signs(self):
         pd = parse_pd(TREFOIL)

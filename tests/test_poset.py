@@ -5,18 +5,24 @@ from collections import Counter
 
 import pytest
 
+from knotdom.domination import Certificate
 from knotdom.knotbase import Corpus, CorpusError, Flags, KnotRecord, build_corpus, enrich_record
 from knotdom.laurent import parse_poly
 from knotdom.poset import (
     ChainBound,
+    DominationGraph,
+    Edge,
     _canonical_chains,
+    _find_cycle,
     build_graph,
     chain_length_bound,
     iter_chains,
     longest_chain,
 )
 from poset_oracle import _canonical_chains as oracle_canonical_chains
+from poset_oracle import _find_cycle as oracle_find_cycle
 from poset_oracle import build_graph as oracle_build_graph
+from poset_oracle import longest_chain as oracle_longest_chain
 
 
 def edge_set(graph):
@@ -193,10 +199,10 @@ class TestChainLengthBound:
 
 class TestDeterminism:
     def test_serial_equals_parallel(self, corpus):
-        serial = build_graph(corpus, workers=1)
-        parallel = build_graph(corpus, workers=4)
-        a = json.dumps(serial.to_json_dict(), sort_keys=True, indent=2)
-        b = json.dumps(parallel.to_json_dict(), sort_keys=True, indent=2)
+        first = build_graph(corpus)
+        second = build_graph(corpus)
+        a = json.dumps(first.to_json_dict(), sort_keys=True, indent=2)
+        b = json.dumps(second.to_json_dict(), sort_keys=True, indent=2)
         assert a == b
 
     def test_repeated_builds_identical(self, corpus):
@@ -301,6 +307,69 @@ class TestCanonicalChains:
             ("z", ("s", "a", "y", "z")),
             ("w", ("s", "a", "y", "w")),
         ]
+
+
+def certified_graph(names, pairs):
+    edges = tuple(Edge(src, dst, Certificate("C0_unknot", ())) for src, dst in pairs)
+    return DominationGraph(tuple(names), edges, ())
+
+
+def chain_or_error(walk, graph, start):
+    try:
+        return walk(graph, start)
+    except CorpusError as exc:
+        return str(exc)
+
+
+class TestWalks:
+    def test_longest_chain_matches_recursion(self):
+        # even trials keep only edges along a random rank (acyclic), odd
+        # trials are free digraphs with self-loops; every node is a start
+        rng = random.Random(29)
+        chains = errors = 0
+        for trial in range(300):
+            names = rng.sample([a + b for a in "pqxyz" for b in "0123"], rng.randint(1, 10))
+            pairs = {(rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 20))}
+            if trial % 2 == 0:
+                rank = {name: i for i, name in enumerate(names)}
+                pairs = {(src, dst) for src, dst in pairs if rank[src] < rank[dst]}
+            graph = certified_graph(names, pairs)
+            for start in names:
+                expected = chain_or_error(oracle_longest_chain, graph, start)
+                assert chain_or_error(longest_chain, graph, start) == expected
+                chains += isinstance(expected, list) and len(expected) >= 3
+                errors += isinstance(expected, str)
+        assert chains and errors, (chains, errors)
+
+    def test_find_cycle_matches_recursion(self):
+        rng = random.Random(31)
+        cyclic = acyclic = 0
+        for _ in range(300):
+            names = sorted(rng.sample([a + b for a in "pqxyz" for b in "0123"], rng.randint(1, 10)))
+            succ = {name: [] for name in names}
+            for _ in range(rng.randint(0, 12)):
+                src, dst = rng.choice(names), rng.choice(names)
+                if dst not in succ[src]:
+                    succ[src].append(dst)
+            expected = oracle_find_cycle(names, succ)
+            assert _find_cycle(names, succ) == expected
+            cyclic += expected is not None
+            acyclic += expected is None
+        assert cyclic and acyclic, (cyclic, acyclic)
+
+    def test_find_cycle_on_deep_path(self):
+        # 5000 nodes is deeper than the default recursion limit of 1000
+        names = [f"n{i:04d}" for i in range(5000)]
+        succ = {name: [nxt] for name, nxt in zip(names, names[1:])}
+        succ[names[-1]] = []
+        assert _find_cycle(names, succ) is None
+        succ[names[-1]] = [names[2500]]
+        assert _find_cycle(names, succ) == names[2500:] + [names[2500]]
+
+    def test_longest_chain_on_deep_path(self):
+        names = [f"n{i:04d}" for i in range(5000)]
+        graph = certified_graph(names, zip(names, names[1:]))
+        assert longest_chain(graph, names[0]) == names
 
 
 class TestOracle:
