@@ -46,26 +46,11 @@ def fox_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
     return rows
 
 
-def alexander_matrix(
-    pres: WirtingerPresentation,
-    drop_relation: int | None = None,
-    drop_generator: int | None = None,
-) -> list[list[LaurentPoly]]:
+def alexander_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
     """Square presentation matrix of the Alexander module: the Fox matrix
-    with one relation row and one generator column deleted, by default the
-    last relation and the highest-numbered generator (the normalized
-    determinant is independent of the choice)."""
-    full = fox_matrix(pres)
-    if drop_relation is None:
-        drop_relation = len(full) - 1
-    if drop_generator is None:
-        drop_generator = pres.generator_count - 1
-    rows = []
-    for i, row in enumerate(full):
-        if i == drop_relation:
-            continue
-        rows.append([v for j, v in enumerate(row) if j != drop_generator])
-    return rows
+    without its last relation row and its last generator column (the
+    normalized determinant is independent of the choice)."""
+    return [row[:-1] for row in fox_matrix(pres)[:-1]]
 
 
 def bareiss_determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -104,16 +89,10 @@ def bareiss_determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
     return -det if sign < 0 else det
 
 
-def alexander_polynomial(
-    pd: PDCode,
-    drop_relation: int | None = None,
-    drop_generator: int | None = None,
-) -> LaurentPoly:
+def alexander_polynomial(pd: PDCode) -> LaurentPoly:
     """Normalized Alexander polynomial of the diagram.  Satisfies
     delta(1) = +-1 and has palindromic coefficients."""
-    pres = wirtinger(pd)
-    matrix = alexander_matrix(pres, drop_relation, drop_generator)
-    return bareiss_determinant(matrix).normalize()
+    return bareiss_determinant(alexander_matrix(wirtinger(pd))).normalize()
 
 
 def determinant_invariant(delta: LaurentPoly) -> int:

@@ -302,25 +302,33 @@ def _summands_cover(
 ) -> bool:
     """Can every summand of k2 be matched injectively to a summand of k1
     that equals it or certifiably dominates it?  Plain sub-multiset
-    inclusion is the identity matching."""
-    available = Counter(sum1)
-
-    def match(targets: list[str]) -> bool:
-        if not targets:
-            return True
-        target = targets[0]
-        for source in sorted(available):
-            if available[source] == 0:
-                continue
-            if source == target or (source, target) in certified:
-                available[source] -= 1
-                if match(targets[1:]):
-                    available[source] += 1
-                    return True
-                available[source] += 1
-        return False
-
-    return match(sorted(sum2))
+    inclusion is the identity matching.  Copies are matched one at a time
+    along augmenting paths over the distinct names, without recursion."""
+    spare = Counter(sum1)  # unmatched copies of each k1 summand
+    held: dict[str, Counter] = {source: Counter() for source in spare}  # source -> target -> copies
+    for target in sorted(sum2):
+        # Search for moves that give target one more copy: a target takes
+        # a copy from a source (+1), and may hand back one it holds (-1).
+        seen, queued, stack, path = set(), {target}, [(target, ())], None
+        while stack and path is None:
+            t, moves = stack.pop()
+            for source in spare:
+                if source in seen or (source != t and (source, t) not in certified):
+                    continue
+                seen.add(source)
+                taken = moves + ((source, t, 1),)
+                if spare[source]:
+                    path = taken
+                for other, copies in held[source].items():
+                    if copies and other not in queued:
+                        queued.add(other)
+                        stack.append((other, taken + ((source, other, -1),)))
+        if path is None:
+            return False
+        spare[path[-1][0]] -= 1
+        for source, t, step in path:
+            held[source][t] += step
+    return True
 
 
 def evaluate_full(

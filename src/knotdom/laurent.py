@@ -8,6 +8,7 @@ so they can be shared freely between threads.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -251,26 +252,59 @@ def divides(b: LaurentPoly, a: LaurentPoly) -> bool:
     return exact_div(a, b) is not None
 
 
-def is_prime_power(n: int) -> bool:
-    """True iff n = p^e with p prime and e >= 1.  By convention 1 is not
-    a prime power."""
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MILLER_RABIN_BOUND = 3317044064679887385961981
+
+
+def is_prime_power(n: int) -> bool | None:
+    """True iff n = p^e with p prime and e >= 1; 1 is not a prime power.
+    Trial division by the first 13 primes, integer e-th roots, then
+    Miller-Rabin on the root with those primes as bases, a proof below
+    3.3e24 (Sorenson and Webster, "Strong pseudoprimes to twelve prime
+    bases", 2017).  None (undecided) when no root is that small."""
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     if n == 1:
         return False
-    p = None
-    m = n
-    for d in range(2, m):
-        if d * d > m:
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            return n == 1
+    # Prime factors now exceed 2^5, so n = r^e has e <= bits/5.  The largest
+    # such e leaves an r that is no perfect power; roots grow as e falls.
+    for e in range(n.bit_length() // 5, 0, -1):
+        r = _integer_root(n, e)
+        if r >= _MILLER_RABIN_BOUND:
+            return None
+        if r**e == n:
             break
-        if m % d == 0:
-            p = d
-            while m % d == 0:
-                m //= d
-            break
-    if p is None:
-        return True  # n itself is prime
-    return m == 1
+    d, s = r - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, r)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == r - 1:
+                break
+            x = x * x % r
+        else:
+            return False  # a witness that r is composite
+    return True
+
+
+def _integer_root(n: int, e: int) -> int:
+    """The largest r with r^e <= n, for r below 2^1000, by Newton steps
+    from a float guess: a step from below lands at or above r, then the
+    steps descend."""
+    r = int(math.exp(math.log(n) / e)) + 1
+    while True:
+        s = ((e - 1) * r + n // r ** (e - 1)) // e
+        if s >= r and (r + 1) ** e > n:
+            return r
+        r = s
 
 
 # Report form: terms in ascending exponent, "c t^e" pieces joined by

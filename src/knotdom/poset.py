@@ -1,11 +1,11 @@
-"""Certified domination graph over a corpus: construction, audit,
-transitive closure, longest chains, and chain-length bounds.
+"""Certified domination graph over a corpus: certification, transitive
+closure, audit, longest chains, and chain-length bounds.
 
 Edges use certificates only; Unknown pairs never contribute, so every
-reported chain is a lower bound on the true partial order.  Building the
-graph certifies only the candidate edges that record structure allows
-and scans obstructions only where the audit reads them, in one
-deterministic pass, so serialization is byte-identical across runs.
+reported chain is a lower bound on the true partial order.  `certify`
+checks the candidate edges that record structure allows in one ordered
+pass, and `build_graph` closes them under transitivity, so output is
+byte-identical across runs.  Chain queries need only `certify`.
 """
 from __future__ import annotations
 
@@ -74,17 +74,17 @@ class ChainBound:
     scope: str  # "total_length" | "alternating_count"
 
 
-def build_graph(corpus: Corpus) -> DominationGraph:
-    """Certify the candidate edges listed from record structure, close
-    under transitivity, and audit certificates against obstructions.
+def certify(corpus: Corpus) -> DominationGraph:
+    """The certified direct edges, without the transitive closure; the
+    audit lists the certified pairs that an obstruction or rigidity rule
+    blocks.  Longest chains need no more than this graph.
 
     Every certificate but reflexivity and transitivity comes from
     structure: `flags.unknot`, `satellite_of`, or `connected_sum_of`, whose
     summands may pair through earlier edges.  So the candidates out of a
     knot are the unknots, its pattern and companion, and, for a composite,
     the records whose summands all lie among its own summands and their
-    direct successors.  The obstruction and rigidity scans run only on
-    pairs the audit reads."""
+    direct successors."""
     names = corpus.names()
     records = {name: corpus.get(name) for name in names}
     unknots = [name for name in names if records[name].flags.unknot is True]
@@ -93,19 +93,9 @@ def build_graph(corpus: Corpus) -> DominationGraph:
         for summand in set(records[name].summands()):
             holders.setdefault(summand, []).append(name)
 
-    scanned: dict[tuple[str, str], list[str]] = {}
-
-    def negatives(pair: tuple[str, str]) -> list[str]:
-        if pair not in scanned:
-            k1, k2 = records[pair[0]], records[pair[1]]
-            scanned[pair] = [r.rule_id for r in obstruction_scan(k1, k2)] + [
-                r.rule_id for r in rigidity_scan(k1, k2)
-            ]
-        return scanned[pair]
-
-    direct: dict[tuple[str, str], Certificate] = {}
+    edges: list[Edge] = []
     succ: dict[str, list[str]] = {name: [] for name in names}
-    conflicts: list[tuple[tuple[str, str], str]] = []
+    conflicts: list[tuple[str, str, str, list[str]]] = []
     # Summands first, so that a composite pairs its summands through
     # their final out-edges: one pass reaches the least fixed point.
     order = TopologicalSorter({name: records[name].connected_sum_of or () for name in names})
@@ -126,48 +116,50 @@ def build_graph(corpus: Corpus) -> DominationGraph:
                 )
         candidates.discard(src)
         for dst in sorted(candidates):
-            pair = (src, dst)
-            certificate = certificate_search(record, records[dst])
-            if certificate is None and known:
-                certificate = certificate_search(record, records[dst], known)
+            certificate = certificate_search(record, records[dst], known)
             if certificate is None:
                 continue
-            if negatives(pair):
-                conflicts.append((pair, certificate.rule_id))
+            if negatives := _negatives(record, records[dst]):
+                conflicts.append((src, dst, certificate.rule_id, sorted(negatives)))
             else:
-                direct[pair] = certificate
+                edges.append(Edge(src, dst, certificate))
                 succ[src].append(dst)
 
-    audit = [
-        f"conflict: {src} -> {dst} certified by {rule_id} "
-        f"but obstructed by {sorted(negatives((src, dst)))}"
-        for (src, dst), rule_id in sorted(conflicts)
-    ]
+    audit = tuple(
+        f"conflict: {src} -> {dst} certified by {rule_id} but obstructed by {negatives}"
+        for src, dst, rule_id, negatives in sorted(conflicts)
+    )
+    return DominationGraph(tuple(names), tuple(sorted(edges, key=lambda e: (e.src, e.dst))), audit)
 
-    # Transitive closure with canonical witness chains: shortest, then
-    # lexicographically least, over the direct edges.
-    closure: dict[tuple[str, str], Certificate] = dict(direct)
-    for src in names:
-        chains = _canonical_chains(src, succ)
-        for dst, chain in chains.items():
-            pair = (src, dst)
-            if pair in closure:
-                continue
-            if negatives(pair):
-                audit.append(
-                    f"conflict: {src} -> {dst} reachable through {list(chain)} but obstructed"
-                )
-                continue
-            closure[pair] = Certificate("C5_transitive", chain)
 
-    cycle = _find_cycle(names, succ)
+def build_graph(corpus: Corpus) -> DominationGraph:
+    """The edges of `certify` closed under transitivity: a pair reached in
+    two or more steps gets a `C5_transitive` certificate with its canonical
+    witness chain unless a rule blocks it.  The audit of `certify` gains
+    the blocked pairs and a cycle among the direct edges, if any."""
+    graph = certify(corpus)
+    succ = {name: graph.successors(name) for name in graph.nodes}
+    closure = {(e.src, e.dst): e.certificate for e in graph.edges}
+    audit = list(graph.audit_log)
+    for src in graph.nodes:
+        for dst, chain in _canonical_chains(src, succ).items():
+            if (src, dst) in closure:
+                continue
+            if _negatives(corpus.get(src), corpus.get(dst)):
+                audit.append(f"conflict: {src} -> {dst} reachable through {list(chain)} but obstructed")
+            else:
+                closure[(src, dst)] = Certificate("C5_transitive", chain)
+
+    cycle = _find_cycle(graph.nodes, succ)
     if cycle is not None:
         audit.append(f"cycle among certified edges: {cycle}")
+    edges = tuple(Edge(src, dst, closure[(src, dst)]) for src, dst in sorted(closure))
+    return DominationGraph(graph.nodes, edges, tuple(audit))
 
-    edges = tuple(
-        Edge(src, dst, closure[(src, dst)]) for src, dst in sorted(closure)
-    )
-    return DominationGraph(tuple(names), edges, tuple(audit))
+
+def _negatives(k1: KnotRecord, k2: KnotRecord) -> list[str]:
+    """Rule ids of the obstruction and rigidity rules that fire on the pair."""
+    return [r.rule_id for r in obstruction_scan(k1, k2) + rigidity_scan(k1, k2)]
 
 
 def _canonical_chains(src: str, succ: dict[str, list[str]]) -> dict[str, tuple[str, ...]]:
@@ -247,19 +239,6 @@ def longest_chain(graph: DominationGraph, start: str) -> list[str]:
     while best[chain[-1]][1] is not None:
         chain.append(best[chain[-1]][1])
     return chain
-
-
-def iter_chains(graph: DominationGraph, start: str):
-    """All strict certified chains out of start (including the trivial
-    one-node chain), in DFS order."""
-
-    def walk(path: list[str]):
-        yield tuple(path)
-        for nxt in graph.successors(path[-1]):
-            if nxt not in path:
-                yield from walk(path + [nxt])
-
-    yield from walk([start])
 
 
 def chain_length_bound(record: KnotRecord) -> list[ChainBound]:

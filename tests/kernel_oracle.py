@@ -3,11 +3,15 @@ as test oracles.
 
 `state_sum_bracket` is the Kauffman bracket summed over all 2^n states
 with a fresh union-find per state; `fraction_divided_by` is long division
-of Laurent polynomials over Q, accepting only an integral quotient.  The
-library's frontier sweep and integer division must agree with them.
+of Laurent polynomials over Q, accepting only an integral quotient;
+`trial_division_is_prime_power` factors by trial division up to the
+square root; `backtracking_summands_cover` matches summands by recursive
+backtracking.  The library's frontier sweep, integer division, Miller-Rabin
+test and augmenting-path matching must agree with them.
 """
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 
 from knotdom.diagram import PDCode
@@ -99,3 +103,53 @@ def _dense_from_zero(p: LaurentPoly) -> list[int]:
     for e, c in p.terms:
         out[e] = c
     return out
+
+
+def trial_division_is_prime_power(n: int) -> bool:
+    """True iff n = p^e with p prime and e >= 1.  By convention 1 is not
+    a prime power."""
+    if n <= 0:
+        raise ValueError(f"expected a positive integer, got {n}")
+    if n == 1:
+        return False
+    p = None
+    m = n
+    for d in range(2, m):
+        if d * d > m:
+            break
+        if m % d == 0:
+            p = d
+            while m % d == 0:
+                m //= d
+            break
+    if p is None:
+        return True  # n itself is prime
+    return m == 1
+
+
+def backtracking_summands_cover(
+    sum1: tuple[str, ...],
+    sum2: tuple[str, ...],
+    certified: frozenset[tuple[str, str]],
+) -> bool:
+    """Can every summand of k2 be matched injectively to a summand of k1
+    that equals it or certifiably dominates it?  Plain sub-multiset
+    inclusion is the identity matching."""
+    available = Counter(sum1)
+
+    def match(targets: list[str]) -> bool:
+        if not targets:
+            return True
+        target = targets[0]
+        for source in sorted(available):
+            if available[source] == 0:
+                continue
+            if source == target or (source, target) in certified:
+                available[source] -= 1
+                if match(targets[1:]):
+                    available[source] += 1
+                    return True
+                available[source] += 1
+        return False
+
+    return match(sorted(sum2))

@@ -1,6 +1,8 @@
 """The all-pairs domination graph builder, kept as the test oracle for
-`knotdom.poset.build_graph`, and the recursive graph walks kept as
-oracles for `knotdom.poset._find_cycle` and `knotdom.poset.longest_chain`.
+`knotdom.poset.build_graph`, the recursive graph walks kept as oracles
+for `knotdom.poset._find_cycle` and `knotdom.poset.longest_chain`, and
+`iter_chains`, which lists every chain (exponentially many in chain
+length) for checks on small graphs.
 
 It evaluates every obstruction, rigidity and certificate rule on all
 N(N-1) ordered pairs, then re-scans for connected-sum certificates until
@@ -173,3 +175,16 @@ def longest_chain(graph: DominationGraph, start: str) -> list[str]:
         return best
 
     return list(best_from(start)[1])
+
+
+def iter_chains(graph: DominationGraph, start: str):
+    """All strict certified chains out of start (including the trivial
+    one-node chain), in DFS order."""
+
+    def walk(path: list[str]):
+        yield tuple(path)
+        for nxt in graph.successors(path[-1]):
+            if nxt not in path:
+                yield from walk(path + [nxt])
+
+    yield from walk([start])

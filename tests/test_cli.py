@@ -1,9 +1,12 @@
 """Command-line behavior: outputs, exit codes, and determinism."""
 import json
+import time
 
 import pytest
 
 from knotdom.cli import EXIT_OBSTRUCTED, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main, run_verification
+
+from test_poset import satellite_chain
 
 
 def run(capsys, *argv):
@@ -109,6 +112,34 @@ class TestChainBound:
         payload = json.loads(out)
         assert payload["strict_length"] == 1
         assert payload["longest_chain"] == ["3_1", "unknot"]
+
+    def test_deep_satellite_chain(self, capsys, tmp_path):
+        # the closure of this chain would hold about 600,000 edges and
+        # 2.2e8 witness names; chain-bound reads the direct edges only
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(satellite_chain(1100)))
+        code, out, _ = run(capsys, "--corpus", str(path), "--json", "chain-bound", "a0000")
+        assert code == EXIT_OK
+        chain = json.loads(out)["longest_chain"]
+        assert len(chain) == 1101
+        assert chain == [f"a{i:04d}" for i in range(1101)]
+
+    def test_huge_prime_leading_coefficient(self, capsys, tmp_path):
+        # a 19-digit prime: trial division up to its square root would
+        # run for minutes
+        p = 1000000000000000003
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([
+            {"name": "unknot", "delta": "1", "flags": {"unknot": True}},
+            {"name": "k", "delta": f"{p} - {2 * p - 1}t + {p}t^2", "flags": {"alternating": True}},
+        ]))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "--corpus", str(path), "--json", "chain-bound", "k")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        assert payload["bounds"] == [{"value": 2, "rule": "alternating_degree", "scope": "alternating_count"}]
+        assert payload["longest_chain"] == ["k", "unknot"]
 
 
 class TestVerifyPaper:

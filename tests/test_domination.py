@@ -1,6 +1,8 @@
 """The pair-query rule engine: obstructions, rigidity, certificates,
 verdict composition, and the soundness audit over the bundled corpus."""
 import json
+import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -8,6 +10,7 @@ import pytest
 from knotdom.domination import (
     ANCHORS,
     Certificate,
+    _summands_cover,
     certificate_search,
     evaluate_full,
     evaluate_pair,
@@ -16,6 +19,8 @@ from knotdom.domination import (
 )
 from knotdom.knotbase import CorpusError, Flags, KnotRecord, enrich_record
 from knotdom.laurent import parse_poly
+
+from kernel_oracle import backtracking_summands_cover
 
 
 def rule_ids(reports):
@@ -225,6 +230,42 @@ class TestCertificateSearch:
             certificate_search(sum_a, sum_c, {("4_1", "3_1")}).rule_id
             == "C1_connected_sum"
         )
+
+
+def first_fit_cover(sum1, sum2, certified):
+    """Each target takes the least source still free: misses every cover
+    that needs a copy moved."""
+    available = Counter(sum1)
+    for target in sorted(sum2):
+        free = [s for s in sorted(available) if available[s] and (s == target or (s, target) in certified)]
+        if not free:
+            return False
+        available[free[0]] -= 1
+    return True
+
+
+class TestSummandsCover:
+    def test_matches_backtracking(self):
+        rng = random.Random(19)
+        verdicts = Counter()
+        moved = 0
+        for _ in range(3000):
+            names = "abcdef"[: rng.randint(1, 6)]
+            sum1 = tuple(rng.choice(names) for _ in range(rng.randint(0, 7)))
+            sum2 = tuple(rng.choice(names) for _ in range(rng.randint(0, 7)))
+            certified = frozenset(
+                (rng.choice(names), rng.choice(names)) for _ in range(rng.randint(0, 10))
+            )
+            expected = backtracking_summands_cover(sum1, sum2, certified)
+            assert _summands_cover(sum1, sum2, certified) is expected, (sum1, sum2, certified)
+            verdicts[expected] += 1
+            moved += expected and not first_fit_cover(sum1, sum2, certified)
+        assert verdicts[True] and verdicts[False] and moved, (verdicts, moved)
+
+    def test_long_multisets_do_not_recurse(self):
+        # 1400 copies are deeper than the default recursion limit of 1000
+        assert _summands_cover(("3_1",) * 1500, ("3_1",) * 1400, frozenset())
+        assert not _summands_cover(("3_1",) * 1400, ("3_1",) * 1500, frozenset())
 
 
 class TestEvaluatePair:

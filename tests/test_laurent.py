@@ -1,5 +1,8 @@
 """Laurent polynomial arithmetic: worked examples and ring-law property
 suites."""
+import math
+import random
+
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings
@@ -13,6 +16,8 @@ from knotdom.laurent import (
     is_prime_power,
     parse_poly,
 )
+
+from kernel_oracle import trial_division_is_prime_power
 
 T = LaurentPoly.t()
 ONE = LaurentPoly.const(1)
@@ -188,6 +193,44 @@ class TestIsPrimePower:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             is_prime_power(0)
+
+    def test_matches_trial_division_up_to_1e5(self):
+        for n in range(1, 10**5 + 1):
+            assert is_prime_power(n) is trial_division_is_prime_power(n), n
+
+    def test_matches_trial_division_on_seeded_prime_powers(self):
+        # primes above the trial-division range, so that roots and
+        # Miller-Rabin decide; every case stays below the proven bound
+        rng = random.Random(43)
+        primes = [
+            p for p in (rng.randrange(43, 20000) for _ in range(400))
+            if all(p % d for d in range(2, math.isqrt(p) + 1))
+        ]
+        kinds = set()
+        for _ in range(300):
+            p, q = rng.sample(primes, 2)
+            e = rng.randint(1, 4)
+            for n in (p**e, p**e * q, p**2 * q**2, p**e * 2**rng.randint(1, 3)):
+                expected = trial_division_is_prime_power(n)
+                assert is_prime_power(n) is expected, n
+                kinds.add(expected)
+        assert kinds == {True, False}
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            pytest.param(1000000000000000003, True, id="19-digit prime"),
+            pytest.param((10**18 + 3) ** 3, True, id="its cube, root below the bound"),
+            pytest.param(318665857834031151167461, False, id="strong pseudoprime to 12 prime bases"),
+            pytest.param(3825123056546413051, False, id="strong pseudoprime to 9 prime bases"),
+            pytest.param(3317044064679887385961981, None, id="the bound, pseudoprime to all 13"),
+            pytest.param(2**89 - 1, None, id="prime beyond the bound"),
+            pytest.param((2**89 - 1) ** 2, None, id="its square"),
+            pytest.param(3 * (2**89 - 1), False, id="three times it"),
+        ],
+    )
+    def test_miller_rabin_range(self, n, expected):
+        assert is_prime_power(n) is expected
 
 
 class TestTextForm:

@@ -5,8 +5,9 @@ from collections import Counter
 
 import pytest
 
-from knotdom.domination import Certificate
-from knotdom.knotbase import Corpus, CorpusError, Flags, KnotRecord, build_corpus, enrich_record
+from knotdom import poset
+from knotdom.domination import Certificate, certificate_search
+from knotdom.knotbase import Corpus, CorpusError, Flags, KnotRecord, build_corpus, enrich_record, record_from_json
 from knotdom.laurent import parse_poly
 from knotdom.poset import (
     ChainBound,
@@ -15,13 +16,14 @@ from knotdom.poset import (
     _canonical_chains,
     _find_cycle,
     build_graph,
+    certify,
     chain_length_bound,
-    iter_chains,
     longest_chain,
 )
 from poset_oracle import _canonical_chains as oracle_canonical_chains
 from poset_oracle import _find_cycle as oracle_find_cycle
 from poset_oracle import build_graph as oracle_build_graph
+from poset_oracle import iter_chains
 from poset_oracle import longest_chain as oracle_longest_chain
 
 
@@ -275,6 +277,32 @@ def random_corpus(seed: int):
     return build_corpus(list(records.values()))
 
 
+def sibling_sums_corpus():
+    """Two names for one summand multiset, assembled past build_corpus
+    (which rejects them): their direct edges form a cycle."""
+    a = enrich_record(KnotRecord(name="a", delta=parse_poly("1 - t + t^2")))
+    b = enrich_record(KnotRecord(name="b", delta=parse_poly("1 - 3t + t^2")))
+    siblings = {"a": a, "b": b}
+    s1 = enrich_record(KnotRecord(name="s1", connected_sum_of=("a", "b")), siblings)
+    s2 = enrich_record(KnotRecord(name="s2", connected_sum_of=("b", "a")), siblings)
+    return Corpus((a, b, s1, s2))
+
+
+def satellite_chain(depth):
+    """Corpus entries for a chain of satellites: a_i has pattern a_{i+1}
+    and winding 0 about a trefoil companion, so the longest chain from
+    a0000 has depth + 1 names and the closure about depth^2 / 2 edges."""
+    entries = [{"name": "k", "delta": "1 - t + t^2"}]
+    for i in range(depth):
+        entries.append({
+            "name": f"a{i:04d}",
+            "satellite_of": [f"a{i + 1:04d}", "k", 0],
+            "flags": {"free": False, "no_winding_zero_companion": False, "fibred": False},
+        })
+    entries.append({"name": f"a{depth:04d}", "delta": "1 - 3t + t^2"})
+    return entries
+
+
 class TestCanonicalChains:
     def test_matches_relaxation_in_order(self):
         # names drawn so that name order differs from the order of first
@@ -399,16 +427,57 @@ class TestOracle:
         assert ("c4", "p3") not in edge_set(graph)
 
     def test_cycle_among_certified_edges(self):
-        # two names for one summand multiset, assembled past build_corpus
-        # (which rejects them) to pin the cycle finding of the audit
-        a = enrich_record(KnotRecord(name="a", delta=parse_poly("1 - t + t^2")))
-        b = enrich_record(KnotRecord(name="b", delta=parse_poly("1 - 3t + t^2")))
-        siblings = {"a": a, "b": b}
-        s1 = enrich_record(KnotRecord(name="s1", connected_sum_of=("a", "b")), siblings)
-        s2 = enrich_record(KnotRecord(name="s2", connected_sum_of=("b", "a")), siblings)
-        corpus = Corpus((a, b, s1, s2))
+        corpus = sibling_sums_corpus()
         graph = build_graph(corpus)
         assert graph.audit_log == ("cycle among certified edges: ['s1', 's2', 's1']",)
         assert serialized(graph) == serialized(oracle_build_graph(corpus))
         with pytest.raises(CorpusError, match="contain a cycle"):
             longest_chain(graph, "s1")
+
+
+class TestCertify:
+    @pytest.fixture(scope="class")
+    def cases(self, corpus):
+        chain = build_corpus([record_from_json(entry) for entry in satellite_chain(60)])
+        return [corpus, *(random_corpus(seed) for seed in range(40)), chain, sibling_sums_corpus()]
+
+    def test_direct_edges_and_certification_audit(self, cases):
+        transitive = certification_conflicts = closure_conflicts = 0
+        for case in cases:
+            direct, full = certify(case), build_graph(case)
+            assert direct.nodes == full.nodes
+            assert direct.edges == tuple(e for e in full.edges if e.certificate.rule_id != "C5_transitive")
+            prefix = full.audit_log[: len(direct.audit_log)]
+            assert direct.audit_log == prefix
+            assert all(" certified by " in line for line in prefix)
+            assert not any(" certified by " in line for line in full.audit_log[len(prefix):])
+            transitive += len(full.edges) - len(direct.edges)
+            certification_conflicts += len(prefix)
+            closure_conflicts += any(" reachable through " in line for line in full.audit_log)
+        assert transitive and certification_conflicts and closure_conflicts
+
+    def test_longest_chain_agrees_with_closure(self, cases):
+        # a closure shortcut is never longer than its witness path, and a
+        # closure cycle is a cycle of direct edges
+        longest = errors = 0
+        for case in cases:
+            direct, full = certify(case), build_graph(case)
+            for start in case.names():
+                expected = chain_or_error(longest_chain, full, start)
+                assert chain_or_error(longest_chain, direct, start) == expected, start
+                longest = max(longest, len(expected)) if isinstance(expected, list) else longest
+                errors += isinstance(expected, str)
+        assert longest == 61 and errors
+
+    def test_one_certificate_search_per_candidate(self, monkeypatch):
+        calls = []
+
+        def recording(k1, k2, certified=None):
+            calls.append((k1.name, k2.name))
+            return certificate_search(k1, k2, certified)
+
+        monkeypatch.setattr(poset, "certificate_search", recording)
+        for seed in range(40):
+            calls.clear()
+            certify(random_corpus(seed))
+            assert calls and len(calls) == len(set(calls)), seed
