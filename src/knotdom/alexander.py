@@ -2,97 +2,173 @@
 
 The Alexander polynomial is computed classically: Fox derivatives of the
 Wirtinger relations with every meridian abelianized to t, one relation row
-and one generator column deleted, and the determinant taken by
-fraction-free Bareiss elimination over Z[t].  Every interior division in
-the elimination is exact and asserted; it is integer long division
-(`LaurentPoly.divided_by`), with no rationals.  The Jones polynomial
-comes from the Kauffman bracket with the writhe correction (-A^3)^-w and
-the substitution t = A^-4.  The bracket is computed by a frontier sweep:
-crossings are contracted one at a time, keeping one polynomial per planar
-matching of the open arc ends, as in Bar-Natan's tangle contraction for
-Khovanov homology (arXiv math/0606318).
+and one generator column deleted.  Every entry of that minor is linear in
+t, so its determinant is taken without polynomial arithmetic: evaluated
+at integer points modulo 61-bit primes by sparse elimination,
+interpolated, and recombined by the Chinese remainder theorem under a
+proven bound on the coefficients (`linear_determinant`).  The Jones
+polynomial comes from the Kauffman bracket with the writhe correction
+(-A^3)^-w and the substitution t = A^-4.  The bracket is computed by a
+frontier sweep: crossings are contracted one at a time, keeping one
+polynomial per planar matching of the open arc ends, as in Bar-Natan's
+tangle contraction for Khovanov homology (arXiv math/0606318).
 """
 from __future__ import annotations
 
+import itertools
+
 from .diagram import DiagramError, PDCode, WirtingerPresentation, wirtinger
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, is_prime
 
 # Diagrams above this many crossings get no computed Jones polynomial.
 # The sweep would be fast there too; the budget keeps the `invariants`
 # output of larger diagrams unchanged (no `jones` field).
 JONES_CROSSING_BUDGET = 24
 
-_ONE = LaurentPoly.const(1)
-_MINUS_ONE = LaurentPoly.const(-1)
-_T = LaurentPoly.t()
-_ONE_MINUS_T = _ONE - _T
+# The 61-bit primes of `linear_determinant`, downward from 2^61 - 1, each
+# found on first use (importing the module searches for none).
+_PRIMES: list[int] = []
 
 
-def fox_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
-    """Fox-derivative matrix with each generator abelianized to t, one row
-    per relation.  Rows for negative crossings are scaled by the unit -t
-    so every entry lies in Z[t]."""
-    zero = LaurentPoly()
+def alexander_rows(pres: WirtingerPresentation) -> list[dict[int, tuple[int, int]]]:
+    """Square presentation matrix of the Alexander module as sparse rows
+    {column: (c0, c1)}, meaning c0 + c1 t: Fox derivatives of the relations
+    with each generator abelianized to t, without the last relation row
+    and the last generator column (the normalized determinant is
+    independent of the choice).  Rows for negative crossings are scaled
+    by the unit -t so every entry lies in Z[t]."""
+    last = pres.generator_count - 1
     rows = []
-    for out, over, inp, sign in pres.relations:
-        row = [zero] * pres.generator_count
+    for out, over, inp, sign in pres.relations[:-1]:
         if sign > 0:
-            contributions = ((inp, _T), (over, _ONE_MINUS_T), (out, _MINUS_ONE))
+            contributions = ((inp, 0, 1), (over, 1, -1), (out, -1, 0))
         else:
-            contributions = ((inp, _MINUS_ONE), (over, _ONE_MINUS_T), (out, _T))
-        for col, value in contributions:
-            row[col] = row[col] + value
-        rows.append(row)
+            contributions = ((inp, -1, 0), (over, 1, -1), (out, 0, 1))
+        row: dict[int, tuple[int, int]] = {}
+        for col, c0, c1 in contributions:
+            if col != last:
+                a, b = row.get(col, (0, 0))
+                row[col] = (a + c0, b + c1)
+        rows.append({col: entry for col, entry in row.items() if entry != (0, 0)})
     return rows
 
 
-def alexander_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
-    """Square presentation matrix of the Alexander module: the Fox matrix
-    without its last relation row and its last generator column (the
-    normalized determinant is independent of the choice)."""
-    return [row[:-1] for row in fox_matrix(pres)[:-1]]
+def linear_determinant(rows: list[dict[int, tuple[int, int]]]) -> LaurentPoly:
+    """Exact determinant of a square integer matrix whose entries are
+    linear in t, given as sparse rows {column: (c0, c1)}.
 
-
-def bareiss_determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant over Z[t, t^-1] by fraction-free elimination.
-
-    Bareiss elimination is exact over any integral domain, and every
-    interior division is exact division in Z[t, t^-1], so entries with
-    negative exponents need no shift: the result is the literal
-    determinant.
+    The determinant has degree at most D, the number of rows with a t
+    term.  It is evaluated at t = 0..D modulo 61-bit primes, interpolated
+    modulo each prime, and the primes are combined by CRT with a symmetric
+    lift (von zur Gathen and Gerhard, "Modern Computer Algebra", ch. 5).
+    As a sum over permutations, the determinant has coefficient l1 norm at
+    most the product of the rows' l1 norms, so primes are taken until
+    their product exceeds twice that: the lift is exact.
     """
-    m = [list(row) for row in rows]
-    n = len(m)
-    if n == 0:
-        return LaurentPoly.const(1)
-    if any(len(row) != n for row in m):
+    n = len(rows)
+    if any(not 0 <= col < n for row in rows for col in row):
         raise ValueError("determinant of a non-square matrix")
-    sign = 1
-    prev = LaurentPoly.const(1)
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
-            if pivot_row is None:
-                return LaurentPoly()
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                numerator = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                quotient = numerator.divided_by(prev)
-                if quotient is None:
-                    raise ArithmeticError("inexact interior division in Bareiss elimination")
-                m[i][j] = quotient
-            m[i][k] = LaurentPoly()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    bound = 2
+    for row in rows:
+        bound *= sum(abs(c0) + abs(c1) for c0, c1 in row.values())
+    degree = sum(any(c1 for _, c1 in row.values()) for row in rows)
+    coeffs = [0] * (degree + 1)
+    modulus = 1
+    primes = _primes()
+    while modulus <= bound:
+        p = next(primes)
+        residues = _interpolate([_determinant_mod(rows, x, p) for x in range(degree + 1)], p)
+        inverse = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c) * inverse % p) for c, r in zip(coeffs, residues)]
+        modulus *= p
+    half = modulus // 2
+    return LaurentPoly.from_dict({e: c - modulus if c > half else c for e, c in enumerate(coeffs)})
+
+
+def _primes():
+    """The primes downward from 2^61 - 1, proven by Miller-Rabin."""
+    for i in itertools.count():
+        if i == len(_PRIMES):
+            candidate = _PRIMES[-1] - 2 if _PRIMES else 2**61 - 1
+            while not is_prime(candidate):
+                candidate -= 2
+            _PRIMES.append(candidate)
+        yield _PRIMES[i]
+
+
+def _determinant_mod(rows: list[dict[int, tuple[int, int]]], x: int, p: int) -> int:
+    """Determinant mod p of the rows at t = x by sparse Gaussian
+    elimination.  Each step pivots on the shortest live row and, within
+    it, on the column held by the fewest live rows (Markowitz, 1957).  The
+    sign is that of the permutation pivot row -> pivot column, built up
+    one transposition at a time in `column_at`."""
+    live: dict[int, dict[int, int]] = {}
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        values = {}
+        for col, (c0, c1) in row.items():
+            value = (c0 + c1 * x) % p
+            if value:
+                values[col] = value
+                holders.setdefault(col, set()).add(i)
+        live[i] = values
+    column_at = list(range(len(rows)))
+    slot_of = list(range(len(rows)))
+    det = 1
+    while live:
+        i = min(live, key=lambda k: len(live[k]))
+        row = live.pop(i)
+        if not row:
+            return 0
+        col = min(row, key=lambda c: len(holders[c]))
+        j = slot_of[col]
+        if j != i:
+            column_at[i], column_at[j] = col, column_at[i]
+            slot_of[col], slot_of[column_at[j]] = i, j
+            det = -det
+        for c in row:
+            holders[c].discard(i)
+        pivot = row.pop(col)
+        det = det * pivot % p
+        inverse = pow(pivot, -1, p)
+        for k in holders.pop(col):
+            other = live[k]
+            factor = other.pop(col) * inverse % p
+            for c, value in row.items():
+                updated = (other.get(c, 0) - factor * value) % p
+                if updated:
+                    if c not in other:
+                        holders[c].add(k)
+                    other[c] = updated
+                elif c in other:
+                    del other[c]
+                    holders[c].discard(k)
+    return det
+
+
+def _interpolate(values: list[int], p: int) -> list[int]:
+    """Coefficients mod p of the polynomial of degree < len(values) that
+    takes values[x] at t = x.  Newton's divided differences: the points
+    are 0, 1, ..., so level j divides by j."""
+    coeffs = list(values)
+    top = len(values) - 1
+    for j in range(1, top + 1):
+        inverse = pow(j, -1, p)
+        for i in range(top, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) * inverse % p
+    # Newton form to monomials: c_top, then multiply by (t - k) and add c_k.
+    out = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        for i in range(top - k, 0, -1):
+            out[i] = (out[i - 1] - k * out[i]) % p
+        out[0] = (coeffs[k] - k * out[0]) % p
+    return out
 
 
 def alexander_polynomial(pd: PDCode) -> LaurentPoly:
     """Normalized Alexander polynomial of the diagram.  Satisfies
     delta(1) = +-1 and has palindromic coefficients."""
-    return bareiss_determinant(alexander_matrix(wirtinger(pd))).normalize()
+    return linear_determinant(alexander_rows(wirtinger(pd))).normalize()
 
 
 def determinant_invariant(delta: LaurentPoly) -> int:

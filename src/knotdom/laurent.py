@@ -8,6 +8,7 @@ so they can be shared freely between threads.
 """
 from __future__ import annotations
 
+import heapq
 import math
 import re
 from dataclasses import dataclass
@@ -171,31 +172,44 @@ class LaurentPoly:
         polynomial exists.  Raises ZeroDivisionError on a zero divisor.
         Long division over Z: a quotient exists exactly when every step
         divides by the divisor's leading coefficient without remainder
-        and nothing is left over at the end.
+        and nothing is left over at the end.  The remainder is a dict with
+        its exponents in a max-heap, so the work follows the terms rather
+        than the degree span.
         """
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return self
-        rem = _dense(self)
-        den = _dense(divisor)
-        if len(rem) < len(den):
-            return None
-        lead = den[-1]
-        top = len(den) - 1
-        quot = [0] * (len(rem) - top)
-        for i in range(len(quot) - 1, -1, -1):
-            q, r = divmod(rem[i + top], lead)
+        *rest, (lead_exp, lead) = divisor.terms
+        lowest = self.min_degree - divisor.min_degree + lead_exp  # below: a remainder
+        rem = dict(self.terms)
+        heap = [-e for e in rem]
+        heapq.heapify(heap)
+        quot = []
+        while heap:
+            e = -heapq.heappop(heap)
+            c = rem.pop(e, 0)
+            if not c:
+                continue  # cancelled since it was pushed
+            if e < lowest:
+                return None
+            q, r = divmod(c, lead)
             if r:
                 return None
-            if q:
-                quot[i] = q
-                for j, d in enumerate(den):
-                    rem[i + j] -= q * d
-        if any(rem[:top]):
-            return None
-        shift = self.min_degree - divisor.min_degree
-        return LaurentPoly(tuple((i + shift, q) for i, q in enumerate(quot) if q))
+            e -= lead_exp
+            quot.append((e, q))
+            for de, dc in rest:
+                k = e + de
+                value = rem.get(k)
+                if value is None:
+                    heapq.heappush(heap, -k)
+                    rem[k] = -q * dc
+                elif value == q * dc:
+                    del rem[k]
+                else:
+                    rem[k] = value - q * dc
+        quot.reverse()
+        return LaurentPoly(tuple(quot))
 
     # -- evaluation ---------------------------------------------------------
 
@@ -226,16 +240,6 @@ def _coerce(value: LaurentPoly | int) -> LaurentPoly:
     raise TypeError(f"cannot combine a Laurent polynomial with {type(value).__name__}")
 
 
-def _dense(p: LaurentPoly) -> list[int]:
-    """Dense coefficient list of a nonzero polynomial, from its minimum
-    degree up."""
-    low = p.min_degree
-    out = [0] * (p.max_degree - low + 1)
-    for e, c in p.terms:
-        out[e - low] = c
-    return out
-
-
 def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     """Division up to units: both arguments are normalized first.
 
@@ -258,10 +262,9 @@ _MILLER_RABIN_BOUND = 3317044064679887385961981
 
 def is_prime_power(n: int) -> bool | None:
     """True iff n = p^e with p prime and e >= 1; 1 is not a prime power.
-    Trial division by the first 13 primes, integer e-th roots, then
-    Miller-Rabin on the root with those primes as bases, a proof below
-    3.3e24 (Sorenson and Webster, "Strong pseudoprimes to twelve prime
-    bases", 2017).  None (undecided) when no root is that small."""
+    Trial division by the first 13 primes, then square roots while n is a
+    square, then odd roots, then `is_prime` on the root.  None (undecided)
+    when no root lies below 3.3e24."""
     if n <= 0:
         raise ValueError(f"expected a positive integer, got {n}")
     if n == 1:
@@ -271,40 +274,48 @@ def is_prime_power(n: int) -> bool | None:
             while n % p == 0:
                 n //= p
             return n == 1
-    # Prime factors now exceed 2^5, so n = r^e has e <= bits/5.  The largest
-    # such e leaves an r that is no perfect power; roots grow as e falls.
-    for e in range(n.bit_length() // 5, 0, -1):
-        r = _integer_root(n, e)
-        if r >= _MILLER_RABIN_BOUND:
-            return None
-        if r**e == n:
+    while (root := math.isqrt(n)) ** 2 == n:
+        n = root
+    # n is odd and no square, so n = r^e with r no perfect power has e odd,
+    # and r > 2^5 bounds e by bits/5.  The first e from the top with an
+    # exact root is that exponent.  An odd e-th power has exactly one odd
+    # e-th root mod 2^82, and every root below the Miller-Rabin bound lies
+    # below 2^82, so that 2-adic root is the only candidate.
+    bits = n.bit_length()
+    for e in range((bits // 5 - 1) | 1, 1, -2):
+        root = pow(n % 2**82, pow(e, -1, 2**80), 2**82)
+        width = root.bit_length()
+        if (width - 1) * e < bits <= width * e and root**e == n:
+            n = root
             break
-    d, s = r - 1, 0
+    return is_prime(n)
+
+
+def is_prime(n: int) -> bool | None:
+    """Miller-Rabin with the first 13 primes as bases, a proof of
+    primality below 3.3e24 (Sorenson and Webster, "Strong pseudoprimes to
+    twelve prime bases", 2017).  None (undecided) from that bound up."""
+    if n < 2:
+        return False
+    for p in _MILLER_RABIN_BASES:
+        if n % p == 0:
+            return n == p
+    if n >= _MILLER_RABIN_BOUND:
+        return None
+    d, s = n - 1, 0
     while d % 2 == 0:
         d, s = d // 2, s + 1
     for a in _MILLER_RABIN_BASES:
-        x = pow(a, d, r)
+        x = pow(a, d, n)
         if x == 1:
             continue
         for _ in range(s):
-            if x == r - 1:
+            if x == n - 1:
                 break
-            x = x * x % r
+            x = x * x % n
         else:
-            return False  # a witness that r is composite
+            return False  # a witness that n is composite
     return True
-
-
-def _integer_root(n: int, e: int) -> int:
-    """The largest r with r^e <= n, for r below 2^1000, by Newton steps
-    from a float guess: a step from below lands at or above r, then the
-    steps descend."""
-    r = int(math.exp(math.log(n) / e)) + 1
-    while True:
-        s = ((e - 1) * r + n // r ** (e - 1)) // e
-        if s >= r and (r + 1) ** e > n:
-            return r
-        r = s
 
 
 # Report form: terms in ascending exponent, "c t^e" pieces joined by

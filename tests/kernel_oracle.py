@@ -1,21 +1,29 @@
-"""The exponential and `Fraction` kernels that `knotdom` replaced, kept
-as test oracles.
+"""The exponential, dense and `Fraction` kernels that `knotdom` replaced,
+kept as test oracles.
 
 `state_sum_bracket` is the Kauffman bracket summed over all 2^n states
-with a fresh union-find per state; `fraction_divided_by` is long division
+with a fresh union-find per state; `fox_matrix`, `alexander_matrix` and
+`bareiss_determinant` are the dense Fox matrix over Z[t, t^-1] and its
+fraction-free Bareiss determinant; `fraction_divided_by` is long division
 of Laurent polynomials over Q, accepting only an integral quotient;
 `trial_division_is_prime_power` factors by trial division up to the
 square root; `backtracking_summands_cover` matches summands by recursive
-backtracking.  The library's frontier sweep, integer division, Miller-Rabin
-test and augmenting-path matching must agree with them.
+backtracking.  The library's frontier sweep, modular determinant, integer
+division, Miller-Rabin test and augmenting-path matching must agree with
+them.
 """
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
 
-from knotdom.diagram import PDCode
+from knotdom.diagram import PDCode, WirtingerPresentation
 from knotdom.laurent import LaurentPoly
+
+_ONE = LaurentPoly.const(1)
+_MINUS_ONE = LaurentPoly.const(-1)
+_T = LaurentPoly.t()
+_ONE_MINUS_T = _ONE - _T
 
 
 def state_sum_bracket(pd: PDCode) -> LaurentPoly:
@@ -67,6 +75,81 @@ def state_sum_bracket(pd: PDCode) -> LaurentPoly:
         loops = len({find(x) for x in range(size)})
         total = total + LaurentPoly.t(2 * a_count - n) * delta_powers[loops - 1]
     return total
+
+
+def fox_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
+    """Fox-derivative matrix with each generator abelianized to t, one row
+    per relation.  Rows for negative crossings are scaled by the unit -t
+    so every entry lies in Z[t]."""
+    zero = LaurentPoly()
+    rows = []
+    for out, over, inp, sign in pres.relations:
+        row = [zero] * pres.generator_count
+        if sign > 0:
+            contributions = ((inp, _T), (over, _ONE_MINUS_T), (out, _MINUS_ONE))
+        else:
+            contributions = ((inp, _MINUS_ONE), (over, _ONE_MINUS_T), (out, _T))
+        for col, value in contributions:
+            row[col] = row[col] + value
+        rows.append(row)
+    return rows
+
+
+def alexander_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
+    """Square presentation matrix of the Alexander module: the Fox matrix
+    without its last relation row and its last generator column."""
+    return [row[:-1] for row in fox_matrix(pres)[:-1]]
+
+
+def bareiss_determinant(rows: list[list[LaurentPoly]]) -> LaurentPoly:
+    """Exact determinant over Z[t, t^-1] by fraction-free elimination.
+
+    Bareiss elimination is exact over any integral domain, and every
+    interior division is exact division in Z[t, t^-1], so entries with
+    negative exponents need no shift: the result is the literal
+    determinant.
+    """
+    m = [list(row) for row in rows]
+    n = len(m)
+    if n == 0:
+        return LaurentPoly.const(1)
+    if any(len(row) != n for row in m):
+        raise ValueError("determinant of a non-square matrix")
+    sign = 1
+    prev = LaurentPoly.const(1)
+    for k in range(n - 1):
+        if m[k][k].is_zero():
+            pivot_row = next((i for i in range(k + 1, n) if not m[i][k].is_zero()), None)
+            if pivot_row is None:
+                return LaurentPoly()
+            m[k], m[pivot_row] = m[pivot_row], m[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                numerator = m[k][k] * m[i][j] - m[i][k] * m[k][j]
+                quotient = numerator.divided_by(prev)
+                if quotient is None:
+                    raise ArithmeticError("inexact interior division in Bareiss elimination")
+                m[i][j] = quotient
+            m[i][k] = LaurentPoly()
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return -det if sign < 0 else det
+
+
+def linear_rows(matrix: list[list[LaurentPoly]]) -> list[dict[int, tuple[int, int]]]:
+    """A dense matrix with entries in Z[t] of degree at most 1 as the
+    sparse rows {column: (c0, c1)} of `linear_determinant`."""
+    rows = []
+    for entries in matrix:
+        row = {}
+        for col, entry in enumerate(entries):
+            if not entry.is_zero():
+                if entry.min_degree < 0 or entry.max_degree > 1:
+                    raise ValueError(f"entry {entry} is not linear in t")
+                row[col] = (entry.coefficient(0), entry.coefficient(1))
+        rows.append(row)
+    return rows
 
 
 def fraction_divided_by(self: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly | None:

@@ -9,8 +9,8 @@ import random
 
 from knotdom.alexander import (
     alexander_polynomial,
-    bareiss_determinant,
     jones_polynomial,
+    linear_determinant,
     satellite_delta,
 )
 from knotdom.cli import main
@@ -20,6 +20,7 @@ from knotdom.knotbase import Flags, KnotRecord, enrich_record
 from knotdom.laurent import LaurentPoly, divides, exact_div, parse_poly
 from knotdom.poset import ChainBound, chain_length_bound, longest_chain
 
+from kernel_oracle import bareiss_determinant, linear_rows
 from poset_oracle import iter_chains
 from test_alexander import cofactor_determinant, minor_delta
 
@@ -203,8 +204,10 @@ def test_criterion_9c_bareiss_vs_cofactor():
     ]
     for _ in range(1000):
         rows = [[rng.choice(span_one) for _ in range(4)] for _ in range(4)]
-        assert bareiss_determinant(rows) == cofactor_determinant(rows)
-    passed("9c", "Bareiss equals cofactor expansion on 1000 random 4x4 matrices")
+        expected = cofactor_determinant(rows)
+        assert bareiss_determinant(rows) == expected
+        assert linear_determinant(linear_rows(rows)) == expected
+    passed("9c", "the modular kernel and Bareiss equal cofactor expansion on 1000 random 4x4 matrices")
 
 
 def test_criterion_9d_delta_unit_and_palindromic(corpus):

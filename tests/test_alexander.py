@@ -3,20 +3,22 @@ printed worked examples."""
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotdom.alexander import (
-    alexander_matrix,
     alexander_polynomial,
-    bareiss_determinant,
+    alexander_rows,
     connected_sum_delta,
     determinant_invariant,
-    fox_matrix,
     jones_polynomial,
     kauffman_bracket,
+    linear_determinant,
     satellite_delta,
 )
-from knotdom.diagram import DiagramError, braid_to_pd, parse_braid, parse_pd, seifert_circles, wirtinger
+from knotdom.diagram import BraidWord, DiagramError, braid_to_pd, parse_braid, parse_pd, seifert_circles, wirtinger
 from knotdom.laurent import LaurentPoly, parse_poly
+from kernel_oracle import alexander_matrix, bareiss_determinant, fox_matrix, linear_rows
 
 TREFOIL = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
 FIG8 = parse_pd("X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)")
@@ -61,11 +63,11 @@ def cofactor_determinant(rows):
 
 
 def minor_delta(pd, row, col):
-    """Normalized determinant of the Fox matrix of pd with relation `row`
-    and generator `col` deleted."""
+    """Normalized determinant, by the modular kernel, of the Fox matrix of
+    pd with relation `row` and generator `col` deleted."""
     rows = fox_matrix(wirtinger(pd))
     minor = [entries[:col] + entries[col + 1:] for entries in rows[:row] + rows[row + 1:]]
-    return bareiss_determinant(minor).normalize()
+    return linear_determinant(linear_rows(minor)).normalize()
 
 
 def skein_bracket(crossings):
@@ -145,6 +147,7 @@ class TestAlexanderPolynomial:
             matrix = alexander_matrix(wirtinger(pd))
             direct = cofactor_determinant([list(r) for r in matrix])
             assert bareiss_determinant(matrix) == direct, name
+            assert linear_determinant(alexander_rows(wirtinger(pd))) == direct, name
             assert alexander_polynomial(pd) == direct.normalize(), name
 
     def test_delta_at_one_is_unit(self):
@@ -186,6 +189,66 @@ class TestAlexanderPolynomial:
             assert degree <= 2 * seifert_circles(pd)[1], name
 
 
+@st.composite
+def knot_braids(draw, max_strands=5, max_letters=12):
+    """A braid word whose closure is a knot: random letters, then letters
+    that each join two cycles of the strand permutation until one is left."""
+    strands = draw(st.integers(2, max_strands))
+    letter = st.integers(1, strands - 1).flatmap(lambda i: st.sampled_from((i, -i)))
+    letters = draw(st.lists(letter, max_size=max_letters))
+    perm = list(range(strands))
+    for x in letters:
+        perm[abs(x) - 1], perm[abs(x)] = perm[abs(x)], perm[abs(x) - 1]
+    while True:
+        cycle = [0] * strands
+        for start in range(strands):
+            j = start
+            while not cycle[j]:
+                cycle[j] = start + 1
+                j = perm[j]
+        joins = [i for i in range(strands - 1) if cycle[i] != cycle[i + 1]]
+        if not joins:
+            return BraidWord(strands, tuple(letters))
+        i = draw(st.sampled_from(joins))
+        letters.append(draw(st.sampled_from((i + 1, -i - 1))))
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+
+
+def braid_delta(strands, letters):
+    return alexander_polynomial(braid_to_pd(BraidWord(strands, tuple(letters))))
+
+
+class TestAlexanderBraidMoves:
+    @settings(max_examples=60, deadline=None)
+    @given(knot_braids(), st.data())
+    def test_inserting_a_cancelling_pair(self, braid, data):
+        i = data.draw(st.integers(1, braid.strand_count - 1))
+        at = data.draw(st.integers(0, len(braid.letters)))
+        sign = data.draw(st.sampled_from((1, -1)))
+        letters = braid.letters[:at] + (sign * i, -sign * i) + braid.letters[at:]
+        assert braid_delta(braid.strand_count, letters) == braid_delta(braid.strand_count, braid.letters)
+
+    @settings(max_examples=60, deadline=None)
+    @given(knot_braids(), st.sampled_from((1, -1)))
+    def test_stabilisation(self, braid, sign):
+        m = braid.strand_count
+        assert braid_delta(m + 1, braid.letters + (sign * m,)) == braid_delta(m, braid.letters)
+
+    @settings(max_examples=60, deadline=None)
+    @given(knot_braids(), st.data())
+    def test_conjugation_by_word_rotation(self, braid, data):
+        k = data.draw(st.integers(0, len(braid.letters)))
+        rotated = braid.letters[k:] + braid.letters[:k]
+        assert braid_delta(braid.strand_count, rotated) == braid_delta(braid.strand_count, braid.letters)
+
+    @settings(max_examples=60, deadline=None)
+    @given(knot_braids())
+    def test_mirroring(self, braid):
+        delta = braid_delta(braid.strand_count, braid.letters)
+        assert braid_delta(braid.strand_count, [-x for x in braid.letters]) == delta
+        assert alexander_polynomial(braid_to_pd(braid).mirror()) == delta
+
+
 class TestFoxMatrix:
     def test_entries_have_exponent_span_at_most_one(self):
         for name, pd in BUNDLED.items():
@@ -196,6 +259,11 @@ class TestFoxMatrix:
                     if not entry.is_zero():
                         assert entry.max_degree - entry.min_degree <= 1, name
                         assert entry.min_degree >= 0, name
+
+    def test_sparse_rows_match_the_dense_minor(self):
+        for name, pd in BUNDLED.items():
+            pres = wirtinger(pd)
+            assert alexander_rows(pres) == linear_rows(alexander_matrix(pres)), name
 
 
 class TestBareiss:
@@ -212,7 +280,9 @@ class TestBareiss:
         ]
         for _ in range(300):
             rows = [[rng.choice(span_one) for _ in range(4)] for _ in range(4)]
-            assert bareiss_determinant(rows) == cofactor_determinant(rows)
+            expected = cofactor_determinant(rows)
+            assert bareiss_determinant(rows) == expected
+            assert linear_determinant(linear_rows(rows)) == expected
 
     def test_matches_cofactor_with_negative_exponents(self):
         rng = random.Random(20261018)
@@ -232,10 +302,12 @@ class TestBareiss:
 
     def test_empty_matrix(self):
         assert bareiss_determinant([]) == LaurentPoly.const(1)
+        assert linear_determinant([]) == LaurentPoly.const(1)
 
     def test_singular_matrix(self):
         row = [P("1 - t"), P("1 + t")]
         assert bareiss_determinant([row, row]) == LaurentPoly()
+        assert linear_determinant(linear_rows([row, row])) == LaurentPoly()
 
 
 class TestDeterminantInvariant:

@@ -1,13 +1,26 @@
-"""The frontier-sweep Kauffman bracket and integer exact division against
-the kernels they replaced (`kernel_oracle`), on seeded random input."""
+"""The frontier-sweep Kauffman bracket, the modular Alexander determinant
+and integer exact division against the kernels they replaced
+(`kernel_oracle`), on seeded random input."""
 import random
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
-from knotdom.alexander import jones_polynomial, kauffman_bracket
-from knotdom.diagram import BraidWord, DiagramError, PDCode, braid_to_pd, parse_pd
-from knotdom.laurent import LaurentPoly, parse_poly
-from kernel_oracle import fraction_divided_by, state_sum_bracket
+from knotdom import alexander
+from knotdom.alexander import alexander_rows, jones_polynomial, kauffman_bracket, linear_determinant
+from knotdom.diagram import BraidWord, DiagramError, PDCode, braid_to_pd, parse_pd, wirtinger
+from knotdom.laurent import LaurentPoly, is_prime, parse_poly
+from kernel_oracle import (
+    alexander_matrix,
+    bareiss_determinant,
+    fraction_divided_by,
+    linear_rows,
+    state_sum_bracket,
+)
+from test_alexander import cofactor_determinant
 
 
 def random_knot_braid(rng: random.Random, strands: int, length: int) -> BraidWord:
@@ -75,11 +88,126 @@ class TestJonesBraidMoves:
             assert jones_polynomial(stabilised) == jones_polynomial(pd), (braid, letters)
 
 
+def determinant_bound(rows):
+    """Twice the product of the rows' l1 norms: the modulus the kernel's
+    primes must exceed."""
+    bound = 2
+    for row in rows:
+        bound *= sum(abs(c0) + abs(c1) for c0, c1 in row.values())
+    return bound
+
+
+def as_dense(rows):
+    """Sparse linear rows as a dense matrix of Laurent polynomials."""
+    return [[LaurentPoly.from_dict(dict(zip((0, 1), row.get(j, (0, 0))))) for j in range(len(rows))] for row in rows]
+
+
+def rotated(pd: PDCode, k: int) -> PDCode:
+    """The same diagram with every arc label i renamed i + k mod 2n."""
+    n2 = 2 * pd.crossing_count
+    return PDCode.from_tuples([tuple((x - 1 + k) % n2 + 1 for x in c) for c in pd.crossings])
+
+
+class TestLinearDeterminant:
+    def test_random_closures_against_bareiss(self):
+        two_primes = 0
+        for rng, braid, pd in random_closures(45, 16, 45):
+            pres = wirtinger(pd)
+            rows = alexander_rows(pres)
+            assert linear_determinant(rows) == bareiss_determinant(alexander_matrix(pres)), braid
+            two_primes += determinant_bound(rows) > 2**61
+        assert two_primes >= 2
+
+    def test_shuffled_and_relabelled_codes(self):
+        for rng, braid, pd in random_closures(46, 12, 30):
+            expected = linear_determinant(alexander_rows(wirtinger(pd))).normalize()
+            shuffled = PDCode.from_tuples(rng.sample(pd.crossings, len(pd.crossings)))
+            moved = rotated(shuffled, rng.randrange(1, 2 * pd.crossing_count))
+            pres = wirtinger(moved)
+            got = linear_determinant(alexander_rows(pres))
+            assert got == bareiss_determinant(alexander_matrix(pres)), braid
+            assert got.normalize() == expected, braid
+
+    def test_wide_coefficients_take_several_primes(self):
+        rng = random.Random(2**40)
+        for _ in range(60):
+            rows = [
+                {
+                    col: (rng.randint(-(2**40), 2**40), rng.randint(-(2**40), 2**40))
+                    for col in rng.sample(range(4), rng.randint(1, 4))
+                }
+                for _ in range(4)
+            ]
+            assert determinant_bound(rows) > 2**122
+            assert linear_determinant(rows) == cofactor_determinant(as_dense(rows))
+
+    def test_small_coefficients_vanish_at_evaluation_points(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            rows = [
+                {col: (rng.randint(-2, 2), rng.randint(-2, 2)) for col in rng.sample(range(n), rng.randint(0, n))}
+                for _ in range(n)
+            ]
+            rows = [{col: entry for col, entry in row.items() if entry != (0, 0)} for row in rows]
+            assert linear_determinant(rows) == cofactor_determinant(as_dense(rows)), rows
+
+    def test_minor_singular_at_evaluation_points(self):
+        # 6_1: the minor's determinant 2t - 5t^2 + 2t^3 vanishes at t = 0
+        # and t = 2, two of the evaluation points 0..5.
+        pd = parse_pd("X(1,4,2,5) X(7,10,8,11) X(3,9,4,8) X(9,3,10,2) X(5,12,6,1) X(11,6,12,7)")
+        pres = wirtinger(pd)
+        rows = alexander_rows(pres)
+        expected = parse_poly("2t - 5t^2 + 2t^3")
+        assert sum(any(c1 for _, c1 in row.values()) for row in rows) == 5
+        assert linear_determinant(rows) == expected
+        assert bareiss_determinant(alexander_matrix(pres)) == expected
+        # (t - 1)(t - 2), singular at two of the evaluation points 0..3
+        rows = [{0: (-1, 1), 2: (-1, 1)}, {0: (1, 1), 1: (-1, 0), 2: (1, 0)}, {0: (-1, 1), 2: (1, 0)}]
+        assert linear_determinant(rows) == P("2 - 3t + t^2") == cofactor_determinant(as_dense(rows))
+
+    def test_rejects_non_square_rows(self):
+        with pytest.raises(ValueError, match="non-square"):
+            linear_determinant([{0: (1, 0), 1: (0, 1)}])
+
+    def test_primes_are_the_61_bit_primes_from_the_top(self):
+        primes = alexander._primes()
+        found = [next(primes) for _ in range(3)]
+        assert found[0] == 2**61 - 1
+        for above, below in zip(found, found[1:]):
+            assert 2**60 < below < above
+            assert is_prime(below)
+            assert not any(is_prime(c) for c in range(below + 2, above, 2))
+
+    def test_import_does_no_prime_search(self):
+        code = (
+            "import knotdom, knotdom.alexander as a\n"
+            "assert a._PRIMES == [], a._PRIMES\n"
+            "knotdom.alexander_polynomial(knotdom.parse_pd('X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)'))\n"
+            "assert a._PRIMES == [2**61 - 1], a._PRIMES\n"
+        )
+        src = str(Path(alexander.__file__).parents[1])
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+
+
+def P(text):
+    return parse_poly(text)
+
+
 def random_poly(rng: random.Random, max_terms: int = 5) -> LaurentPoly:
     low = rng.randint(-3, 3)
     return LaurentPoly.from_dict(
         {low + i: rng.randint(-4, 4) for i in range(rng.randint(1, max_terms))}
     )
+
+
+def spread_poly(rng: random.Random, step: int) -> LaurentPoly:
+    """A few terms whose exponents lie up to `step` apart."""
+    exps = [rng.randint(-step, step)]
+    for _ in range(rng.randint(0, 3)):
+        exps.append(exps[-1] + rng.randint(1, step))
+    return LaurentPoly.from_dict({e: rng.choice((-3, -2, -1, 1, 2, 3)) for e in exps})
 
 
 def nonzero_poly(rng: random.Random) -> LaurentPoly:
@@ -124,3 +252,34 @@ class TestIntegerDivision:
         expected = None if quotient is None else parse_poly(quotient)
         assert p.divided_by(d) == expected
         assert fraction_divided_by(p, d) == expected
+
+    def test_spread_exponents(self):
+        rng = random.Random(9)
+        inexact = 0
+        for _ in range(200):
+            step = rng.randint(20, 120)
+            a, b = spread_poly(rng, step), spread_poly(rng, step)
+            if b.is_zero():
+                continue
+            for dividend in (a * b, a * b + spread_poly(rng, rng.randint(1, 300))):
+                if dividend.is_zero():
+                    continue
+                expected = fraction_divided_by(dividend, b)
+                assert dividend.divided_by(b) == expected, (dividend, b)
+                inexact += expected is None
+        assert inexact > 100
+
+    def test_huge_sparse_degrees(self):
+        # Memory follows the terms, not the degree span: one slot per degree
+        # would take over 100 MB here.
+        n = 2 * 10**6
+        dividend, divisor = LaurentPoly.from_dict({0: 1, 2 * n: -1, 4 * n: 1}), LaurentPoly.from_dict({0: 1, n: -1, 2 * n: 1})
+        cube = LaurentPoly.from_dict({-n: 1, 2 * n: 1})
+        tracemalloc.start()
+        try:
+            assert dividend.divided_by(divisor) is None
+            assert cube.divided_by(LaurentPoly.from_dict({0: 1, n: 1})) == LaurentPoly.from_dict({-n: 1, 0: -1, n: 1})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20

@@ -2,6 +2,7 @@
 suites."""
 import math
 import random
+import time
 
 import pytest
 from fractions import Fraction
@@ -13,6 +14,7 @@ from knotdom.laurent import (
     divides,
     exact_div,
     format_poly,
+    is_prime,
     is_prime_power,
     parse_poly,
 )
@@ -231,6 +233,32 @@ class TestIsPrimePower:
     )
     def test_miller_rabin_range(self, n, expected):
         assert is_prime_power(n) is expected
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            pytest.param((10**18 + 3) ** 1000, True, id="1000th power of a 19-digit prime"),
+            pytest.param(1009**7000, True, id="7000th power of 1009"),
+            pytest.param(1009**6999 * 1013, None, id="times another prime: no root below the bound"),
+            pytest.param((1009 * 1013) ** 1000, False, id="1000th power of a product of two primes"),
+        ],
+    )
+    def test_large_powers_take_few_roots(self, n, expected):
+        # One integer root per exponent took about 20 s on the first two;
+        # the 2-adic candidates take well under 0.1 s.
+        start = time.perf_counter()
+        assert is_prime_power(n) is expected
+        assert time.perf_counter() - start < 10.0
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [(0, False), (1, False), (2, True), (41, True), (43, True), (43 * 47, False),
+         (2**61 - 1, True), (2**61 + 1, False), (3825123056546413051, False),
+         (3317044064679887385961981, None)],
+    )
+    def test_is_prime(self, n, expected):
+        assert is_prime(n) is expected
+
 
 
 class TestTextForm:
