@@ -4,14 +4,17 @@ The Alexander polynomial is computed classically: Fox derivatives of the
 Wirtinger relations with every meridian abelianized to t, one relation row
 and one generator column deleted.  Every entry of that minor is linear in
 t, so its determinant is taken without polynomial arithmetic: evaluated
-at integer points modulo 61-bit primes by sparse elimination,
-interpolated, and recombined by the Chinese remainder theorem under a
-proven bound on the coefficients (`linear_determinant`).  The Jones
-polynomial comes from the Kauffman bracket with the writhe correction
-(-A^3)^-w and the substitution t = A^-4.  The bracket is computed by a
-frontier sweep: crossings are contracted one at a time, keeping one
-polynomial per planar matching of the open arc ends, as in Bar-Natan's
-tangle contraction for Khovanov homology (arXiv math/0606318).
+at the integer nodes t = 2..D+2 modulo 61-bit primes, interpolated, and
+recombined by the Chinese remainder theorem under Hadamard's bound on
+the coefficients (`linear_determinant`).  Per prime, one sparse
+elimination picks the pivots at the last node and the other nodes replay
+them together; a node where a replayed pivot vanishes is eliminated
+again with pivots of its own.  The Jones polynomial comes from the
+Kauffman bracket with the writhe correction (-A^3)^-w and the
+substitution t = A^-4.  The bracket is computed by a frontier sweep:
+crossings are contracted one at a time, keeping one polynomial per
+planar matching of the open arc ends, as in Bar-Natan's tangle
+contraction for Khovanov homology (arXiv math/0606318).
 """
 from __future__ import annotations
 
@@ -24,6 +27,11 @@ from .laurent import LaurentPoly, is_prime
 # The sweep would be fast there too; the budget keeps the `invariants`
 # output of larger diagrams unchanged (no `jones` field).
 JONES_CROSSING_BUDGET = 24
+
+# The first evaluation node.  At t = 0 the Fox minor is usually singular
+# and at t = 1 every 1 - t entry vanishes, so pivots chosen there would
+# suit no other node.
+_FIRST_NODE = 2
 
 # The 61-bit primes of `linear_determinant`, downward from 2^61 - 1, each
 # found on first use (importing the module searches for none).
@@ -58,26 +66,29 @@ def linear_determinant(rows: list[dict[int, tuple[int, int]]]) -> LaurentPoly:
     linear in t, given as sparse rows {column: (c0, c1)}.
 
     The determinant has degree at most D, the number of rows with a t
-    term.  It is evaluated at t = 0..D modulo 61-bit primes, interpolated
-    modulo each prime, and the primes are combined by CRT with a symmetric
-    lift (von zur Gathen and Gerhard, "Modern Computer Algebra", ch. 5).
-    As a sum over permutations, the determinant has coefficient l1 norm at
-    most the product of the rows' l1 norms, so primes are taken until
-    their product exceeds twice that: the lift is exact.
+    term.  It is evaluated at the D + 1 nodes t = 2..D+2 modulo 61-bit
+    primes (`_determinants_mod`), interpolated modulo each prime, and the
+    primes are combined by CRT with a symmetric lift (von zur Gathen and
+    Gerhard, "Modern Computer Algebra", ch. 5).  Each coefficient is a
+    Fourier coefficient of det M(t) on the unit circle, so by Hadamard's
+    inequality it is at most H^(1/2), H the product over the rows of
+    sum_j (|c0| + |c1|)^2; primes are taken until the square of their
+    product exceeds 4H, and the lift is exact.
     """
     n = len(rows)
     if any(not 0 <= col < n for row in rows for col in row):
         raise ValueError("determinant of a non-square matrix")
-    bound = 2
+    bound = 4
     for row in rows:
-        bound *= sum(abs(c0) + abs(c1) for c0, c1 in row.values())
+        bound *= sum((abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values())
     degree = sum(any(c1 for _, c1 in row.values()) for row in rows)
+    nodes = range(_FIRST_NODE, _FIRST_NODE + degree + 1)
     coeffs = [0] * (degree + 1)
     modulus = 1
     primes = _primes()
-    while modulus <= bound:
+    while modulus * modulus <= bound:
         p = next(primes)
-        residues = _interpolate([_determinant_mod(rows, x, p) for x in range(degree + 1)], p)
+        residues = _interpolate(_determinants_mod(rows, nodes, p), p)
         inverse = pow(modulus, -1, p)
         coeffs = [c + modulus * ((r - c) * inverse % p) for c, r in zip(coeffs, residues)]
         modulus *= p
@@ -96,12 +107,31 @@ def _primes():
         yield _PRIMES[i]
 
 
-def _determinant_mod(rows: list[dict[int, tuple[int, int]]], x: int, p: int) -> int:
+def _determinants_mod(rows: list[dict[int, tuple[int, int]]], nodes: range, p: int) -> list[int]:
+    """Determinants mod p of the rows at t = each of `nodes`.  The pivots
+    are chosen once, by `_determinant_mod` at the last node still to be
+    done, and replayed at all the others together (`_replay_mod`).  A node
+    where the rows are singular gives 0 and passes the choice to the next
+    one down; the nodes where a replayed pivot vanishes are done again the
+    same way, with pivots chosen at one of them."""
+    values: dict[int, int] = {}
+    pending = list(nodes)
+    while pending:
+        x = pending.pop()
+        values[x], pivots = _determinant_mod(rows, x, p)
+        if values[x] and pending:
+            replayed = _replay_mod(rows, pivots, pending, p)
+            values.update((x, det) for x, det in zip(pending, replayed) if det is not None)
+            pending = [x for x, det in zip(pending, replayed) if det is None]
+    return [values[x] for x in nodes]
+
+
+def _determinant_mod(rows: list[dict[int, tuple[int, int]]], x: int, p: int) -> tuple[int, list[tuple[int, int]]]:
     """Determinant mod p of the rows at t = x by sparse Gaussian
-    elimination.  Each step pivots on the shortest live row and, within
-    it, on the column held by the fewest live rows (Markowitz, 1957).  The
-    sign is that of the permutation pivot row -> pivot column, built up
-    one transposition at a time in `column_at`."""
+    elimination, and its (row, column) pivot sequence (cut short where the
+    rows turn out singular, with determinant 0).  Each step pivots on the
+    shortest live row and, within it, on the column held by the fewest
+    live rows (Markowitz, 1957)."""
     live: dict[int, dict[int, int]] = {}
     holders: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
@@ -112,20 +142,15 @@ def _determinant_mod(rows: list[dict[int, tuple[int, int]]], x: int, p: int) -> 
                 values[col] = value
                 holders.setdefault(col, set()).add(i)
         live[i] = values
-    column_at = list(range(len(rows)))
-    slot_of = list(range(len(rows)))
+    pivots = []
     det = 1
     while live:
         i = min(live, key=lambda k: len(live[k]))
         row = live.pop(i)
         if not row:
-            return 0
+            return 0, pivots
         col = min(row, key=lambda c: len(holders[c]))
-        j = slot_of[col]
-        if j != i:
-            column_at[i], column_at[j] = col, column_at[i]
-            slot_of[col], slot_of[column_at[j]] = i, j
-            det = -det
+        pivots.append((i, col))
         for c in row:
             holders[c].discard(i)
         pivot = row.pop(col)
@@ -143,25 +168,94 @@ def _determinant_mod(rows: list[dict[int, tuple[int, int]]], x: int, p: int) -> 
                 elif c in other:
                     del other[c]
                     holders[c].discard(k)
-    return det
+    return _permutation_sign(pivots) * det % p, pivots
+
+
+def _replay_mod(
+    rows: list[dict[int, tuple[int, int]]], pivots: list[tuple[int, int]], nodes: list[int], p: int
+) -> list[int | None]:
+    """Determinants mod p of the rows at t = each of `nodes`, eliminating
+    with the given full pivot sequence.  Every entry holds one residue per
+    node (a lane) and each step updates all lanes at once; the sign of the
+    permutation pivot row -> pivot column is the same in every lane.  A
+    lane where a pivot is 0 mod p gives None: the sequence is no valid
+    elimination there.  Such a lane, and only such a lane, ends with
+    product 0, since every pivot of a valid lane is a unit."""
+    zeros = [0] * len(nodes)
+    live: dict[int, dict[int, list[int]]] = {}
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        live[i] = {col: [(c0 + c1 * x) % p for x in nodes] for col, (c0, c1) in row.items()}
+        for col in row:
+            holders.setdefault(col, set()).add(i)
+    dets = [_permutation_sign(pivots)] * len(nodes)
+    for i, col in pivots:
+        row = live.pop(i)
+        for c in row:
+            holders[c].discard(i)
+        pivot = row.pop(col)
+        dets = [d * v % p for d, v in zip(dets, pivot)]
+        # A vanished pivot is inverted as 1: its lane is dropped anyway.
+        inverses = _inverses([value or 1 for value in pivot], p)
+        for k in holders.pop(col):
+            other = live[k]
+            factors = [a * b % p for a, b in zip(other.pop(col), inverses)]
+            for c, values in row.items():
+                old = other.get(c)
+                if old is None:
+                    holders[c].add(k)
+                    old = zeros
+                other[c] = [(o - f * v) % p for o, f, v in zip(old, factors, values)]
+    return [det or None for det in dets]
+
+
+def _inverses(values: list[int], p: int) -> list[int]:
+    """The inverses mod p of nonzero residues with one `pow`: Montgomery's
+    batch inversion, by prefix products and one walk back."""
+    prefix = []
+    product = 1
+    for value in values:
+        prefix.append(product)
+        product = product * value % p
+    inverse = pow(product, -1, p)
+    out = [0] * len(values)
+    for k in range(len(values) - 1, -1, -1):
+        out[k] = prefix[k] * inverse % p
+        inverse = inverse * values[k] % p
+    return out
+
+
+def _permutation_sign(pivots: list[tuple[int, int]]) -> int:
+    """Sign of the permutation taking each pivot row to its pivot column."""
+    image = [0] * len(pivots)
+    for i, col in pivots:
+        image[i] = col
+    sign = 1
+    for i in range(len(image)):
+        while image[i] != i:
+            j = image[i]
+            image[i], image[j] = image[j], j
+            sign = -sign
+    return sign
 
 
 def _interpolate(values: list[int], p: int) -> list[int]:
     """Coefficients mod p of the polynomial of degree < len(values) that
-    takes values[x] at t = x.  Newton's divided differences: the points
-    are 0, 1, ..., so level j divides by j."""
+    takes values[k] at the node t = k + 2.  Newton's divided differences:
+    the nodes are unit-spaced, so level j divides by j."""
     coeffs = list(values)
     top = len(values) - 1
     for j in range(1, top + 1):
         inverse = pow(j, -1, p)
         for i in range(top, j - 1, -1):
             coeffs[i] = (coeffs[i] - coeffs[i - 1]) * inverse % p
-    # Newton form to monomials: c_top, then multiply by (t - k) and add c_k.
+    # Newton form to monomials: c_top, then multiply by (t - node k) and add c_k.
     out = [0] * (top + 1)
     for k in range(top, -1, -1):
+        node = k + _FIRST_NODE
         for i in range(top - k, 0, -1):
-            out[i] = (out[i - 1] - k * out[i]) % p
-        out[0] = (coeffs[k] - k * out[0]) % p
+            out[i] = (out[i - 1] - node * out[i]) % p
+        out[0] = (coeffs[k] - node * out[0]) % p
     return out
 
 

@@ -8,9 +8,19 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from knotdom import alexander
-from knotdom.alexander import alexander_rows, jones_polynomial, kauffman_bracket, linear_determinant
+from knotdom.alexander import (
+    _determinant_mod,
+    _determinants_mod,
+    _replay_mod,
+    alexander_rows,
+    jones_polynomial,
+    kauffman_bracket,
+    linear_determinant,
+)
 from knotdom.diagram import BraidWord, DiagramError, PDCode, braid_to_pd, parse_pd, wirtinger
 from knotdom.laurent import LaurentPoly, is_prime, parse_poly
 from kernel_oracle import (
@@ -89,12 +99,34 @@ class TestJonesBraidMoves:
 
 
 def determinant_bound(rows):
-    """Twice the product of the rows' l1 norms: the modulus the kernel's
-    primes must exceed."""
-    bound = 2
+    """Four times the product over the rows of sum (|c0| + |c1|)^2 (the
+    Hadamard bound): the square of the kernel's modulus must exceed it."""
+    bound = 4
     for row in rows:
-        bound *= sum(abs(c0) + abs(c1) for c0, c1 in row.values())
+        bound *= sum((abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values())
     return bound
+
+
+def degree_bound(rows):
+    """The number of rows with a t term."""
+    return sum(any(c1 for _, c1 in row.values()) for row in rows)
+
+
+P61 = 2**61 - 1
+
+
+@st.composite
+def vanishing_rows(draw):
+    """Sparse linear rows of a 1x1 to 6x6 matrix.  About half the entries
+    are c1 (t - x) for an evaluation node x, so that a pivot can vanish at
+    some nodes and not at others."""
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(
+        st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+        st.builds(lambda x, c1: (-x * c1, c1), st.integers(2, n + 2), st.integers(-3, 3).filter(bool)),
+    )
+    rows = [draw(st.dictionaries(st.integers(0, n - 1), entry, max_size=n)) for _ in range(n)]
+    return [{col: e for col, e in row.items() if e != (0, 0)} for row in rows]
 
 
 def as_dense(rows):
@@ -110,13 +142,23 @@ def rotated(pd: PDCode, k: int) -> PDCode:
 
 class TestLinearDeterminant:
     def test_random_closures_against_bareiss(self):
+        # Fox minors need a second prime from about 48 crossings on.
+        rng = random.Random(48)
+        long_braids = [random_knot_braid(rng, strands, length) for strands, length in ((3, 50), (3, 52))]
         two_primes = 0
-        for rng, braid, pd in random_closures(45, 16, 45):
-            pres = wirtinger(pd)
+        for braid in [braid for _, braid, _ in random_closures(45, 16, 45)] + long_braids:
+            pres = wirtinger(braid_to_pd(braid))
             rows = alexander_rows(pres)
             assert linear_determinant(rows) == bareiss_determinant(alexander_matrix(pres)), braid
-            two_primes += determinant_bound(rows) > 2**61
+            two_primes += determinant_bound(rows) >= P61**2
         assert two_primes >= 2
+
+    def test_three_braid_closures_of_the_benchmark_tail(self):
+        rng = random.Random(2540)
+        for length in range(26, 41, 2):
+            braid = random_knot_braid(rng, 3, length)
+            pres = wirtinger(braid_to_pd(braid))
+            assert linear_determinant(alexander_rows(pres)) == bareiss_determinant(alexander_matrix(pres)), braid
 
     def test_shuffled_and_relabelled_codes(self):
         for rng, braid, pd in random_closures(46, 12, 30):
@@ -138,8 +180,15 @@ class TestLinearDeterminant:
                 }
                 for _ in range(4)
             ]
-            assert determinant_bound(rows) > 2**122
+            assert determinant_bound(rows) > 2**244
             assert linear_determinant(rows) == cofactor_determinant(as_dense(rows))
+
+    @pytest.mark.parametrize("c", [P61 // 2, P61 // 2 + 1, -(P61 // 2) - 1])
+    def test_coefficient_past_half_the_first_prime(self, c):
+        # A coefficient over half the modulus lifts to the wrong sign: the
+        # bound must take a second prime for |c| > P61 / 2.
+        for rows, expected in (([{0: (c, 0)}], {0: c}), ([{0: (0, c)}], {1: c})):
+            assert linear_determinant(rows) == LaurentPoly.from_dict(expected)
 
     def test_small_coefficients_vanish_at_evaluation_points(self):
         rng = random.Random(5)
@@ -153,18 +202,45 @@ class TestLinearDeterminant:
             assert linear_determinant(rows) == cofactor_determinant(as_dense(rows)), rows
 
     def test_minor_singular_at_evaluation_points(self):
-        # 6_1: the minor's determinant 2t - 5t^2 + 2t^3 vanishes at t = 0
-        # and t = 2, two of the evaluation points 0..5.
+        # 6_1: the minor's determinant 2t - 5t^2 + 2t^3 vanishes at t = 2,
+        # one of the evaluation points 2..7.
         pd = parse_pd("X(1,4,2,5) X(7,10,8,11) X(3,9,4,8) X(9,3,10,2) X(5,12,6,1) X(11,6,12,7)")
         pres = wirtinger(pd)
         rows = alexander_rows(pres)
         expected = parse_poly("2t - 5t^2 + 2t^3")
-        assert sum(any(c1 for _, c1 in row.values()) for row in rows) == 5
+        assert degree_bound(rows) == 5
         assert linear_determinant(rows) == expected
         assert bareiss_determinant(alexander_matrix(pres)) == expected
-        # (t - 1)(t - 2), singular at two of the evaluation points 0..3
-        rows = [{0: (-1, 1), 2: (-1, 1)}, {0: (1, 1), 1: (-1, 0), 2: (1, 0)}, {0: (-1, 1), 2: (1, 0)}]
-        assert linear_determinant(rows) == P("2 - 3t + t^2") == cofactor_determinant(as_dense(rows))
+        # (t - 2)(t - 3), singular at two of the evaluation points 2..5
+        rows = [{0: (-2, 1), 2: (-2, 1)}, {0: (1, 1), 1: (-1, 0), 2: (1, 0)}, {0: (-2, 1), 2: (1, 0)}]
+        assert degree_bound(rows) == 3
+        assert linear_determinant(rows) == P("6 - 5t + t^2") == cofactor_determinant(as_dense(rows))
+
+    @settings(max_examples=200, deadline=None)
+    @given(vanishing_rows(), st.sampled_from((5, 7, 101, P61)))
+    def test_replayed_pivots_match_one_elimination_per_node(self, rows, p):
+        nodes = range(2, degree_bound(rows) + 3)
+        assert _determinants_mod(rows, nodes, p) == [_determinant_mod(rows, x, p)[0] for x in nodes]
+
+    def test_singular_where_the_pivots_are_chosen(self):
+        # (t - 4)(t - 5): singular at the last two of the nodes 2..5, so
+        # the pivots are chosen at t = 3.
+        rows = [{0: (-4, 1), 2: (-4, 1)}, {0: (1, 1), 1: (-1, 0), 2: (1, 0)}, {0: (-4, 1), 2: (1, 0)}]
+        assert degree_bound(rows) == 3
+        assert _determinant_mod(rows, 5, P61)[0] == _determinant_mod(rows, 4, P61)[0] == 0
+        assert _determinants_mod(rows, range(2, 6), P61) == [6, 2, 0, 0]
+        assert linear_determinant(rows) == P("20 - 9t + t^2") == cofactor_determinant(as_dense(rows))
+
+    def test_replayed_pivot_vanishing_where_the_determinant_does_not(self):
+        # t (2t - 7): the pivots chosen at t = 4 take t - 3 as the second
+        # pivot, which vanishes at the node 3 where the determinant is -3.
+        rows = [{0: (-3, 1), 1: (1, 0)}, {0: (1, 0), 1: (2, 0)}, {2: (0, 1)}]
+        assert degree_bound(rows) == 2
+        det, pivots = _determinant_mod(rows, 4, P61)
+        assert (det, pivots[1]) == (4, (0, 0))
+        assert _replay_mod(rows, pivots, [2, 3], P61) == [P61 - 6, None]
+        assert _determinants_mod(rows, range(2, 5), P61) == [P61 - 6, P61 - 3, 4]
+        assert linear_determinant(rows) == P("-7t + 2t^2") == cofactor_determinant(as_dense(rows))
 
     def test_rejects_non_square_rows(self):
         with pytest.raises(ValueError, match="non-square"):
