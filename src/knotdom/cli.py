@@ -8,6 +8,7 @@ reports with sorted keys.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -69,9 +70,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    # The global flags are repeated on every subcommand (with SUPPRESS
-    # defaults) so they are accepted both before and after it.
+    # Built on first use and shared by every `main` call, since parse_args
+    # leaves the parser as it found it.  The global flags are repeated on
+    # every subcommand (with SUPPRESS defaults) so they are accepted both
+    # before and after it.
     common = _Parser(add_help=False)
     common.add_argument(
         "--corpus", metavar="PATH", default=argparse.SUPPRESS,
@@ -108,38 +112,43 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one command and return its exit code; usage errors raise
+    SystemExit.  It may be called repeatedly in one process: the argument
+    parser is built on the first call and shared by the later ones."""
     args = _build_parser().parse_args(argv)
-    corpus_path = Path(args.corpus) if args.corpus else default_corpus_path()
     try:
         if args.command == "invariants":
-            return _cmd_invariants(args.source, corpus_path, args.json)
+            return _cmd_invariants(args.source, args.corpus, args.json)
         if args.command == "check":
-            return _cmd_check(args.dominator, args.dominated, corpus_path, args.json)
+            return _cmd_check(args.dominator, args.dominated, _corpus_path(args.corpus), args.json)
         if args.command == "poset":
-            path = Path(args.corpus_path) if args.corpus_path else corpus_path
-            return _cmd_poset(path, args.json)
+            return _cmd_poset(_corpus_path(args.corpus_path or args.corpus), args.json)
         if args.command == "chain-bound":
-            return _cmd_chain_bound(args.name, corpus_path, args.json)
+            return _cmd_chain_bound(args.name, _corpus_path(args.corpus), args.json)
         if args.command == "verify-paper":
-            return _cmd_verify_paper(corpus_path, args.json)
+            return _cmd_verify_paper(_corpus_path(args.corpus), args.json)
     except (CorpusError, DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     raise AssertionError("unreachable")
 
 
+def _corpus_path(arg: str | None) -> Path:
+    return Path(arg) if arg else default_corpus_path()
+
+
 def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True, indent=2))
 
 
-def _cmd_invariants(source: str, corpus_path: Path, as_json: bool) -> int:
+def _cmd_invariants(source: str, corpus: str | None, as_json: bool) -> int:
     stripped = source.strip()
     if stripped.startswith("X(") or stripped == "":
         record = enrich_record(KnotRecord(name="<pd>", diagram=parse_pd(stripped)))
     elif stripped.startswith("B") and ":" in stripped:
         record = enrich_record(KnotRecord(name="<braid>", braid=parse_braid(stripped)))
     else:
-        record = load_corpus(corpus_path).get(stripped)
+        record = load_corpus(_corpus_path(corpus)).get(stripped)
 
     info: dict = {
         "name": record.name,

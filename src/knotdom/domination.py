@@ -123,11 +123,10 @@ def _scan_obstructions(
             passed.append(rule_id)
 
     d1, d2 = k1.delta, k2.delta
-    report(
-        "O1_alexander",
-        exact_div(d1, d2) is None,
-        f"{format_poly(d2)} does not divide {format_poly(d1)}",
-    )
+    if exact_div(d1, d2) is None:  # the detail is formatted only when O1 fires
+        report("O1_alexander", True, f"{format_poly(d2)} does not divide {format_poly(d1)}")
+    else:
+        passed.append("O1_alexander")
 
     upper1 = genus_interval(k1)[1]
     lower2 = genus_interval(k2)[0]

@@ -214,14 +214,19 @@ class LaurentPoly:
     # -- evaluation ---------------------------------------------------------
 
     def eval_int(self, x: int) -> int | Fraction:
-        """Exact value at a nonzero integer; negative exponents give
-        rationals, normalized knot polynomials give ints."""
+        """Exact value at a nonzero integer, summed in ints as
+        x^e_min * sum c x^(e - e_min).  The one `Fraction` is the division
+        by x^-e_min when e_min < 0 and |x| > 1, and it gives an int when
+        that divides; at x = +-1, and for normalized knot polynomials
+        anywhere, the value is an int."""
         if x == 0:
             raise ValueError("cannot evaluate at 0: negative exponents")
-        total = Fraction(0)
-        for e, c in self.terms:
-            total += c * Fraction(x) ** e
-        return int(total) if total.denominator == 1 else total
+        low = self.terms[0][0] if self.terms else 0
+        total = sum(c * x ** (e - low) for e, c in self.terms)
+        if low >= 0 or x in (1, -1):
+            return total * x ** abs(low)  # x^low = x^-low at +-1
+        value = Fraction(total, x**-low)
+        return int(value) if value.denominator == 1 else value
 
     # -- text form ----------------------------------------------------------
 

@@ -6,11 +6,12 @@ with a fresh union-find per state; `fox_matrix`, `alexander_matrix` and
 `bareiss_determinant` are the dense Fox matrix over Z[t, t^-1] and its
 fraction-free Bareiss determinant; `fraction_divided_by` is long division
 of Laurent polynomials over Q, accepting only an integral quotient;
+`fraction_eval_int` sums the value at an integer term by term in `Fraction`;
 `trial_division_is_prime_power` factors by trial division up to the
 square root; `backtracking_summands_cover` matches summands by recursive
 backtracking.  The library's frontier sweep, modular determinant, integer
-division, Miller-Rabin test and augmenting-path matching must agree with
-them.
+division, integer evaluation, Miller-Rabin test and augmenting-path
+matching must agree with them.
 """
 from __future__ import annotations
 
@@ -178,6 +179,17 @@ def fraction_divided_by(self: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly 
     if any(rem) or any(q.denominator != 1 for q in quot):
         return None
     return LaurentPoly.from_dict({i: int(q) for i, q in enumerate(quot)}).shift(shift)
+
+
+def fraction_eval_int(p: LaurentPoly, x: int) -> int | Fraction:
+    """Exact value at a nonzero integer, summed in `Fraction`; an int when
+    the denominator is 1."""
+    if x == 0:
+        raise ValueError("cannot evaluate at 0: negative exponents")
+    total = Fraction(0)
+    for e, c in p.terms:
+        total += c * Fraction(x) ** e
+    return int(total) if total.denominator == 1 else total
 
 
 def _dense_from_zero(p: LaurentPoly) -> list[int]:

@@ -4,7 +4,15 @@ import time
 
 import pytest
 
-from knotdom.cli import EXIT_OBSTRUCTED, EXIT_OK, EXIT_UNKNOWN, EXIT_USAGE, main, run_verification
+from knotdom.cli import (
+    EXIT_OBSTRUCTED,
+    EXIT_OK,
+    EXIT_UNKNOWN,
+    EXIT_USAGE,
+    _build_parser,
+    main,
+    run_verification,
+)
 
 from test_poset import satellite_chain
 
@@ -81,6 +89,15 @@ class TestInvariants:
         payload = json.loads(out)
         assert payload["delta"] == "1 - 2t + 3t^2 - 2t^3 + t^4"
         assert payload["crossings"] == 6
+
+    def test_diagram_sources_resolve_no_corpus(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("resolved the bundled corpus path")
+
+        monkeypatch.setattr("knotdom.cli.default_corpus_path", refuse)
+        for source in ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "B3: 1 1 1 2 2 2"):
+            code, out, _ = run(capsys, "invariants", source)
+            assert code == EXIT_OK and "delta: " in out
 
     def test_bad_pd(self, capsys):
         code, _, err = run(capsys, "invariants", "X(1,2,3")
@@ -201,3 +218,48 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == EXIT_USAGE
+
+
+class TestSharedParser:
+    def test_repeated_calls_match_fresh_parsers(self, capsys, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(satellite_chain(3)))
+        calls = [
+            ["--json", "invariants", "3_1"],
+            ["invariants", "--json", "3_1"],
+            ["--corpus", str(path), "invariants", "a0000"],
+            ["invariants", "3_1"],
+            ["check", "--corpus", str(path), "a0000", "k"],
+            ["check", "granny", "3_1"],
+            ["poset", str(path)],
+            ["frobnicate"],
+            ["--json", "poset"],
+            ["chain-bound", "--json", "a0000", "--corpus", str(path)],
+            ["chain-bound", "5_2"],
+            ["invariants", "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"],
+            ["verify-paper"],
+        ]
+
+        def outcome(argv):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        _build_parser.cache_clear()
+        shared = [outcome(argv) for argv in calls]
+        info = _build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, len(calls) - 1)
+        fresh = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            fresh.append(outcome(argv))
+        assert shared == fresh
+        codes = [code for code, _, _ in shared]
+        assert codes == [EXIT_OK] * 4 + [EXIT_OBSTRUCTED] + [EXIT_OK] * 2 + [EXIT_USAGE] + [EXIT_OK] * 5
+        # the corpus given to one call is not read by the next
+        assert "name: a0000" in shared[2][1] and "name: 3_1" in shared[3][1]
+        assert shared[6][1].startswith("nodes: 5 ")
+        assert len(json.loads(shared[8][1])["nodes"]) == 12

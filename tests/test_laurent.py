@@ -19,7 +19,7 @@ from knotdom.laurent import (
     parse_poly,
 )
 
-from kernel_oracle import trial_division_is_prime_power
+from kernel_oracle import fraction_eval_int, trial_division_is_prime_power
 
 T = LaurentPoly.t()
 ONE = LaurentPoly.const(1)
@@ -179,8 +179,34 @@ class TestEvalInt:
         assert P("t^-2 + t").eval_int(2) == Fraction(9, 4)
 
     def test_zero_rejected(self):
-        with pytest.raises(ValueError):
-            T.eval_int(0)
+        for p in (T, P("t^-2 + 3"), LaurentPoly()):
+            with pytest.raises(ValueError):
+                p.eval_int(0)
+
+    @settings(max_examples=600)
+    @given(polys, st.sampled_from([0, -7]), st.sampled_from([1, -1, 2, -2, 3, -3, 5]))
+    def test_matches_fraction_oracle(self, p, shift, x):
+        # shifted by -7 every exponent is negative: Fraction values at
+        # |x| > 1, and ints where x^-e_min divides the sum
+        p = p.shift(shift)
+        value, expected = p.eval_int(x), fraction_eval_int(p, x)
+        assert value == expected and type(value) is type(expected)
+        if x in (1, -1):
+            assert type(value) is int
+
+    def test_corpus_and_adhoc_invariants_build_no_fraction(self, monkeypatch, capsys, corpus_path):
+        from knotdom.cli import EXIT_OK, main
+        from knotdom.knotbase import load_corpus
+
+        def refuse(*args):
+            raise AssertionError("eval_int built a Fraction")
+
+        monkeypatch.setattr("knotdom.laurent.Fraction", refuse)
+        with pytest.raises(AssertionError):
+            P("t^-2 + t").eval_int(2)  # the stub is the name eval_int reads
+        load_corpus(corpus_path)
+        assert main(["invariants", "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"]) == EXIT_OK
+        assert "determinant: 5" in capsys.readouterr().out
 
 
 class TestIsPrimePower:
