@@ -4,12 +4,10 @@ The Alexander polynomial is computed classically: Fox derivatives of the
 Wirtinger relations with every meridian abelianized to t, one relation row
 and one generator column deleted.  Every entry of that minor is linear in
 t, so its determinant is taken without polynomial arithmetic: evaluated
-at the integer nodes t = 2..D+2 modulo 61-bit primes, interpolated, and
-recombined by the Chinese remainder theorem under Hadamard's bound on
-the coefficients (`linear_determinant`).  Per prime, one sparse
-elimination picks the pivots at the last node and the other nodes replay
-them together; a node where a replayed pivot vanishes is eliminated
-again with pivots of its own.  The Jones polynomial comes from the
+once, at t = 2^b over Z, by one sparse fraction-free elimination
+(Bareiss), with b chosen from Hadamard's bound so that every coefficient
+is below 2^(b-1) in absolute value, and read off the value as balanced
+base-2^b digits (`linear_determinant`).  The Jones polynomial comes from the
 Kauffman bracket with the writhe correction (-A^3)^-w and the
 substitution t = A^-4.  The bracket is computed by a frontier sweep:
 crossings are contracted one at a time, keeping one polynomial per
@@ -18,24 +16,13 @@ contraction for Khovanov homology (arXiv math/0606318).
 """
 from __future__ import annotations
 
-import itertools
-
 from .diagram import DiagramError, PDCode, WirtingerPresentation, wirtinger
-from .laurent import LaurentPoly, is_prime
+from .laurent import LaurentPoly
 
 # Diagrams above this many crossings get no computed Jones polynomial.
 # The sweep would be fast there too; the budget keeps the `invariants`
 # output of larger diagrams unchanged (no `jones` field).
 JONES_CROSSING_BUDGET = 24
-
-# The first evaluation node.  At t = 0 the Fox minor is usually singular
-# and at t = 1 every 1 - t entry vanishes, so pivots chosen there would
-# suit no other node.
-_FIRST_NODE = 2
-
-# The 61-bit primes of `linear_determinant`, downward from 2^61 - 1, each
-# found on first use (importing the module searches for none).
-_PRIMES: list[int] = []
 
 
 def alexander_rows(pres: WirtingerPresentation) -> list[dict[int, tuple[int, int]]]:
@@ -65,15 +52,14 @@ def linear_determinant(rows: list[dict[int, tuple[int, int]]]) -> LaurentPoly:
     """Exact determinant of a square integer matrix whose entries are
     linear in t, given as sparse rows {column: (c0, c1)}.
 
-    The determinant has degree at most D, the number of rows with a t
-    term.  It is evaluated at the D + 1 nodes t = 2..D+2 modulo 61-bit
-    primes (`_determinants_mod`), interpolated modulo each prime, and the
-    primes are combined by CRT with a symmetric lift (von zur Gathen and
-    Gerhard, "Modern Computer Algebra", ch. 5).  Each coefficient is a
-    Fourier coefficient of det M(t) on the unit circle, so by Hadamard's
-    inequality it is at most H^(1/2), H the product over the rows of
-    sum_j (|c0| + |c1|)^2; primes are taken until the square of their
-    product exceeds 4H, and the lift is exact.
+    The determinant is evaluated once, at t = X = 2^b over Z, and its
+    coefficients are read off det M(X) as balanced base-X digits
+    (Kronecker substitution).  Each coefficient is a Fourier coefficient
+    of det M(t) on the unit circle, so by Hadamard's inequality it is at
+    most H^(1/2), H the product over the rows of sum_j (|c0| + |c1|)^2;
+    b is the least with X^2 > 4H, so every coefficient lies below X / 2
+    in absolute value and the digits are exact.  det M(X) itself comes
+    from one sparse fraction-free elimination (`_bareiss`).
     """
     n = len(rows)
     if any(not 0 <= col < n for row in rows for col in row):
@@ -81,148 +67,67 @@ def linear_determinant(rows: list[dict[int, tuple[int, int]]]) -> LaurentPoly:
     bound = 4
     for row in rows:
         bound *= sum((abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values())
-    degree = sum(any(c1 for _, c1 in row.values()) for row in rows)
-    nodes = range(_FIRST_NODE, _FIRST_NODE + degree + 1)
-    coeffs = [0] * (degree + 1)
-    modulus = 1
-    primes = _primes()
-    while modulus * modulus <= bound:
-        p = next(primes)
-        residues = _interpolate(_determinants_mod(rows, nodes, p), p)
-        inverse = pow(modulus, -1, p)
-        coeffs = [c + modulus * ((r - c) * inverse % p) for c, r in zip(coeffs, residues)]
-        modulus *= p
-    half = modulus // 2
-    return LaurentPoly.from_dict({e: c - modulus if c > half else c for e, c in enumerate(coeffs)})
+    b = (bound.bit_length() + 1) // 2
+    x = 1 << b
+    value = _bareiss([{col: c0 + c1 * x for col, (c0, c1) in row.items()} for row in rows])
+    mask, half = x - 1, x >> 1
+    coeffs = []
+    for _ in range(n + 1):  # the degree is at most n
+        digit = ((value + half) & mask) - half  # in [-X/2, X/2)
+        coeffs.append(digit)
+        value = (value - digit) >> b
+    return LaurentPoly.from_dict(dict(enumerate(coeffs)))
 
 
-def _primes():
-    """The primes downward from 2^61 - 1, proven by Miller-Rabin."""
-    for i in itertools.count():
-        if i == len(_PRIMES):
-            candidate = _PRIMES[-1] - 2 if _PRIMES else 2**61 - 1
-            while not is_prime(candidate):
-                candidate -= 2
-            _PRIMES.append(candidate)
-        yield _PRIMES[i]
-
-
-def _determinants_mod(rows: list[dict[int, tuple[int, int]]], nodes: range, p: int) -> list[int]:
-    """Determinants mod p of the rows at t = each of `nodes`.  The pivots
-    are chosen once, by `_determinant_mod` at the last node still to be
-    done, and replayed at all the others together (`_replay_mod`).  A node
-    where the rows are singular gives 0 and passes the choice to the next
-    one down; the nodes where a replayed pivot vanishes are done again the
-    same way, with pivots chosen at one of them."""
-    values: dict[int, int] = {}
-    pending = list(nodes)
-    while pending:
-        x = pending.pop()
-        values[x], pivots = _determinant_mod(rows, x, p)
-        if values[x] and pending:
-            replayed = _replay_mod(rows, pivots, pending, p)
-            values.update((x, det) for x, det in zip(pending, replayed) if det is not None)
-            pending = [x for x, det in zip(pending, replayed) if det is None]
-    return [values[x] for x in nodes]
-
-
-def _determinant_mod(rows: list[dict[int, tuple[int, int]]], x: int, p: int) -> tuple[int, list[tuple[int, int]]]:
-    """Determinant mod p of the rows at t = x by sparse Gaussian
-    elimination, and its (row, column) pivot sequence (cut short where the
-    rows turn out singular, with determinant 0).  Each step pivots on the
-    shortest live row and, within it, on the column held by the fewest
-    live rows (Markowitz, 1957)."""
-    live: dict[int, dict[int, int]] = {}
+def _bareiss(rows: list[dict[int, int]]) -> int:
+    """Determinant of a square integer matrix given as sparse rows
+    {column: value}, by fraction-free elimination (Bareiss, Math. Comp.
+    22, 1968).  Each step pivots on the shortest live row and, within it,
+    on the column held by the fewest live rows (Markowitz, 1957).  Step k,
+    with pivot p_k, updates each row holding the pivot column as
+    a <- (p_k a - f v) / p_(k-1), f the row's entry in the pivot column
+    and v the pivot row's; the other rows would only be scaled by
+    p_k / p_(k-1), so they are left alone.  Each row keeps its lag s, the
+    last step that updated it (p_0 = 1): its true entries are its stored
+    ones times p_(k-1) / p_s, so its update divides by p_s instead, and as
+    the pivot row it is first scaled up.  Every division is exact.  A row
+    that turns empty makes the determinant 0."""
+    live = dict(enumerate(rows))
     holders: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        values = {}
-        for col, (c0, c1) in row.items():
-            value = (c0 + c1 * x) % p
-            if value:
-                values[col] = value
-                holders.setdefault(col, set()).add(i)
-        live[i] = values
-    pivots = []
-    det = 1
+    for i, row in live.items():
+        for col in row:
+            holders.setdefault(col, set()).add(i)
+    lags = [0] * len(rows)
+    pivots = [1]
+    order = []
     while live:
         i = min(live, key=lambda k: len(live[k]))
         row = live.pop(i)
         if not row:
-            return 0, pivots
+            return 0
         col = min(row, key=lambda c: len(holders[c]))
-        pivots.append((i, col))
+        order.append((i, col))
         for c in row:
             holders[c].discard(i)
+        if lags[i] < len(pivots) - 1:
+            row = {c: value * pivots[-1] // pivots[lags[i]] for c, value in row.items()}
         pivot = row.pop(col)
-        det = det * pivot % p
-        inverse = pow(pivot, -1, p)
         for k in holders.pop(col):
             other = live[k]
-            factor = other.pop(col) * inverse % p
+            divisor = pivots[lags[k]]
+            lags[k] = len(pivots)
+            factor = other.pop(col)
+            updated = {c: value * pivot // divisor for c, value in other.items() if c not in row}
             for c, value in row.items():
-                updated = (other.get(c, 0) - factor * value) % p
-                if updated:
-                    if c not in other:
-                        holders[c].add(k)
-                    other[c] = updated
-                elif c in other:
-                    del other[c]
-                    holders[c].discard(k)
-    return _permutation_sign(pivots) * det % p, pivots
-
-
-def _replay_mod(
-    rows: list[dict[int, tuple[int, int]]], pivots: list[tuple[int, int]], nodes: list[int], p: int
-) -> list[int | None]:
-    """Determinants mod p of the rows at t = each of `nodes`, eliminating
-    with the given full pivot sequence.  Every entry holds one residue per
-    node (a lane) and each step updates all lanes at once; the sign of the
-    permutation pivot row -> pivot column is the same in every lane.  A
-    lane where a pivot is 0 mod p gives None: the sequence is no valid
-    elimination there.  Such a lane, and only such a lane, ends with
-    product 0, since every pivot of a valid lane is a unit."""
-    zeros = [0] * len(nodes)
-    live: dict[int, dict[int, list[int]]] = {}
-    holders: dict[int, set[int]] = {}
-    for i, row in enumerate(rows):
-        live[i] = {col: [(c0 + c1 * x) % p for x in nodes] for col, (c0, c1) in row.items()}
-        for col in row:
-            holders.setdefault(col, set()).add(i)
-    dets = [_permutation_sign(pivots)] * len(nodes)
-    for i, col in pivots:
-        row = live.pop(i)
-        for c in row:
-            holders[c].discard(i)
-        pivot = row.pop(col)
-        dets = [d * v % p for d, v in zip(dets, pivot)]
-        # A vanished pivot is inverted as 1: its lane is dropped anyway.
-        inverses = _inverses([value or 1 for value in pivot], p)
-        for k in holders.pop(col):
-            other = live[k]
-            factors = [a * b % p for a, b in zip(other.pop(col), inverses)]
-            for c, values in row.items():
-                old = other.get(c)
-                if old is None:
+                entry = (other.get(c, 0) * pivot - factor * value) // divisor
+                if entry:
+                    updated[c] = entry
                     holders[c].add(k)
-                    old = zeros
-                other[c] = [(o - f * v) % p for o, f, v in zip(old, factors, values)]
-    return [det or None for det in dets]
-
-
-def _inverses(values: list[int], p: int) -> list[int]:
-    """The inverses mod p of nonzero residues with one `pow`: Montgomery's
-    batch inversion, by prefix products and one walk back."""
-    prefix = []
-    product = 1
-    for value in values:
-        prefix.append(product)
-        product = product * value % p
-    inverse = pow(product, -1, p)
-    out = [0] * len(values)
-    for k in range(len(values) - 1, -1, -1):
-        out[k] = prefix[k] * inverse % p
-        inverse = inverse * values[k] % p
-    return out
+                else:
+                    holders[c].discard(k)
+            live[k] = updated
+        pivots.append(pivot)
+    return _permutation_sign(order) * pivots[-1]
 
 
 def _permutation_sign(pivots: list[tuple[int, int]]) -> int:
@@ -239,26 +144,6 @@ def _permutation_sign(pivots: list[tuple[int, int]]) -> int:
     return sign
 
 
-def _interpolate(values: list[int], p: int) -> list[int]:
-    """Coefficients mod p of the polynomial of degree < len(values) that
-    takes values[k] at the node t = k + 2.  Newton's divided differences:
-    the nodes are unit-spaced, so level j divides by j."""
-    coeffs = list(values)
-    top = len(values) - 1
-    for j in range(1, top + 1):
-        inverse = pow(j, -1, p)
-        for i in range(top, j - 1, -1):
-            coeffs[i] = (coeffs[i] - coeffs[i - 1]) * inverse % p
-    # Newton form to monomials: c_top, then multiply by (t - node k) and add c_k.
-    out = [0] * (top + 1)
-    for k in range(top, -1, -1):
-        node = k + _FIRST_NODE
-        for i in range(top - k, 0, -1):
-            out[i] = (out[i - 1] - node * out[i]) % p
-        out[0] = (coeffs[k] - node * out[0]) % p
-    return out
-
-
 def alexander_polynomial(pd: PDCode) -> LaurentPoly:
     """Normalized Alexander polynomial of the diagram.  Satisfies
     delta(1) = +-1 and has palindromic coefficients."""
@@ -268,14 +153,16 @@ def alexander_polynomial(pd: PDCode) -> LaurentPoly:
 def determinant_invariant(delta: LaurentPoly) -> int:
     """|delta(-1)|, the order of the first homology of the double branched
     cover."""
-    value = delta.eval_int(-1)
-    return abs(int(value))
+    return abs(delta.eval_int(-1))
 
 
-def connected_sum_delta(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+def connected_sum_delta(*deltas: LaurentPoly) -> LaurentPoly:
     """Alexander polynomial of a connected sum: the product of the
-    summands' polynomials."""
-    return (a * b).normalize()
+    summands' polynomials, normalized once."""
+    product = LaurentPoly.const(1)
+    for delta in deltas:
+        product = product * delta
+    return product.normalize()
 
 
 def satellite_delta(pattern: LaurentPoly, companion: LaurentPoly, winding: int) -> LaurentPoly:

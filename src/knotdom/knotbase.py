@@ -285,10 +285,8 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
     if diagram is not None:
         delta = _merge(name, "delta", delta, alexander_polynomial(diagram))
     if record.connected_sum_of is not None:
-        product = LaurentPoly.const(1)
-        for summand in record.connected_sum_of:
-            product = connected_sum_delta(product, _sibling(siblings, name, summand).delta)
-        delta = _merge(name, "delta (connected sum)", delta, product)
+        summands = [_sibling(siblings, name, summand).delta for summand in record.connected_sum_of]
+        delta = _merge(name, "delta (connected sum)", delta, connected_sum_delta(*summands))
     if record.satellite_of is not None:
         pattern, companion, winding = record.satellite_of
         composite = satellite_delta(
@@ -301,7 +299,7 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
         raise CorpusError(f"{name}: metadata-only record must declare delta")
     if delta != delta.normalize():
         raise CorpusError(f"{name}: declared delta must be normalized")
-    if abs(int(delta.eval_int(1))) != 1:
+    if abs(delta.eval_int(1)) != 1:
         raise CorpusError(f"{name}: delta(1) = {delta.eval_int(1)}, expected +-1")
     coeffs = delta.coefficients()
     top = delta.max_degree

@@ -4,22 +4,27 @@ kept as test oracles.
 `state_sum_bracket` is the Kauffman bracket summed over all 2^n states
 with a fresh union-find per state; `fox_matrix`, `alexander_matrix` and
 `bareiss_determinant` are the dense Fox matrix over Z[t, t^-1] and its
-fraction-free Bareiss determinant; `fraction_divided_by` is long division
+fraction-free Bareiss determinant; `node_determinant` evaluates a Fox
+minor at t = 2..D+2 modulo 61-bit primes, replaying one pivot sequence
+across the nodes, then interpolates and recombines by CRT (it is also the
+fast oracle for large closures); `fraction_divided_by` is long division
 of Laurent polynomials over Q, accepting only an integral quotient;
 `fraction_eval_int` sums the value at an integer term by term in `Fraction`;
 `trial_division_is_prime_power` factors by trial division up to the
 square root; `backtracking_summands_cover` matches summands by recursive
-backtracking.  The library's frontier sweep, modular determinant, integer
+backtracking.  The library's frontier sweep, Kronecker determinant, integer
 division, integer evaluation, Miller-Rabin test and augmenting-path
 matching must agree with them.
 """
 from __future__ import annotations
 
+import itertools
 from collections import Counter
 from fractions import Fraction
 
+from knotdom.alexander import _permutation_sign
 from knotdom.diagram import PDCode, WirtingerPresentation
-from knotdom.laurent import LaurentPoly
+from knotdom.laurent import LaurentPoly, is_prime
 
 _ONE = LaurentPoly.const(1)
 _MINUS_ONE = LaurentPoly.const(-1)
@@ -151,6 +156,202 @@ def linear_rows(matrix: list[list[LaurentPoly]]) -> list[dict[int, tuple[int, in
                 row[col] = (entry.coefficient(0), entry.coefficient(1))
         rows.append(row)
     return rows
+
+
+# The first evaluation node of `node_determinant`.  At t = 0 the Fox minor
+# is usually singular and at t = 1 every 1 - t entry vanishes, so pivots
+# chosen there would suit no other node.
+_FIRST_NODE = 2
+
+# The 61-bit primes of `node_determinant`, downward from 2^61 - 1, each
+# found on first use (importing the module searches for none).
+_PRIMES: list[int] = []
+
+
+def node_determinant(rows: list[dict[int, tuple[int, int]]]) -> LaurentPoly:
+    """Exact determinant of a square integer matrix whose entries are
+    linear in t, given as sparse rows {column: (c0, c1)}, by evaluation
+    at nodes modulo primes.
+
+    The determinant has degree at most D, the number of rows with a t
+    term.  It is evaluated at the D + 1 nodes t = 2..D+2 modulo 61-bit
+    primes (`_determinants_mod`), interpolated modulo each prime, and the
+    primes are combined by CRT with a symmetric lift (von zur Gathen and
+    Gerhard, "Modern Computer Algebra", ch. 5).  Each coefficient is at
+    most H^(1/2) by Hadamard's inequality, H the product over the rows of
+    sum_j (|c0| + |c1|)^2; primes are taken until the square of their
+    product exceeds 4H, and the lift is exact.
+    """
+    n = len(rows)
+    if any(not 0 <= col < n for row in rows for col in row):
+        raise ValueError("determinant of a non-square matrix")
+    bound = 4
+    for row in rows:
+        bound *= sum((abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values())
+    degree = sum(any(c1 for _, c1 in row.values()) for row in rows)
+    nodes = range(_FIRST_NODE, _FIRST_NODE + degree + 1)
+    coeffs = [0] * (degree + 1)
+    modulus = 1
+    primes = _primes()
+    while modulus * modulus <= bound:
+        p = next(primes)
+        residues = _interpolate(_determinants_mod(rows, nodes, p), p)
+        inverse = pow(modulus, -1, p)
+        coeffs = [c + modulus * ((r - c) * inverse % p) for c, r in zip(coeffs, residues)]
+        modulus *= p
+    half = modulus // 2
+    return LaurentPoly.from_dict({e: c - modulus if c > half else c for e, c in enumerate(coeffs)})
+
+
+
+
+def _primes():
+    """The primes downward from 2^61 - 1, proven by Miller-Rabin."""
+    for i in itertools.count():
+        if i == len(_PRIMES):
+            candidate = _PRIMES[-1] - 2 if _PRIMES else 2**61 - 1
+            while not is_prime(candidate):
+                candidate -= 2
+            _PRIMES.append(candidate)
+        yield _PRIMES[i]
+
+
+def _determinants_mod(rows: list[dict[int, tuple[int, int]]], nodes: range, p: int) -> list[int]:
+    """Determinants mod p of the rows at t = each of `nodes`.  The pivots
+    are chosen once, by `_determinant_mod` at the last node still to be
+    done, and replayed at all the others together (`_replay_mod`).  A node
+    where the rows are singular gives 0 and passes the choice to the next
+    one down; the nodes where a replayed pivot vanishes are done again the
+    same way, with pivots chosen at one of them."""
+    values: dict[int, int] = {}
+    pending = list(nodes)
+    while pending:
+        x = pending.pop()
+        values[x], pivots = _determinant_mod(rows, x, p)
+        if values[x] and pending:
+            replayed = _replay_mod(rows, pivots, pending, p)
+            values.update((x, det) for x, det in zip(pending, replayed) if det is not None)
+            pending = [x for x, det in zip(pending, replayed) if det is None]
+    return [values[x] for x in nodes]
+
+
+def _determinant_mod(rows: list[dict[int, tuple[int, int]]], x: int, p: int) -> tuple[int, list[tuple[int, int]]]:
+    """Determinant mod p of the rows at t = x by sparse Gaussian
+    elimination, and its (row, column) pivot sequence (cut short where the
+    rows turn out singular, with determinant 0).  Each step pivots on the
+    shortest live row and, within it, on the column held by the fewest
+    live rows (Markowitz, 1957)."""
+    live: dict[int, dict[int, int]] = {}
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        values = {}
+        for col, (c0, c1) in row.items():
+            value = (c0 + c1 * x) % p
+            if value:
+                values[col] = value
+                holders.setdefault(col, set()).add(i)
+        live[i] = values
+    pivots = []
+    det = 1
+    while live:
+        i = min(live, key=lambda k: len(live[k]))
+        row = live.pop(i)
+        if not row:
+            return 0, pivots
+        col = min(row, key=lambda c: len(holders[c]))
+        pivots.append((i, col))
+        for c in row:
+            holders[c].discard(i)
+        pivot = row.pop(col)
+        det = det * pivot % p
+        inverse = pow(pivot, -1, p)
+        for k in holders.pop(col):
+            other = live[k]
+            factor = other.pop(col) * inverse % p
+            for c, value in row.items():
+                updated = (other.get(c, 0) - factor * value) % p
+                if updated:
+                    if c not in other:
+                        holders[c].add(k)
+                    other[c] = updated
+                elif c in other:
+                    del other[c]
+                    holders[c].discard(k)
+    return _permutation_sign(pivots) * det % p, pivots
+
+
+def _replay_mod(
+    rows: list[dict[int, tuple[int, int]]], pivots: list[tuple[int, int]], nodes: list[int], p: int
+) -> list[int | None]:
+    """Determinants mod p of the rows at t = each of `nodes`, eliminating
+    with the given full pivot sequence.  Every entry holds one residue per
+    node (a lane) and each step updates all lanes at once; the sign of the
+    permutation pivot row -> pivot column is the same in every lane.  A
+    lane where a pivot is 0 mod p gives None: the sequence is no valid
+    elimination there.  Such a lane, and only such a lane, ends with
+    product 0, since every pivot of a valid lane is a unit."""
+    zeros = [0] * len(nodes)
+    live: dict[int, dict[int, list[int]]] = {}
+    holders: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        live[i] = {col: [(c0 + c1 * x) % p for x in nodes] for col, (c0, c1) in row.items()}
+        for col in row:
+            holders.setdefault(col, set()).add(i)
+    dets = [_permutation_sign(pivots)] * len(nodes)
+    for i, col in pivots:
+        row = live.pop(i)
+        for c in row:
+            holders[c].discard(i)
+        pivot = row.pop(col)
+        dets = [d * v % p for d, v in zip(dets, pivot)]
+        # A vanished pivot is inverted as 1: its lane is dropped anyway.
+        inverses = _inverses([value or 1 for value in pivot], p)
+        for k in holders.pop(col):
+            other = live[k]
+            factors = [a * b % p for a, b in zip(other.pop(col), inverses)]
+            for c, values in row.items():
+                old = other.get(c)
+                if old is None:
+                    holders[c].add(k)
+                    old = zeros
+                other[c] = [(o - f * v) % p for o, f, v in zip(old, factors, values)]
+    return [det or None for det in dets]
+
+
+def _inverses(values: list[int], p: int) -> list[int]:
+    """The inverses mod p of nonzero residues with one `pow`: Montgomery's
+    batch inversion, by prefix products and one walk back."""
+    prefix = []
+    product = 1
+    for value in values:
+        prefix.append(product)
+        product = product * value % p
+    inverse = pow(product, -1, p)
+    out = [0] * len(values)
+    for k in range(len(values) - 1, -1, -1):
+        out[k] = prefix[k] * inverse % p
+        inverse = inverse * values[k] % p
+    return out
+
+
+def _interpolate(values: list[int], p: int) -> list[int]:
+    """Coefficients mod p of the polynomial of degree < len(values) that
+    takes values[k] at the node t = k + 2.  Newton's divided differences:
+    the nodes are unit-spaced, so level j divides by j."""
+    coeffs = list(values)
+    top = len(values) - 1
+    for j in range(1, top + 1):
+        inverse = pow(j, -1, p)
+        for i in range(top, j - 1, -1):
+            coeffs[i] = (coeffs[i] - coeffs[i - 1]) * inverse % p
+    # Newton form to monomials: c_top, then multiply by (t - node k) and add c_k.
+    out = [0] * (top + 1)
+    for k in range(top, -1, -1):
+        node = k + _FIRST_NODE
+        for i in range(top - k, 0, -1):
+            out[i] = (out[i - 1] - node * out[i]) % p
+        out[0] = (coeffs[k] - node * out[0]) % p
+    return out
 
 
 def fraction_divided_by(self: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly | None:

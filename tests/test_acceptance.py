@@ -207,7 +207,7 @@ def test_criterion_9c_bareiss_vs_cofactor():
         expected = cofactor_determinant(rows)
         assert bareiss_determinant(rows) == expected
         assert linear_determinant(linear_rows(rows)) == expected
-    passed("9c", "the modular kernel and Bareiss equal cofactor expansion on 1000 random 4x4 matrices")
+    passed("9c", "the Kronecker kernel and Bareiss equal cofactor expansion on 1000 random 4x4 matrices")
 
 
 def test_criterion_9d_delta_unit_and_palindromic(corpus):

@@ -63,7 +63,7 @@ def cofactor_determinant(rows):
 
 
 def minor_delta(pd, row, col):
-    """Normalized determinant, by the modular kernel, of the Fox matrix of
+    """Normalized determinant, by `linear_determinant`, of the Fox matrix of
     pd with relation `row` and generator `col` deleted."""
     rows = fox_matrix(wirtinger(pd))
     minor = [entries[:col] + entries[col + 1:] for entries in rows[:row] + rows[row + 1:]]

@@ -1,6 +1,7 @@
-"""The frontier-sweep Kauffman bracket, the modular Alexander determinant
-and integer exact division against the kernels they replaced
+"""The frontier-sweep Kauffman bracket, the Kronecker Alexander
+determinant and integer exact division against the kernels they replaced
 (`kernel_oracle`), on seeded random input."""
+import os
 import random
 import subprocess
 import sys
@@ -11,11 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from knotdom import alexander
+import knotdom
 from knotdom.alexander import (
-    _determinant_mod,
-    _determinants_mod,
-    _replay_mod,
     alexander_rows,
     jones_polynomial,
     kauffman_bracket,
@@ -23,11 +21,16 @@ from knotdom.alexander import (
 )
 from knotdom.diagram import BraidWord, DiagramError, PDCode, braid_to_pd, parse_pd, wirtinger
 from knotdom.laurent import LaurentPoly, is_prime, parse_poly
+import kernel_oracle
 from kernel_oracle import (
+    _determinant_mod,
+    _determinants_mod,
+    _replay_mod,
     alexander_matrix,
     bareiss_determinant,
     fraction_divided_by,
     linear_rows,
+    node_determinant,
     state_sum_bracket,
 )
 from test_alexander import cofactor_determinant
@@ -100,7 +103,8 @@ class TestJonesBraidMoves:
 
 def determinant_bound(rows):
     """Four times the product over the rows of sum (|c0| + |c1|)^2 (the
-    Hadamard bound): the square of the kernel's modulus must exceed it."""
+    Hadamard bound): X^2 must exceed it, X = 2^b the kernel's evaluation
+    point, and so must the square of the node oracle's modulus."""
     bound = 4
     for row in rows:
         bound *= sum((abs(c0) + abs(c1)) ** 2 for c0, c1 in row.values())
@@ -129,6 +133,32 @@ def vanishing_rows(draw):
     return [{col: e for col, e in row.items() if e != (0, 0)} for row in rows]
 
 
+@st.composite
+def wide_rows(draw):
+    """Sparse linear rows of a 1x1 to 7x7 matrix with coefficients up to
+    2^200.  One draw in three is made singular: a row replaced by an
+    integer combination of two others, or a column emptied."""
+    n = draw(st.integers(1, 7))
+    width = draw(st.sampled_from((2, 2**20, 2**200)))
+    coeff = st.integers(-width, width)
+    rows = [draw(st.dictionaries(st.integers(0, n - 1), st.tuples(coeff, coeff), max_size=n)) for _ in range(n)]
+    singular = draw(st.sampled_from((None, "combination", "column")))
+    if singular == "combination" and n >= 2:
+        i = draw(st.integers(0, n - 1))
+        j, k = draw(st.lists(st.sampled_from([r for r in range(n) if r != i]), min_size=2, max_size=2))
+        a, b = draw(coeff), draw(coeff)
+        zero = (0, 0)
+        rows[i] = {
+            col: tuple(a * x + b * y for x, y in zip(rows[j].get(col, zero), rows[k].get(col, zero)))
+            for col in rows[j].keys() | rows[k].keys()
+        }
+    elif singular == "column":
+        col = draw(st.integers(0, n - 1))
+        for row in rows:
+            row.pop(col, None)
+    return [{col: e for col, e in row.items() if e != (0, 0)} for row in rows]
+
+
 def as_dense(rows):
     """Sparse linear rows as a dense matrix of Laurent polynomials."""
     return [[LaurentPoly.from_dict(dict(zip((0, 1), row.get(j, (0, 0))))) for j in range(len(rows))] for row in rows]
@@ -142,14 +172,15 @@ def rotated(pd: PDCode, k: int) -> PDCode:
 
 class TestLinearDeterminant:
     def test_random_closures_against_bareiss(self):
-        # Fox minors need a second prime from about 48 crossings on.
+        # The node oracle needs a second prime from about 48 crossings on.
         rng = random.Random(48)
         long_braids = [random_knot_braid(rng, strands, length) for strands, length in ((3, 50), (3, 52))]
         two_primes = 0
         for braid in [braid for _, braid, _ in random_closures(45, 16, 45)] + long_braids:
             pres = wirtinger(braid_to_pd(braid))
             rows = alexander_rows(pres)
-            assert linear_determinant(rows) == bareiss_determinant(alexander_matrix(pres)), braid
+            expected = bareiss_determinant(alexander_matrix(pres))
+            assert linear_determinant(rows) == expected == node_determinant(rows), braid
             two_primes += determinant_bound(rows) >= P61**2
         assert two_primes >= 2
 
@@ -181,14 +212,16 @@ class TestLinearDeterminant:
                 for _ in range(4)
             ]
             assert determinant_bound(rows) > 2**244
-            assert linear_determinant(rows) == cofactor_determinant(as_dense(rows))
+            expected = cofactor_determinant(as_dense(rows))
+            assert linear_determinant(rows) == expected == node_determinant(rows)
 
     @pytest.mark.parametrize("c", [P61 // 2, P61 // 2 + 1, -(P61 // 2) - 1])
     def test_coefficient_past_half_the_first_prime(self, c):
-        # A coefficient over half the modulus lifts to the wrong sign: the
-        # bound must take a second prime for |c| > P61 / 2.
+        # A coefficient over half the node oracle's modulus lifts to the
+        # wrong sign: its bound must take a second prime for |c| > P61 / 2.
         for rows, expected in (([{0: (c, 0)}], {0: c}), ([{0: (0, c)}], {1: c})):
-            assert linear_determinant(rows) == LaurentPoly.from_dict(expected)
+            expected = LaurentPoly.from_dict(expected)
+            assert linear_determinant(rows) == expected == node_determinant(rows)
 
     def test_small_coefficients_vanish_at_evaluation_points(self):
         rng = random.Random(5)
@@ -203,18 +236,19 @@ class TestLinearDeterminant:
 
     def test_minor_singular_at_evaluation_points(self):
         # 6_1: the minor's determinant 2t - 5t^2 + 2t^3 vanishes at t = 2,
-        # one of the evaluation points 2..7.
+        # one of the node oracle's evaluation points 2..7.
         pd = parse_pd("X(1,4,2,5) X(7,10,8,11) X(3,9,4,8) X(9,3,10,2) X(5,12,6,1) X(11,6,12,7)")
         pres = wirtinger(pd)
         rows = alexander_rows(pres)
         expected = parse_poly("2t - 5t^2 + 2t^3")
         assert degree_bound(rows) == 5
-        assert linear_determinant(rows) == expected
+        assert linear_determinant(rows) == expected == node_determinant(rows)
         assert bareiss_determinant(alexander_matrix(pres)) == expected
-        # (t - 2)(t - 3), singular at two of the evaluation points 2..5
+        # (t - 2)(t - 3), singular at two of the oracle's points 2..5
         rows = [{0: (-2, 1), 2: (-2, 1)}, {0: (1, 1), 1: (-1, 0), 2: (1, 0)}, {0: (-2, 1), 2: (1, 0)}]
         assert degree_bound(rows) == 3
-        assert linear_determinant(rows) == P("6 - 5t + t^2") == cofactor_determinant(as_dense(rows))
+        expected = P("6 - 5t + t^2")
+        assert linear_determinant(rows) == expected == node_determinant(rows) == cofactor_determinant(as_dense(rows))
 
     @settings(max_examples=200, deadline=None)
     @given(vanishing_rows(), st.sampled_from((5, 7, 101, P61)))
@@ -229,7 +263,8 @@ class TestLinearDeterminant:
         assert degree_bound(rows) == 3
         assert _determinant_mod(rows, 5, P61)[0] == _determinant_mod(rows, 4, P61)[0] == 0
         assert _determinants_mod(rows, range(2, 6), P61) == [6, 2, 0, 0]
-        assert linear_determinant(rows) == P("20 - 9t + t^2") == cofactor_determinant(as_dense(rows))
+        expected = P("20 - 9t + t^2")
+        assert node_determinant(rows) == expected == linear_determinant(rows) == cofactor_determinant(as_dense(rows))
 
     def test_replayed_pivot_vanishing_where_the_determinant_does_not(self):
         # t (2t - 7): the pivots chosen at t = 4 take t - 3 as the second
@@ -240,14 +275,15 @@ class TestLinearDeterminant:
         assert (det, pivots[1]) == (4, (0, 0))
         assert _replay_mod(rows, pivots, [2, 3], P61) == [P61 - 6, None]
         assert _determinants_mod(rows, range(2, 5), P61) == [P61 - 6, P61 - 3, 4]
-        assert linear_determinant(rows) == P("-7t + 2t^2") == cofactor_determinant(as_dense(rows))
+        expected = P("-7t + 2t^2")
+        assert node_determinant(rows) == expected == linear_determinant(rows) == cofactor_determinant(as_dense(rows))
 
     def test_rejects_non_square_rows(self):
         with pytest.raises(ValueError, match="non-square"):
             linear_determinant([{0: (1, 0), 1: (0, 1)}])
 
     def test_primes_are_the_61_bit_primes_from_the_top(self):
-        primes = alexander._primes()
+        primes = kernel_oracle._primes()
         found = [next(primes) for _ in range(3)]
         assert found[0] == 2**61 - 1
         for above, below in zip(found, found[1:]):
@@ -256,15 +292,68 @@ class TestLinearDeterminant:
             assert not any(is_prime(c) for c in range(below + 2, above, 2))
 
     def test_import_does_no_prime_search(self):
+        # The library holds no primes at all; the node oracle finds its
+        # first one on first use.
         code = (
-            "import knotdom, knotdom.alexander as a\n"
-            "assert a._PRIMES == [], a._PRIMES\n"
-            "knotdom.alexander_polynomial(knotdom.parse_pd('X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)'))\n"
-            "assert a._PRIMES == [2**61 - 1], a._PRIMES\n"
+            "import knotdom, knotdom.alexander as a, kernel_oracle as o\n"
+            "assert not hasattr(a, '_PRIMES')\n"
+            "assert o._PRIMES == [], o._PRIMES\n"
+            "pres = knotdom.wirtinger(knotdom.parse_pd('X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)'))\n"
+            "o.node_determinant(a.alexander_rows(pres))\n"
+            "assert o._PRIMES == [2**61 - 1], o._PRIMES\n"
         )
-        src = str(Path(alexander.__file__).parents[1])
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": src})
+        paths = [str(Path(knotdom.__file__).parents[1]), str(Path(kernel_oracle.__file__).parent)]
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env={"PYTHONPATH": os.pathsep.join(paths)}
+        )
         assert proc.returncode == 0, proc.stderr
+
+    @settings(max_examples=150, deadline=None)
+    @given(wide_rows())
+    def test_wide_sparse_rows_against_both_oracles(self, rows):
+        dense = as_dense(rows)
+        assert linear_determinant(rows) == bareiss_determinant(dense) == cofactor_determinant(dense)
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 31, 60, 61, 62, 200])
+    def test_coefficients_at_the_hadamard_bound(self, k):
+        # (c, 0) and (0, c) meet the bound: their one coefficient is
+        # H^(1/2) = |c|, which X / 2 must still exceed.  So do the
+        # Hadamard matrix [[t, t], [t, -t]], det -2t^2, and its scalings.
+        for c in (2**k, 2**k - 1, -(2**k), 2**k + 1):
+            if c:
+                for rows, expected in (([{0: (c, 0)}], {0: c}), ([{0: (0, c)}], {1: c})):
+                    assert linear_determinant(rows) == LaurentPoly.from_dict(expected)
+        c = 2**k
+        rows = [{0: (0, c), 1: (0, c)}, {0: (0, c), 1: (0, -c)}]
+        assert linear_determinant(rows) == LaurentPoly.from_dict({2: -2 * c * c})
+        rows = [{0: (c, 0), 1: (c, 0)}, {0: (c, 0), 1: (-c, 0)}]
+        assert linear_determinant(rows) == LaurentPoly.from_dict({0: -2 * c * c})
+
+    def test_rows_that_wait_several_steps(self):
+        # Markowitz pivots on rows 0 to 6 in turn.  Rows 3 and 6 are first
+        # touched at steps 3 and 5, up from the identity pivot of step 0;
+        # row 5, touched at step 1, waits until step 4; row 4 is touched by
+        # no step and is brought up from step 0 as the pivot row of step 5.
+        rows = [
+            {0: (2, 1)},
+            {0: (1, -1), 1: (3, -1)},
+            {1: (-1, 2), 2: (1, 3)},
+            {2: (2, -1), 3: (-2, 1), 5: (1, 1)},
+            {4: (5, 1), 6: (1, 2)},
+            {0: (1, 1), 3: (1, 0), 5: (2, -3), 6: (1, 0)},
+            {3: (1, 2), 4: (-1, 1), 6: (3, 0)},
+        ]
+        expected = cofactor_determinant(as_dense(rows))
+        assert not expected.is_zero()
+        assert linear_determinant(rows) == expected == bareiss_determinant(as_dense(rows))
+        assert linear_determinant(rows[::-1]) == -expected  # three row swaps
+
+    def test_eighty_crossing_closures_against_the_node_oracle(self):
+        rng = random.Random(80)
+        for strands in (3, 4, 5, 6):
+            braid = random_knot_braid(rng, strands, 80 + (strands % 2 == 0))
+            rows = alexander_rows(wirtinger(braid_to_pd(braid)))
+            assert linear_determinant(rows) == node_determinant(rows), braid
 
 
 def P(text):
