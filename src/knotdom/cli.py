@@ -11,9 +11,8 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 from . import alexander, domination, poset
 from .diagram import DiagramError, parse_braid, parse_pd, seifert_circles
@@ -26,16 +25,14 @@ EXIT_OBSTRUCTED = 2
 EXIT_UNKNOWN = 3
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     check_id: str
     passed: bool
     detail: str
     anchor: str
 
 
-@dataclass(frozen=True)
-class RunReport:
+class RunReport(NamedTuple):
     """Outcome of the verification suite; exit code 0 iff every check
     passed.  Check ids are stable across releases."""
 
@@ -61,7 +58,7 @@ class RunReport:
 
 
 def default_corpus_path() -> Path:
-    return Path(str(resources.files("knotdom").joinpath("data/corpus.json")))
+    return Path(__file__).with_name("data") / "corpus.json"
 
 
 class _Parser(argparse.ArgumentParser):
@@ -231,9 +228,7 @@ def _cmd_chain_bound(name: str, corpus_path: Path, as_json: bool) -> int:
         _emit(
             {
                 "name": name,
-                "bounds": [
-                    {"value": b.value, "rule": b.rule, "scope": b.scope} for b in bounds
-                ],
+                "bounds": [b._asdict() for b in bounds],
                 "longest_chain": chain,
                 "strict_length": len(chain) - 1,
             }

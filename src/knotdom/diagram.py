@@ -11,15 +11,16 @@ diagrams (knots) are accepted.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
+
+from .laurent import _Frozen
 
 
 class DiagramError(ValueError):
     """Raised for malformed or non-knot diagram input."""
 
 
-@dataclass(frozen=True)
-class PDCode:
+class PDCode(NamedTuple):
     """A validated planar diagram code.
 
     crossings holds the raw tuples; signs[i] is +1/-1 per the b/d
@@ -41,10 +42,6 @@ class PDCode:
     def crossing_count(self) -> int:
         return len(self.crossings)
 
-    @property
-    def arc_count(self) -> int:
-        return 2 * len(self.crossings)
-
     def writhe(self) -> int:
         return sum(self.signs)
 
@@ -56,26 +53,26 @@ class PDCode:
         return " ".join(f"X({a},{b},{c},{d})" for a, b, c, d in self.crossings)
 
 
-@dataclass(frozen=True)
-class BraidWord:
+class BraidWord(_Frozen):
     """A braid word: letter i stands for the generator sigma_|i| with
     sign(i) as the crossing sign."""
 
-    strand_count: int
-    letters: tuple[int, ...]
+    __slots__ = ("strand_count", "letters")
 
-    def __post_init__(self) -> None:
-        if self.strand_count < 1:
-            raise DiagramError(f"strand count must be >= 1, got {self.strand_count}")
-        for letter in self.letters:
-            if letter == 0 or abs(letter) >= self.strand_count:
-                raise DiagramError(
-                    f"letter {letter} out of range for {self.strand_count} strands"
-                )
+    def __init__(self, strand_count: int, letters: tuple[int, ...]) -> None:
+        if strand_count < 1:
+            raise DiagramError(f"strand count must be >= 1, got {strand_count}")
+        for letter in letters:
+            if letter == 0 or abs(letter) >= strand_count:
+                raise DiagramError(f"letter {letter} out of range for {strand_count} strands")
+        object.__setattr__(self, "strand_count", strand_count)
+        object.__setattr__(self, "letters", letters)
+
+    def _key(self) -> tuple:
+        return self.strand_count, self.letters
 
 
-@dataclass(frozen=True)
-class WirtingerPresentation:
+class WirtingerPresentation(NamedTuple):
     """Meridian generators, one per arc of the diagram, with one
     conjugation relation x_out = x_over^sign * x_in * x_over^-sign per
     crossing."""

@@ -21,8 +21,8 @@ serialized output.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from decimal import Decimal
+from typing import NamedTuple
 
 from .knotbase import CorpusError, KnotRecord, genus_interval
 from .laurent import exact_div, format_poly, is_prime_power
@@ -53,15 +53,17 @@ ANCHORS = {
     "C5_transitive": "Sec. 1, partial order (transitivity)",
 }
 
-@dataclass(frozen=True)
-class ObstructionReport:
+
+class ObstructionReport(NamedTuple):
     rule_id: str
     detail: str
-    anchor: str
+
+    @property
+    def anchor(self) -> str:
+        return ANCHORS[self.rule_id]
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     rule_id: str
     witnesses: tuple[str, ...]
 
@@ -70,8 +72,7 @@ class Certificate:
         return ANCHORS[self.rule_id]
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a pair query: exactly one of the four kinds."""
 
     kind: str  # "equal" | "certified" | "obstructed" | "unknown"
@@ -89,8 +90,6 @@ class Verdict:
         return ()
 
     def anchors(self) -> tuple[str, ...]:
-        if self.kind == "obstructed":
-            return tuple(r.anchor for r in self.obstructions)
         return tuple(ANCHORS[r] for r in self.rule_ids())
 
     def to_json_dict(self, pair: tuple[str, str]) -> dict:
@@ -118,7 +117,7 @@ def _scan_obstructions(
 
     def report(rule_id: str, violated: bool, detail: str) -> None:
         if violated:
-            fired.append(ObstructionReport(rule_id, detail, ANCHORS[rule_id]))
+            fired.append(ObstructionReport(rule_id, detail))
         else:
             passed.append(rule_id)
 
@@ -148,14 +147,14 @@ def _scan_obstructions(
         )
 
     for rule_id, flag in (("O5_two_bridge", "two_bridge"), ("O6_montesinos", "montesinos")):
-        own = k1.flags.get(flag)
+        own = getattr(k1.flags, flag)
         if own is False:
             passed.append(rule_id)
         elif own is True:
             if k2.flags.unknot is True:
                 passed.append(rule_id)  # the unknot is exempt from class closure
             else:
-                other = k2.flags.get(flag)
+                other = getattr(k2.flags, flag)
                 if other is not None:
                     report(rule_id, other is False, f"{flag}=True vs {flag}={other}")
 
@@ -212,10 +211,14 @@ def rigidity_scan(k1: KnotRecord, k2: KnotRecord) -> list[ObstructionReport]:
     """Rules under which k1 >= k2 forces k1 = k2.  For distinct names each
     fired rule rules out strict domination."""
     _require_enriched(k1, k2)
+    return _scan_rigidity(k1, k2)
+
+
+def _scan_rigidity(k1: KnotRecord, k2: KnotRecord) -> list[ObstructionReport]:
     fired: list[ObstructionReport] = []
 
     def fire(rule_id: str, detail: str) -> None:
-        fired.append(ObstructionReport(rule_id, detail, ANCHORS[rule_id]))
+        fired.append(ObstructionReport(rule_id, detail))
 
     g1, g2 = k1.genus_exact, k2.genus_exact
     same_genus = g1 is not None and g1 == g2
@@ -275,8 +278,10 @@ def certificate_search(
     sum.  `certified` optionally supplies known edges for pairing the
     summands of composite knots."""
     _require_enriched(k1, k2)
-    certified = frozenset(certified or ())
+    return _search_certificate(k1, k2, frozenset(certified or ()))
 
+
+def _search_certificate(k1: KnotRecord, k2: KnotRecord, certified: frozenset) -> Certificate | None:
     if k1.name == k2.name:
         return Certificate("C4_reflexive", (k1.name,))
     if k2.flags.unknot is True:
@@ -330,21 +335,6 @@ def _summands_cover(
     return True
 
 
-def evaluate_full(
-    k1: KnotRecord,
-    k2: KnotRecord,
-    certified: frozenset[tuple[str, str]] | set | None = None,
-) -> tuple[list[ObstructionReport], list[ObstructionReport], list[str], Certificate | None]:
-    """All three scans, unconditionally: (obstructions, rigidity reports,
-    passed obstruction rules, certificate), from which evaluate_pair
-    reads its verdict."""
-    _require_enriched(k1, k2)
-    fired, passed = _scan_obstructions(k1, k2)
-    rigidity = rigidity_scan(k1, k2) if k1.name != k2.name else []
-    certificate = certificate_search(k1, k2, certified)
-    return fired, rigidity, passed, certificate
-
-
 def evaluate_pair(
     k1: KnotRecord,
     k2: KnotRecord,
@@ -356,15 +346,17 @@ def evaluate_pair(
     _require_enriched(k1, k2)
     if k1.name == k2.name:
         return Verdict("equal")
-    fired, rigidity, passed, certificate = evaluate_full(k1, k2, certified)
-    if certificate is not None and (fired or rigidity):
-        negative = sorted(r.rule_id for r in fired + rigidity)
+    fired, passed = _scan_obstructions(k1, k2)
+    fired += _scan_rigidity(k1, k2)
+    certificate = _search_certificate(k1, k2, frozenset(certified or ()))
+    if certificate is not None and fired:
+        negative = sorted(r.rule_id for r in fired)
         raise CorpusError(
             f"contradiction: {k1.name} -> {k2.name} certified by {certificate.rule_id} "
             f"but obstructed by {negative}"
         )
-    if fired or rigidity:
-        return Verdict("obstructed", obstructions=tuple(fired) + tuple(rigidity))
+    if fired:
+        return Verdict("obstructed", obstructions=tuple(fired))
     if certificate is not None:
         return Verdict("certified", certificate=certificate)
     return Verdict("unknown", passed=tuple(passed))

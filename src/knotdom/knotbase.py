@@ -11,10 +11,10 @@ False, or None for unknown; unknown never drives a downstream rule.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields, replace
 from decimal import Decimal, InvalidOperation
 from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
+from typing import NamedTuple
 
 from .alexander import (
     JONES_CROSSING_BUDGET,
@@ -25,7 +25,7 @@ from .alexander import (
     satellite_delta,
 )
 from .diagram import BraidWord, DiagramError, PDCode, braid_to_pd, parse_braid, parse_pd, seifert_circles
-from .laurent import LaurentPoly, format_poly, parse_poly
+from .laurent import LaurentPoly, _Frozen, format_poly, parse_poly
 
 
 class CorpusError(ValueError):
@@ -33,8 +33,7 @@ class CorpusError(ValueError):
     values that contradict computed ones."""
 
 
-@dataclass(frozen=True)
-class Flags:
+class Flags(NamedTuple):
     """Tri-state knot class flags; None means unknown."""
 
     alternating: bool | None = None
@@ -51,18 +50,11 @@ class Flags:
     lo_double_cover: bool | None = None
     lspace_double_cover: bool | None = None
 
-    def get(self, name: str) -> bool | None:
-        return getattr(self, name)
-
     def as_dict(self) -> dict[str, bool]:
-        return {f.name: v for f in fields(self) if (v := getattr(self, f.name)) is not None}
+        return {name: v for name, v in self._asdict().items() if v is not None}
 
 
-FLAG_NAMES = tuple(f.name for f in fields(Flags))
-
-
-@dataclass(frozen=True)
-class KnotRecord:
+class KnotRecord(NamedTuple):
     """One knot: input data, declared metadata, and computed invariants."""
 
     name: str
@@ -76,16 +68,12 @@ class KnotRecord:
     genus_exact: int | None = None
     ghat: int | None = None
     volume: str | None = None
-    flags: Flags = field(default_factory=Flags)
+    flags: Flags = Flags()
     sum_of_simple: bool | None = None
     mutant_class: str | None = None
     connected_sum_of: tuple[str, ...] | None = None
     satellite_of: tuple[str, str, int] | None = None
     enriched: bool = False
-
-    @property
-    def is_metadata_only(self) -> bool:
-        return self.diagram is None and self.braid is None
 
     def summands(self) -> tuple[str, ...]:
         """Prime decomposition as recorded: a record without
@@ -98,14 +86,17 @@ class KnotRecord:
         return (self.connected_sum_of or ()) + (self.satellite_of[:2] if self.satellite_of else ())
 
 
-@dataclass(frozen=True)
-class Corpus:
+class Corpus(_Frozen):
     """Name-indexed, enriched knot records."""
 
-    records: tuple[KnotRecord, ...]
+    __slots__ = ("records", "_by_name")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_by_name", {r.name: r for r in self.records})
+    def __init__(self, records: tuple[KnotRecord, ...]) -> None:
+        object.__setattr__(self, "records", records)
+        object.__setattr__(self, "_by_name", {r.name: r for r in records})
+
+    def _key(self) -> tuple:
+        return self.records
 
     def __iter__(self):
         return iter(self.records)
@@ -127,17 +118,24 @@ class Corpus:
 
 
 def normalize_volume(text: str) -> str:
-    """Volumes are trusted metadata compared at fixed precision 1e-8."""
+    """Volumes are trusted metadata compared at fixed precision 1e-8: a
+    finite, nonnegative decimal string, with -0 read as 0."""
     try:
         value = Decimal(text)
     except InvalidOperation as exc:
         raise CorpusError(f"volume {text!r} is not a decimal string") from exc
+    if not value.is_finite():
+        raise CorpusError(f"volume {text!r} is not finite")
     if value < 0:
         raise CorpusError(f"volume {text!r} is negative")
-    return format(value.quantize(Decimal("0.00000001")), "f")
+    try:
+        value = value.quantize(Decimal("0.00000001"))
+    except InvalidOperation as exc:  # more digits than the context holds
+        raise CorpusError(f"volume {text!r} is out of range") from exc
+    return format(value.copy_abs(), "f")
 
 
-_RECORD_KEYS = {f.name for f in fields(KnotRecord)} - {"enriched"}
+_RECORD_KEYS = set(KnotRecord._fields) - {"enriched"}
 
 
 def record_from_json(obj: dict) -> KnotRecord:
@@ -180,7 +178,7 @@ def record_from_json(obj: dict) -> KnotRecord:
 
     flags_obj = expect("flags", dict) or {}
     for key, value in flags_obj.items():
-        if key not in FLAG_NAMES:
+        if key not in Flags._fields:
             raise CorpusError(f"{name}: unknown flag {key!r}")
         if not isinstance(value, bool):
             raise CorpusError(f"{name}: flag {key!r} must be true or false, not {value!r}")
@@ -200,7 +198,7 @@ def record_from_json(obj: dict) -> KnotRecord:
         if (
             not isinstance(sat, list) or len(sat) != 3
             or not isinstance(sat[0], str) or not isinstance(sat[1], str)
-            or not isinstance(sat[2], int) or sat[2] < 0
+            or not isinstance(sat[2], int) or isinstance(sat[2], bool) or sat[2] < 0
         ):
             raise CorpusError(f"{name}: satellite_of must be [pattern, companion, winding >= 0]")
         satellite_of = (sat[0], sat[1], sat[2])
@@ -249,7 +247,7 @@ _IMPLICATIONS = (
 
 
 def close_flags(flags: Flags, name: str) -> Flags:
-    values = {f.name: getattr(flags, f.name) for f in fields(flags)}
+    values = flags._asdict()
     for antecedent, consequent in _IMPLICATIONS:
         if values[antecedent] is True:
             if values[consequent] is False:
@@ -332,7 +330,7 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
 
     flags = record.flags
     if not delta.is_one() and flags.unknot is None:
-        flags = replace(flags, unknot=False)
+        flags = flags._replace(unknot=False)
     if flags.unknot is True:
         if not delta.is_one():
             raise CorpusError(f"{name}: unknot flag with delta {format_poly(delta)}")
@@ -360,8 +358,7 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
 
     volume = normalize_volume(record.volume) if record.volume is not None else None
 
-    return replace(
-        record,
+    return record._replace(
         diagram=diagram,
         delta=delta,
         determinant=determinant,

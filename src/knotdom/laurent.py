@@ -11,13 +11,28 @@ from __future__ import annotations
 import heapq
 import math
 import re
-from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping
 
 
-@dataclass(frozen=True)
-class LaurentPoly:
+class _Frozen:
+    """Base of the value types that check or derive state on construction
+    (the plain records are named tuples).  The constructor fills the slots
+    with object.__setattr__; later assignment raises AttributeError.  Two
+    values are equal when they have the same type and equal `_key()`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable: cannot set {name!r}")
+
+    def __eq__(self, other) -> bool:
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+class LaurentPoly(_Frozen):
     """A Laurent polynomial with integer coefficients.
 
     >>> t = LaurentPoly.t()
@@ -27,16 +42,20 @@ class LaurentPoly:
     LaurentPoly('1 - t + t^2')
     """
 
-    terms: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("terms",)
 
-    def __post_init__(self) -> None:
+    def __init__(self, terms: tuple[tuple[int, int], ...] = ()) -> None:
         previous = None
-        for exp, coeff in self.terms:
+        for exp, coeff in terms:
             if coeff == 0:
                 raise ValueError(f"stored coefficient is zero at exponent {exp}")
             if previous is not None and exp <= previous:
                 raise ValueError(f"exponents must strictly increase: {exp} after {previous}")
             previous = exp
+        object.__setattr__(self, "terms", terms)
+
+    def _key(self) -> tuple:
+        return self.terms
 
     # -- construction -----------------------------------------------------
 
@@ -76,12 +95,6 @@ class LaurentPoly:
         if not self.terms:
             raise ValueError("zero polynomial has no degree")
         return self.terms[-1][0]
-
-    def coefficient(self, exp: int) -> int:
-        for e, c in self.terms:
-            if e == exp:
-                return c
-        return 0
 
     def coefficients(self) -> dict[int, int]:
         return dict(self.terms)
@@ -213,20 +226,22 @@ class LaurentPoly:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval_int(self, x: int) -> int | Fraction:
+    def eval_int(self, x: int) -> int:
         """Exact value at a nonzero integer, summed in ints as
-        x^e_min * sum c x^(e - e_min).  The one `Fraction` is the division
-        by x^-e_min when e_min < 0 and |x| > 1, and it gives an int when
-        that divides; at x = +-1, and for normalized knot polynomials
-        anywhere, the value is an int."""
+        x^e_min * sum c x^(e - e_min).  When e_min < 0 and |x| > 1 the
+        sum must be divisible by x^-e_min; otherwise the value is not an
+        integer and ValueError is raised.  At x = +-1, and for normalized
+        knot polynomials anywhere, the value is an int."""
         if x == 0:
             raise ValueError("cannot evaluate at 0: negative exponents")
         low = self.terms[0][0] if self.terms else 0
         total = sum(c * x ** (e - low) for e, c in self.terms)
         if low >= 0 or x in (1, -1):
             return total * x ** abs(low)  # x^low = x^-low at +-1
-        value = Fraction(total, x**-low)
-        return int(value) if value.denominator == 1 else value
+        value, rest = divmod(total, x**-low)
+        if rest:
+            raise ValueError(f"{format_poly(self)} at {x} is not an integer")
+        return value
 
     # -- text form ----------------------------------------------------------
 
@@ -254,11 +269,6 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     return a.normalize().divided_by(b.normalize())
-
-
-def divides(b: LaurentPoly, a: LaurentPoly) -> bool:
-    """True when b divides a up to units +-t^k."""
-    return exact_div(a, b) is not None
 
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -9,36 +9,38 @@ byte-identical across runs.  Chain queries need only `certify`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from graphlib import CycleError, TopologicalSorter
+from typing import NamedTuple
 
 from .domination import Certificate, certificate_search, obstruction_scan, rigidity_scan
 from .knotbase import Corpus, CorpusError, KnotRecord
-from .laurent import is_prime_power
+from .laurent import _Frozen, is_prime_power
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     src: str
     dst: str
     certificate: Certificate
 
 
-@dataclass(frozen=True)
-class DominationGraph:
+class DominationGraph(_Frozen):
     """Directed acyclic graph of certified dominations (dominator ->
     dominated) with provenance per edge and an audit log of consistency
     findings (expected empty)."""
 
-    nodes: tuple[str, ...]
-    edges: tuple[Edge, ...]
-    audit_log: tuple[str, ...]
+    __slots__ = ("nodes", "edges", "audit_log", "_out")
 
-    def __post_init__(self) -> None:
-        out: dict[str, dict[str, Edge]] = {name: {} for name in self.nodes}
-        for e in sorted(self.edges, key=lambda e: (e.src, e.dst)):
+    def __init__(self, nodes: tuple[str, ...], edges: tuple[Edge, ...], audit_log: tuple[str, ...]) -> None:
+        out: dict[str, dict[str, Edge]] = {name: {} for name in nodes}
+        for e in sorted(edges, key=lambda e: (e.src, e.dst)):
             out.setdefault(e.src, {})[e.dst] = e
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "audit_log", audit_log)
         object.__setattr__(self, "_out", out)
+
+    def _key(self) -> tuple:
+        return self.nodes, self.edges, self.audit_log
 
     def successors(self, name: str) -> list[str]:
         return list(self._out.get(name, ()))
@@ -63,8 +65,7 @@ class DominationGraph:
         }
 
 
-@dataclass(frozen=True)
-class ChainBound:
+class ChainBound(NamedTuple):
     """An upper bound on certified chains out of a knot.  free_ghat bounds
     the total strict length; alternating_degree bounds only how many
     alternating knots a chain can contain."""

@@ -153,7 +153,8 @@ def linear_rows(matrix: list[list[LaurentPoly]]) -> list[dict[int, tuple[int, in
             if not entry.is_zero():
                 if entry.min_degree < 0 or entry.max_degree > 1:
                     raise ValueError(f"entry {entry} is not linear in t")
-                row[col] = (entry.coefficient(0), entry.coefficient(1))
+                coeffs = entry.coefficients()
+                row[col] = (coeffs.get(0, 0), coeffs.get(1, 0))
         rows.append(row)
     return rows
 

@@ -13,9 +13,19 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
-from knotdom.domination import Certificate, certificate_search, evaluate_full
+from knotdom.domination import Certificate, _scan_obstructions, certificate_search, rigidity_scan
 from knotdom.knotbase import Corpus, CorpusError
 from knotdom.poset import DominationGraph, Edge
+
+
+def evaluate_full(k1, k2, certified=None):
+    """All three scans, unconditionally: (obstructions, rigidity reports,
+    passed obstruction rules, certificate), the raw material of
+    `knotdom.domination.evaluate_pair`'s verdict."""
+    certificate = certificate_search(k1, k2, certified)
+    fired, passed = _scan_obstructions(k1, k2)
+    rigidity = rigidity_scan(k1, k2) if k1.name != k2.name else []
+    return fired, rigidity, passed, certificate
 
 
 def build_graph(corpus: Corpus, workers: int = 1) -> DominationGraph:

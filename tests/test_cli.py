@@ -103,6 +103,14 @@ class TestInvariants:
         code, _, err = run(capsys, "invariants", "X(1,2,3")
         assert code == EXIT_USAGE and "error" in err
 
+    @pytest.mark.parametrize("volume", ["NaN", "sNaN", "Infinity", "1e999999"])
+    def test_non_finite_volume_is_a_clean_error(self, capsys, tmp_path, volume):
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps([{"name": "k", "delta": "1 - t + t^2", "volume": volume}]))
+        code, out, err = run(capsys, "invariants", "--corpus", str(path), "k")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith("error: ") and repr(volume) in err
+
 
 class TestPoset:
     def test_summary(self, capsys):

@@ -56,7 +56,6 @@ class TestParsePD:
     def test_trefoil(self):
         pd = parse_pd(TREFOIL)
         assert pd.crossing_count == 3
-        assert pd.arc_count == 6
         assert pd.signs == (-1, -1, -1)
 
     def test_empty_is_unknot(self):

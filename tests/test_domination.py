@@ -3,7 +3,6 @@ verdict composition, and the soundness audit over the bundled corpus."""
 import json
 import random
 from collections import Counter
-from dataclasses import replace
 
 import pytest
 
@@ -12,7 +11,6 @@ from knotdom.domination import (
     Certificate,
     _summands_cover,
     certificate_search,
-    evaluate_full,
     evaluate_pair,
     obstruction_scan,
     rigidity_scan,
@@ -21,6 +19,7 @@ from knotdom.knotbase import CorpusError, Flags, KnotRecord, enrich_record
 from knotdom.laurent import parse_poly
 
 from kernel_oracle import backtracking_summands_cover
+from poset_oracle import evaluate_full
 
 
 def rule_ids(reports):
@@ -157,7 +156,7 @@ class TestRigidityScan:
         # 5_2 is granted nilpotency through its alternating diagram and
         # leading coefficient 2
         five2 = corpus.get("5_2")
-        stripped = replace(five2, flags=replace(five2.flags, two_bridge=None, fibred=None))
+        stripped = five2._replace(flags=five2.flags._replace(two_bridge=None, fibred=None))
         fired = rule_ids(rigidity_scan(stripped, corpus.get("4_1")))
         assert "R3_nilpotent_degree" in fired
 
@@ -339,8 +338,8 @@ class TestEngineInvariants:
         kt = corpus.get("KT_mutant")
         double = corpus.get("double_of_3_1")
         before = set(rule_ids(obstruction_scan(double, kt)))
-        enriched_kt = replace(
-            kt, flags=replace(kt.flags, free=True, toroidally_alternating=True)
+        enriched_kt = kt._replace(
+            flags=kt.flags._replace(free=True, toroidally_alternating=True)
         )
         after = set(rule_ids(obstruction_scan(double, enriched_kt)))
         assert before <= after

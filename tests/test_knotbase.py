@@ -67,13 +67,20 @@ class TestLoadCorpus:
         with pytest.raises(CorpusError, match="no peer"):
             load_corpus(path)
 
+    def test_boolean_winding_rejected(self):
+        # JSON true is an int to Python; as a winding it would read as 1
+        for winding in (True, False):
+            with pytest.raises(CorpusError, match="satellite_of"):
+                record_from_json({"name": "s", "satellite_of": ["a", "b", winding]})
+        assert record_from_json({"name": "s", "satellite_of": ["a", "b", 1]}).satellite_of == ("a", "b", 1)
+
     def test_metadata_only_needs_delta(self):
         with pytest.raises(CorpusError, match="must declare delta"):
             enrich_record(KnotRecord(name="bare"))
 
     def test_metadata_only_with_delta_accepted(self):
         record = enrich_record(KnotRecord(name="data", delta=parse_poly("1 - t + t^2")))
-        assert record.is_metadata_only and record.enriched
+        assert record.diagram is None and record.braid is None and record.enriched
         assert record.determinant == 3
 
     def test_unknown_field_rejected(self):
@@ -257,6 +264,17 @@ class TestVolumes:
             normalize_volume("fast")
         with pytest.raises(CorpusError):
             normalize_volume("-1.0")
+
+    @pytest.mark.parametrize("text", ["NaN", "sNaN", "-NaN", "Infinity", "-Infinity", "1e999999", "1e20"])
+    def test_non_finite_or_oversized_volume_rejected(self, text):
+        with pytest.raises(CorpusError, match="volume"):
+            normalize_volume(text)
+
+    def test_negative_zero_is_zero(self):
+        assert normalize_volume("-0") == normalize_volume("-0.0") == normalize_volume("0.0") == "0.00000000"
+        assert normalize_volume("99999999999999999999.9") == "99999999999999999999.90000000"
+        records = [record_from_json({"name": n, "delta": "1", "volume": v}) for n, v in (("a", "-0"), ("b", "0.0"))]
+        assert records[0].volume == records[1].volume == "0.00000000"
 
     def test_mutant_volumes_equal(self, corpus):
         assert corpus.get("KT_mutant").volume == corpus.get("Conway_mutant").volume
