@@ -223,7 +223,7 @@ def _cmd_poset(corpus_path: Path, as_json: bool) -> int:
 def _cmd_chain_bound(name: str, corpus_path: Path, as_json: bool) -> int:
     corpus = load_corpus(corpus_path)
     bounds = poset.chain_length_bound(corpus.get(name))
-    chain = poset.longest_chain(poset.certify(corpus), name)
+    chain = poset.longest_chain(poset.certify(corpus, [name]), name)
     if as_json:
         _emit(
             {
@@ -357,7 +357,7 @@ def run_verification(corpus_path: Path | str) -> RunReport:
         f"(granny, 3_1)={v_granny.kind}, (KT, Conway)={v_mutants.kind}",
     )
 
-    chain = poset.longest_chain(poset.certify(corpus), "3_1")
+    chain = poset.longest_chain(poset.certify(corpus, ["3_1"]), "3_1")
     bounds_31 = poset.chain_length_bound(trefoil)
     bounds_52 = poset.chain_length_bound(five2)
     ok_31 = bounds_31 == [poset.ChainBound(1, "free_ghat", "total_length")] and len(chain) - 1 == 1

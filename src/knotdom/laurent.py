@@ -170,8 +170,9 @@ class LaurentPoly(_Frozen):
 
     def normalize(self) -> LaurentPoly:
         """Multiply by a unit +-t^k so the minimum degree is 0 and the
-        constant coefficient is positive.  The zero polynomial is fixed."""
-        if not self.terms:
+        constant coefficient is positive.  A normalized polynomial (the
+        zero polynomial among them) is returned as it is."""
+        if not self.terms or (self.terms[0][0] == 0 and self.terms[0][1] > 0):
             return self
         shifted = self.shift(-self.min_degree)
         if shifted.terms[0][1] < 0:

@@ -5,12 +5,13 @@ Edges use certificates only; Unknown pairs never contribute, so every
 reported chain is a lower bound on the true partial order.  `certify`
 checks the candidate edges that record structure allows in one ordered
 pass, and `build_graph` closes them under transitivity, so output is
-byte-identical across runs.  Chain queries need only `certify`.
+byte-identical across runs.  Chain queries need only `certify`, and
+only from their start.
 """
 from __future__ import annotations
 
 from graphlib import CycleError, TopologicalSorter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .domination import Certificate, certificate_search, obstruction_scan, rigidity_scan
 from .knotbase import Corpus, CorpusError, KnotRecord
@@ -75,17 +76,30 @@ class ChainBound(NamedTuple):
     scope: str  # "total_length" | "alternating_count"
 
 
-def certify(corpus: Corpus) -> DominationGraph:
-    """The certified direct edges, without the transitive closure; the
-    audit lists the certified pairs that an obstruction or rigidity rule
-    blocks.  Longest chains need no more than this graph.
+def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGraph:
+    """The certified direct edges out of every record that `roots` reach
+    (all records when roots is None), without the transitive closure; the
+    audit lists the certified pairs out of those records that an
+    obstruction or rigidity rule blocks.  Longest chains need no more than
+    this graph.
 
     Every certificate but reflexivity and transitivity comes from
     structure: `flags.unknot`, `satellite_of`, or `connected_sum_of`, whose
     summands may pair through earlier edges.  So the candidates out of a
     knot are the unknots, its pattern and companion, and, for a composite,
     the records whose summands all lie among its own summands and their
-    direct successors."""
+    direct successors.  A record's edges therefore depend only on it and
+    on its summands' edges: the walk certifies each summand before its
+    sums, and each certified target in turn, so the edges out of a record
+    are the same whichever roots reach it.
+
+    >>> from knotdom.cli import default_corpus_path, load_corpus
+    >>> graph = certify(load_corpus(default_corpus_path()), ["granny"])
+    >>> graph.nodes
+    ('3_1', 'granny', 'unknot')
+    >>> [(e.src, e.dst, e.certificate.rule_id) for e in graph.edges]
+    [('3_1', 'unknot', 'C0_unknot'), ('granny', '3_1', 'C1_connected_sum'), ('granny', 'unknot', 'C0_unknot')]
+    """
     names = corpus.names()
     records = {name: corpus.get(name) for name in names}
     unknots = [name for name in names if records[name].flags.unknot is True]
@@ -95,42 +109,70 @@ def certify(corpus: Corpus) -> DominationGraph:
             holders.setdefault(summand, []).append(name)
 
     edges: list[Edge] = []
-    succ: dict[str, list[str]] = {name: [] for name in names}
+    succ: dict[str, list[str]] = {}  # certified record -> its direct successors
     conflicts: list[tuple[str, str, str, list[str]]] = []
-    # Summands first, so that a composite pairs its summands through
-    # their final out-edges: one pass reaches the least fixed point.
-    order = TopologicalSorter({name: records[name].connected_sum_of or () for name in names})
-    for src in order.static_order():
-        record = records[src]
-        candidates = set(unknots)
-        if record.satellite_of is not None:
-            candidates.update(record.satellite_of[:2])
-        known: frozenset[tuple[str, str]] = frozenset()
-        if record.connected_sum_of is not None:
-            reach = set(record.connected_sum_of)
-            known = frozenset((s, t) for s in reach for t in succ[s])
-            reach.update(t for _, t in known)
-            for summand in reach:
-                candidates.update(
-                    name for name in holders.get(summand, ())
-                    if reach.issuperset(records[name].summands())
-                )
-        candidates.discard(src)
-        for dst in sorted(candidates):
-            certificate = certificate_search(record, records[dst], known)
-            if certificate is None:
-                continue
-            if negatives := _negatives(record, records[dst]):
-                conflicts.append((src, dst, certificate.rule_id, sorted(negatives)))
-            else:
-                edges.append(Edge(src, dst, certificate))
-                succ[src].append(dst)
+    # an unknown root raises CorpusError; the first root is certified first
+    stack = (names if roots is None else [corpus.get(name).name for name in roots])[::-1]
+    while stack:
+        root = stack.pop()
+        if root in succ:
+            continue
+        for src in _summands_first(root, records, succ):
+            record = records[src]
+            candidates = set(unknots)
+            if record.satellite_of is not None:
+                candidates.update(record.satellite_of[:2])
+            known: frozenset[tuple[str, str]] = frozenset()
+            if record.connected_sum_of is not None:
+                reach = set(record.connected_sum_of)
+                known = frozenset((s, t) for s in reach for t in succ[s])
+                reach.update(t for _, t in known)
+                for summand in reach:
+                    candidates.update(
+                        name for name in holders.get(summand, ())
+                        if reach.issuperset(records[name].summands())
+                    )
+            candidates.discard(src)
+            succ[src] = []
+            for dst in sorted(candidates):
+                certificate = certificate_search(record, records[dst], known)
+                if certificate is None:
+                    continue
+                if negatives := _negatives(record, records[dst]):
+                    conflicts.append((src, dst, certificate.rule_id, sorted(negatives)))
+                else:
+                    edges.append(Edge(src, dst, certificate))
+                    succ[src].append(dst)
+                    if dst not in succ:
+                        stack.append(dst)
 
     audit = tuple(
         f"conflict: {src} -> {dst} certified by {rule_id} but obstructed by {negatives}"
         for src, dst, rule_id, negatives in sorted(conflicts)
     )
-    return DominationGraph(tuple(names), tuple(sorted(edges, key=lambda e: (e.src, e.dst))), audit)
+    return DominationGraph(tuple(sorted(succ)), tuple(sorted(edges, key=lambda e: (e.src, e.dst))), audit)
+
+
+def _summands_first(root: str, records: dict[str, KnotRecord], done: dict[str, list[str]]) -> list[str]:
+    """root and its nested summands that are not in done, each after its
+    own summands (a post-order kept on an explicit stack)."""
+    order: list[str] = []
+    path = [root]
+    pending = [iter(records[root].connected_sum_of or ())]
+    seen = {root}
+    while pending:
+        for summand in pending[-1]:
+            if summand in path:
+                raise CorpusError(f"circular composite references among {sorted(path)}")
+            if summand not in done and summand not in seen:
+                seen.add(summand)
+                path.append(summand)
+                pending.append(iter(records[summand].connected_sum_of or ()))
+                break
+        else:
+            order.append(path.pop())
+            pending.pop()
+    return order
 
 
 def build_graph(corpus: Corpus) -> DominationGraph:

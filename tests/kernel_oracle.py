@@ -10,11 +10,12 @@ across the nodes, then interpolates and recombines by CRT (it is also the
 fast oracle for large closures); `fraction_divided_by` is long division
 of Laurent polynomials over Q, accepting only an integral quotient;
 `fraction_eval_int` sums the value at an integer term by term in `Fraction`;
+`shift_normalize` rebuilds every polynomial it normalizes, normalized or not;
 `trial_division_is_prime_power` factors by trial division up to the
 square root; `backtracking_summands_cover` matches summands by recursive
 backtracking.  The library's frontier sweep, Kronecker determinant, integer
-division, integer evaluation, Miller-Rabin test and augmenting-path
-matching must agree with them.
+division, integer evaluation, normalization, Miller-Rabin test and
+augmenting-path matching must agree with them.
 """
 from __future__ import annotations
 
@@ -392,6 +393,15 @@ def fraction_eval_int(p: LaurentPoly, x: int) -> int | Fraction:
     for e, c in p.terms:
         total += c * Fraction(x) ** e
     return int(total) if total.denominator == 1 else total
+
+
+def shift_normalize(p: LaurentPoly) -> LaurentPoly:
+    """p times the unit +-t^k with minimum degree 0 and a positive constant
+    term, built anew through shift and negation."""
+    if p.is_zero():
+        return p
+    shifted = p.shift(-p.min_degree)
+    return -shifted if shifted.terms[0][1] < 0 else shifted
 
 
 def _dense_from_zero(p: LaurentPoly) -> list[int]:

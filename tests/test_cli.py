@@ -14,6 +14,8 @@ from knotdom.cli import (
     run_verification,
 )
 
+from knotdom.poset import chain_length_bound, longest_chain
+
 from test_poset import satellite_chain
 
 
@@ -137,6 +139,30 @@ class TestChainBound:
         payload = json.loads(out)
         assert payload["strict_length"] == 1
         assert payload["longest_chain"] == ["3_1", "unknot"]
+
+    def test_every_record_renders_the_closed_graph_chain(self, capsys, corpus, graph):
+        # chain-bound certifies only what the record reaches; its output
+        # is that of the longest chain in the whole closed graph
+        for name in corpus.names():
+            chain = longest_chain(graph, name)
+            bounds = chain_length_bound(corpus.get(name))
+            payload = {
+                "name": name,
+                "bounds": [b._asdict() for b in bounds],
+                "longest_chain": chain,
+                "strict_length": len(chain) - 1,
+            }
+            code, out, _ = run(capsys, "--json", "chain-bound", name)
+            assert code == EXIT_OK and out == json.dumps(payload, sort_keys=True, indent=2) + "\n", name
+            lines = [f"longest certified chain from {name}: {' > '.join(chain)} (strict length {len(chain) - 1})"]
+            lines += [f"  {b.rule}: {b.value} ({b.scope})" for b in bounds] or ["no chain bounds apply"]
+            code, out, _ = run(capsys, "chain-bound", name)
+            assert code == EXIT_OK and out == "\n".join(lines) + "\n", name
+
+    def test_unknown_name(self, capsys):
+        code, out, err = run(capsys, "chain-bound", "nosuch")
+        assert code == EXIT_USAGE and out == ""
+        assert "unknown knot name 'nosuch'" in err
 
     def test_deep_satellite_chain(self, capsys, tmp_path):
         # the closure of this chain would hold about 600,000 edges and

@@ -112,6 +112,24 @@ class TestParsePD:
         assert pd.mirror().signs == (1, 1, 1)
         assert pd.mirror().mirror() == pd
 
+    def test_text_round_trips_through_parse_pd(self):
+        assert str(parse_pd(TREFOIL)) == TREFOIL
+        empty = parse_pd("")
+        assert str(empty) == "" and parse_pd(str(empty)) == empty
+        rng = random.Random(17)
+        closures = 0
+        for _ in range(80):
+            strands = rng.randint(2, 5)
+            word = tuple(rng.choice([1, -1]) * rng.randint(1, strands - 1) for _ in range(rng.randint(1, 12)))
+            try:
+                pd = braid_to_pd(BraidWord(strands, word))
+            except DiagramError:
+                continue  # multi-component closure
+            for code in (pd, pd.mirror()):
+                assert parse_pd(str(code)) == code, word
+            closures += 1
+        assert closures > 20
+
 
 class TestBraid:
     def test_parse_braid(self):

@@ -20,7 +20,7 @@ from knotdom.alexander import (
     linear_determinant,
 )
 from knotdom.diagram import BraidWord, DiagramError, PDCode, braid_to_pd, parse_pd, wirtinger
-from knotdom.laurent import LaurentPoly, is_prime, parse_poly
+from knotdom.laurent import LaurentPoly, exact_div, is_prime, parse_poly
 import kernel_oracle
 from kernel_oracle import (
     _determinant_mod,
@@ -31,6 +31,7 @@ from kernel_oracle import (
     fraction_divided_by,
     linear_rows,
     node_determinant,
+    shift_normalize,
     state_sum_bracket,
 )
 from test_alexander import cofactor_determinant
@@ -433,6 +434,22 @@ class TestIntegerDivision:
                 assert dividend.divided_by(b) == expected, (dividend, b)
                 inexact += expected is None
         assert inexact > 100
+
+    def test_normalize_and_exact_div_match_rebuilding_oracle(self):
+        # normalize returns a normalized polynomial as it is; values and
+        # quotients up to units are those of the normalize that rebuilds
+        rng = random.Random(12)
+        kept = 0
+        for _ in range(400):
+            a, b = random_poly(rng), nonzero_poly(rng)
+            for p in (a, b, a * b, spread_poly(rng, 40)):
+                assert p.normalize() == shift_normalize(p), p
+                kept += p.normalize() is p
+            for dividend in (a * b, a * b + nonzero_poly(rng)):
+                expected = fraction_divided_by(shift_normalize(dividend), shift_normalize(b))
+                assert exact_div(dividend, b) == expected, (dividend, b)
+                assert exact_div(dividend.normalize(), b.normalize()) == expected, (dividend, b)
+        assert kept > 100
 
     def test_huge_sparse_degrees(self):
         # Memory follows the terms, not the degree span: one slot per degree

@@ -32,6 +32,10 @@ class TestLoadCorpus:
         assert len(corpus) == 12
         assert set(corpus.names()) == EXPECTED_NAMES
 
+    def test_membership(self, corpus):
+        assert "3_1" in corpus and all(name in corpus for name in corpus.names())
+        assert "no_such_knot" not in corpus and "" not in corpus
+
     def test_every_record_enriched(self, corpus):
         for record in corpus:
             assert record.enriched

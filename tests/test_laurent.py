@@ -160,6 +160,21 @@ class TestNormalize:
         assert (u * a).normalize() == a.normalize()
 
     
+    def test_normalized_is_returned_as_is(self):
+        p = P("1 - t + t^2")
+        assert p.normalize() is p
+        assert LaurentPoly().normalize().is_zero()
+        for raw in (P("t - t^2 + t^3"), P("-1 + t - t^2")):
+            assert raw.normalize() is not raw and raw.normalize() == p
+
+    
+    @settings(max_examples=150)
+    @given(polys)
+    def test_normalize_of_normalized_is_identity(self, a):
+        n = a.normalize()
+        assert n.normalize() is n
+
+    
     @settings(max_examples=150)
     @given(nonzero_polys)
     def test_shape(self, a):

@@ -481,3 +481,63 @@ class TestCertify:
             calls.clear()
             certify(random_corpus(seed))
             assert calls and len(calls) == len(set(calls)), seed
+
+    def test_rooted_certify_matches_full_graph(self, cases):
+        fewer = cycles = 0
+        for case in cases:
+            full = certify(case)
+            assert certify(case, None) == full  # nodes, edges and audit
+            closed = build_graph(case)
+            for start in case.names():
+                rooted = certify(case, [start])
+                nodes = set(rooted.nodes)
+                assert start in nodes and rooted.nodes == tuple(sorted(nodes))
+                assert all(e.dst in nodes for e in rooted.edges)
+                assert all(set(case.get(name).summands()) <= nodes | {name} for name in nodes)
+                assert rooted.edges == tuple(e for e in full.edges if e.src in nodes), start
+                assert rooted.audit_log == tuple(line for line in full.audit_log if line.split()[1] in nodes)
+                expected = chain_or_error(longest_chain, closed, start)
+                assert chain_or_error(longest_chain, rooted, start) == expected, start
+                fewer += len(nodes) < len(full.nodes)
+                cycles += isinstance(expected, str)
+        assert fewer and cycles
+
+    def test_roots_in_any_order_and_unknown_root(self, corpus):
+        full = certify(corpus)
+        assert certify(corpus, corpus.names()[::-1]) == full
+        assert certify(corpus, []).nodes == ()
+        assert certify(corpus, ["granny", "3_1", "granny"]) == certify(corpus, ["granny"])
+        with pytest.raises(CorpusError, match="unknown knot name"):
+            certify(corpus, ["granny", "no_such_knot"])
+
+    def test_circular_summands_fail_cleanly(self):
+        # build_corpus rejects these; a Corpus assembled past it must not
+        # send the summands-first walk round the cycle
+        records = (
+            KnotRecord(name="a", connected_sum_of=("b", "c")),
+            KnotRecord(name="b", connected_sum_of=("a", "c")),
+            KnotRecord(name="c"),
+        )
+        with pytest.raises(CorpusError, match="circular composite references"):
+            certify(Corpus(records), ["a"])
+
+    def test_chain_query_searches_fewer_pairs(self, monkeypatch):
+        calls = []
+
+        def recording(k1, k2, certified=None):
+            calls.append((k1.name, k2.name))
+            return certificate_search(k1, k2, certified)
+
+        monkeypatch.setattr(poset, "certificate_search", recording)
+        for seed in range(40):
+            case = random_corpus(seed)
+            calls.clear()
+            certify(case)
+            everything = set(calls)
+            fewer = 0
+            for start in case.names():
+                calls.clear()
+                certify(case, [start])
+                assert set(calls) <= everything, (seed, start)
+                fewer += len(set(calls)) < len(everything)
+            assert fewer, seed
