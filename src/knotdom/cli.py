@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 from . import alexander, domination, poset
 from .diagram import DiagramError, parse_braid, parse_pd, seifert_circles
-from .knotbase import CorpusError, KnotRecord, enrich_record, load_corpus
+from .knotbase import CorpusError, KnotRecord, check_jones, enrich_record, load_corpus
 from .laurent import LaurentPoly, exact_div, format_poly, parse_poly
 
 EXIT_OK = 0
@@ -159,12 +159,16 @@ def _cmd_invariants(source: str, corpus: str | None, as_json: bool) -> int:
         "flags": record.flags.as_dict(),
         "sum_of_simple": record.sum_of_simple,
     }
-    if record.jones is not None:
-        info["jones"] = format_poly(record.jones)
-    if record.diagram is not None:
-        info["crossings"] = record.diagram.crossing_count
-        info["writhe"] = record.diagram.writhe()
-        info["seifert_circles"] = seifert_circles(record.diagram)[0]
+    # A declared Jones was checked at load; otherwise compute it here.
+    jones, diagram = record.jones, record.diagram
+    if jones is None and diagram is not None and diagram.crossing_count <= alexander.JONES_CROSSING_BUDGET:
+        jones = check_jones(record.name, alexander.jones_polynomial(diagram), record.determinant)
+    if jones is not None:
+        info["jones"] = format_poly(jones)
+    if diagram is not None:
+        info["crossings"] = diagram.crossing_count
+        info["writhe"] = diagram.writhe()
+        info["seifert_circles"] = seifert_circles(diagram)[0]
     if as_json:
         _emit(info)
     else:

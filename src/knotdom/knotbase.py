@@ -4,9 +4,10 @@ metadata, and computed invariants.
 Records come from a JSON file (one top-level array of objects, field
 names as in KnotRecord).  Loading validates the schema, enriches every
 record, and cross-checks declared values against computed ones: a record
-whose declared Alexander polynomial disagrees with its diagram, braid, or
-composite construction is rejected.  Class flags are tri-state: True,
-False, or None for unknown; unknown never drives a downstream rule.
+whose declared Alexander or Jones polynomial disagrees with its diagram,
+braid, or composite construction is rejected.  Class flags are
+tri-state: True, False, or None for unknown; unknown never drives a
+downstream rule.
 """
 from __future__ import annotations
 
@@ -55,7 +56,13 @@ class Flags(NamedTuple):
 
 
 class KnotRecord(NamedTuple):
-    """One knot: input data, declared metadata, and computed invariants."""
+    """One knot: input data, declared metadata, and computed invariants.
+
+    On an enriched record `jones` is the declared Jones polynomial, checked
+    against V(1) = 1 and |V(-1)| = det and, when the diagram is within
+    JONES_CROSSING_BUDGET, against the diagram's; it is None when none was
+    declared, since no rule reads it.  `jones_polynomial(record.diagram)`
+    computes it."""
 
     name: str
     diagram: PDCode | None = None
@@ -265,10 +272,22 @@ def _merge(name: str, what: str, declared, computed):
     return computed if computed is not None else declared
 
 
+def check_jones(name: str, jones: LaurentPoly, determinant: int) -> LaurentPoly:
+    """Return `jones` when it satisfies V(1) = 1 and |V(-1)| = det."""
+    at_one, at_minus_one = jones.eval_int(1), abs(jones.eval_int(-1))
+    if at_one != 1:
+        raise CorpusError(f"{name}: jones(1) = {at_one}, expected 1")
+    if at_minus_one != determinant:
+        raise CorpusError(f"{name}: |jones(-1)| = {at_minus_one} != determinant {determinant}")
+    return jones
+
+
 def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = None) -> KnotRecord:
     """Fill computed invariants, cross-check declared data, and close the
     flag implications.  Composite records (connected sums, satellites)
-    need their referenced siblings already enriched."""
+    need their referenced siblings already enriched.  No rule reads the
+    Jones polynomial, so it is computed only to cross-check a declared
+    one, and a record that declares none keeps jones=None."""
     siblings = siblings or {}
     name = record.name
 
@@ -307,14 +326,10 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
     determinant = _merge(name, "determinant", record.determinant, determinant_invariant(delta))
 
     jones = record.jones
-    if diagram is not None and diagram.crossing_count <= JONES_CROSSING_BUDGET:
-        jones = _merge(name, "jones", jones, jones_polynomial(diagram))
     if jones is not None:
-        at_one, at_minus_one = jones.eval_int(1), abs(jones.eval_int(-1))
-        if at_one != 1:
-            raise CorpusError(f"{name}: jones(1) = {at_one}, expected 1")
-        if at_minus_one != determinant:
-            raise CorpusError(f"{name}: |jones(-1)| = {at_minus_one} != determinant {determinant}")
+        if diagram is not None and diagram.crossing_count <= JONES_CROSSING_BUDGET:
+            jones = _merge(name, "jones", jones, jones_polynomial(diagram))
+        check_jones(name, jones, determinant)
 
     if top % 2 != 0:
         raise CorpusError(f"{name}: delta has odd degree {top}")

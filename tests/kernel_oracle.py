@@ -13,9 +13,11 @@ of Laurent polynomials over Q, accepting only an integral quotient;
 `shift_normalize` rebuilds every polynomial it normalizes, normalized or not;
 `trial_division_is_prime_power` factors by trial division up to the
 square root; `backtracking_summands_cover` matches summands by recursive
-backtracking.  The library's frontier sweep, Kronecker determinant, integer
-division, integer evaluation, normalization, Miller-Rabin test and
-augmenting-path matching must agree with them.
+backtracking; `eager_enrich_record` computes the Jones polynomial of every
+diagram within the budget at enrichment.  The library's frontier sweep,
+Kronecker determinant, integer division, integer evaluation,
+normalization, Miller-Rabin test, augmenting-path matching and Jones
+computed only where it is read must agree with them.
 """
 from __future__ import annotations
 
@@ -23,9 +25,10 @@ import itertools
 from collections import Counter
 from fractions import Fraction
 
-from knotdom.alexander import _permutation_sign
+from knotdom.alexander import JONES_CROSSING_BUDGET, _permutation_sign, jones_polynomial
 from knotdom.diagram import PDCode, WirtingerPresentation
-from knotdom.laurent import LaurentPoly, is_prime
+from knotdom.knotbase import CorpusError, KnotRecord, enrich_record
+from knotdom.laurent import LaurentPoly, format_poly, is_prime
 
 _ONE = LaurentPoly.const(1)
 _MINUS_ONE = LaurentPoly.const(-1)
@@ -460,3 +463,24 @@ def backtracking_summands_cover(
         return False
 
     return match(sorted(sum2))
+
+
+def eager_enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = None) -> KnotRecord:
+    """`enrich_record` that also computes the Jones polynomial of every
+    diagram within JONES_CROSSING_BUDGET, whether or not one is declared:
+    the computed value must equal a declared one, satisfy V(1) = 1 and
+    |V(-1)| = det, and is stored in the record."""
+    enriched = enrich_record(record, siblings)
+    diagram = enriched.diagram
+    if diagram is None or diagram.crossing_count > JONES_CROSSING_BUDGET:
+        return enriched
+    name, jones = enriched.name, jones_polynomial(diagram)
+    if enriched.jones is not None and enriched.jones != jones:
+        declared, computed = format_poly(enriched.jones), format_poly(jones)
+        raise CorpusError(f"{name}: declared jones {declared} != computed {computed}")
+    at_one, at_minus_one = fraction_eval_int(jones, 1), abs(fraction_eval_int(jones, -1))
+    if at_one != 1:
+        raise CorpusError(f"{name}: jones(1) = {at_one}, expected 1")
+    if at_minus_one != enriched.determinant:
+        raise CorpusError(f"{name}: |jones(-1)| = {at_minus_one} != determinant {enriched.determinant}")
+    return enriched._replace(jones=jones)

@@ -1,5 +1,7 @@
 """Command-line behavior: outputs, exit codes, and determinism."""
 import json
+import random
+import re
 import time
 
 import pytest
@@ -10,12 +12,19 @@ from knotdom.cli import (
     EXIT_UNKNOWN,
     EXIT_USAGE,
     _build_parser,
+    default_corpus_path,
     main,
     run_verification,
 )
 
+from knotdom.alexander import kauffman_bracket
+from knotdom.diagram import braid_to_pd
+from knotdom.knotbase import load_corpus
+from knotdom.laurent import LaurentPoly
 from knotdom.poset import chain_length_bound, longest_chain
 
+from kernel_oracle import eager_enrich_record
+from test_kernels import random_closures, random_knot_braid
 from test_poset import satellite_chain
 
 
@@ -23,6 +32,23 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def braid_text(strands, letters):
+    return f"B{strands}: " + " ".join(map(str, letters))
+
+
+def invariants_sources():
+    """Every bundled record, generated braid closures and their mirrors,
+    and PD text either side of the 24-crossing Jones budget."""
+    sources = load_corpus(default_corpus_path()).names()
+    for _, braid, _ in random_closures(13, 8, 12):
+        sources.append(braid_text(braid.strand_count, braid.letters))
+        sources.append(braid_text(braid.strand_count, [-i for i in braid.letters]))
+    for strands, crossings in ((3, 24), (4, 25)):
+        braid = random_knot_braid(random.Random(crossings), strands, crossings)
+        sources.append(pytest.param(str(braid_to_pd(braid)), id=f"pd-{crossings}-crossings"))
+    return sources
 
 
 class TestCheck:
@@ -100,6 +126,33 @@ class TestInvariants:
         for source in ("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "B3: 1 1 1 2 2 2"):
             code, out, _ = run(capsys, "invariants", source)
             assert code == EXIT_OK and "delta: " in out
+
+    @pytest.mark.parametrize("source", invariants_sources())
+    def test_matches_eager_jones_oracle(self, capsys, monkeypatch, source):
+        def both_forms():
+            return [run(capsys, *flags, "invariants", source) for flags in ((), ("--json",))]
+
+        deferred = both_forms()
+        assert [code for code, _, _ in deferred] == [EXIT_OK, EXIT_OK]
+        monkeypatch.setattr("knotdom.knotbase.enrich_record", eager_enrich_record)
+        monkeypatch.setattr("knotdom.cli.enrich_record", eager_enrich_record)
+        assert both_forms() == deferred
+
+    @pytest.mark.parametrize(
+        "factor, message",
+        [
+            (LaurentPoly.const(2), r"jones\(1\) = 2, expected 1"),
+            # A^-8 - A^-4 + 1 is t^2 - t + 1 in V: V(1) is kept, |V(-1)| triples
+            (LaurentPoly.from_dict({-8: 1, -4: -1, 0: 1}), r"\|jones\(-1\)\| = 9 != determinant 3"),
+        ],
+        ids=["at-one", "at-minus-one"],
+    )
+    @pytest.mark.parametrize("source", ["X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "B2: 1 1 1"], ids=["pd", "braid"])
+    def test_computed_jones_checked_before_printing(self, capsys, monkeypatch, factor, message, source):
+        monkeypatch.setattr("knotdom.alexander.kauffman_bracket", lambda pd: factor * kauffman_bracket(pd))
+        code, out, err = run(capsys, "invariants", source)
+        assert code == EXIT_USAGE and out == ""
+        assert re.fullmatch(r"error: <(pd|braid)>: " + message + "\n", err)
 
     def test_bad_pd(self, capsys):
         code, _, err = run(capsys, "invariants", "X(1,2,3")

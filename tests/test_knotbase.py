@@ -4,6 +4,8 @@ import json
 
 import pytest
 
+from knotdom import alexander
+from knotdom.alexander import alexander_polynomial
 from knotdom.diagram import parse_pd
 from knotdom.knotbase import (
     Corpus,
@@ -18,7 +20,9 @@ from knotdom.knotbase import (
     normalize_volume,
     record_from_json,
 )
-from knotdom.laurent import parse_poly
+from knotdom.laurent import format_poly, parse_poly
+
+from test_kernels import random_closures
 
 EXPECTED_NAMES = {
     "unknot", "3_1", "4_1", "5_1", "5_2", "6_2", "granny",
@@ -123,6 +127,16 @@ class TestEnrichment:
         with pytest.raises(CorpusError, match="bad_jones: " + message):
             enrich_record(record)
 
+    def test_declared_jones_must_match_the_diagram(self):
+        # the mirror's V passes both identities, so only the diagram refutes it
+        record = KnotRecord(
+            name="mirrored_jones",
+            diagram=parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"),
+            jones=parse_poly("t + t^3 - t^4"),
+        )
+        with pytest.raises(CorpusError, match=r"mirrored_jones: declared jones t \+ t\^3 - t\^4 != computed"):
+            enrich_record(record)
+
     def test_trefoil_full_enrichment(self, corpus):
         trefoil = corpus.get("3_1")
         assert trefoil.delta == parse_poly("1 - t + t^2")
@@ -195,6 +209,34 @@ class TestEnrichment:
         )
         with pytest.raises(CorpusError, match="ghat 0 < genus_exact 1"):
             enrich_record(record)
+
+
+class TestJonesAtLoad:
+    @pytest.fixture
+    def brackets(self, monkeypatch):
+        calls = []
+        bracket = alexander.kauffman_bracket
+        monkeypatch.setattr(alexander, "kauffman_bracket", lambda pd: calls.append(pd) or bracket(pd))
+        return calls
+
+    def test_bundled_load_brackets_only_declared_jones(self, brackets, corpus_path):
+        corpus = load_corpus(corpus_path)
+        declared = ("3_1", "4_1", "trefoil_alt_diagram")
+        assert sorted(map(str, brackets)) == sorted(str(corpus.get(name).diagram) for name in declared)
+        assert corpus.get("5_2").jones is None
+
+    def test_braid_records_declaring_only_delta_need_no_bracket(self, brackets):
+        records = [
+            record_from_json({
+                "name": f"b{i}",
+                "braid": f"B{braid.strand_count}: " + " ".join(map(str, braid.letters)),
+                "delta": format_poly(alexander_polynomial(pd)),
+            })
+            for i, (_, braid, pd) in enumerate(random_closures(5, 20, 14))
+        ]
+        corpus = build_corpus(records)
+        assert brackets == []
+        assert all(record.diagram is not None and record.jones is None for record in corpus)
 
 
 class TestFlagClosure:
