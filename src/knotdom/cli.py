@@ -326,7 +326,9 @@ def run_verification(corpus_path: Path | str) -> RunReport:
     )
 
     ks = corpus.get("ks_cable23_of_4_1")
-    jones_trefoil = alexander.jones_polynomial(trefoil.diagram)
+    jones_trefoil = trefoil.jones  # when declared, the load checked it against the diagram
+    if jones_trefoil is None:
+        jones_trefoil = alexander.jones_polynomial(trefoil.diagram)
     add(
         "jones_non_divisibility",
         "Remark after Ex. 6.5",

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 from decimal import Decimal, InvalidOperation
-from graphlib import CycleError, TopologicalSorter
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .alexander import (
     JONES_CROSSING_BUDGET,
@@ -455,11 +454,40 @@ def build_corpus(records: list[KnotRecord]) -> Corpus:
             raise CorpusError(f"mutant class {label!r} has no peer record")
 
     # Parts before the records built from them: one pass enriches all.
-    try:
-        order = list(TopologicalSorter({r.name: r.references() for r in records}).static_order())
-    except CycleError as exc:
-        raise CorpusError(f"circular composite references among {sorted(set(exc.args[1]))}") from None
+    order, cycle = _walk([r.name for r in records], lambda name: by_name[name].references())
+    if cycle is not None:
+        raise CorpusError(f"circular composite references among {sorted(cycle[1:])}")
     enriched: dict[str, KnotRecord] = {}
     for name in order:
         enriched[name] = enrich_record(by_name[name], enriched)
     return Corpus(tuple(enriched[r.name] for r in records))
+
+
+def _walk(roots: Iterable[str], children: Callable[[str], Iterable[str]]) -> tuple[list[str], list[str] | None]:
+    """Depth first from each root in the given order: the nodes reached,
+    each after its children (a post-order), and the first cycle met, as
+    [v, ..., v], or None.  The walk stops at that cycle.  It keeps an
+    explicit stack, so deep graphs do not hit the recursion limit."""
+    ON_PATH, DONE = 1, 2
+    state: dict[str, int] = {}
+    order: list[str] = []
+    for root in roots:
+        if root in state:
+            continue
+        state[root] = ON_PATH
+        path = [root]
+        pending = [iter(children(root))]  # per path node, its unvisited children
+        while pending:
+            for nxt in pending[-1]:
+                if state.get(nxt) == ON_PATH:
+                    return order, path[path.index(nxt):] + [nxt]
+                if nxt not in state:
+                    state[nxt] = ON_PATH
+                    path.append(nxt)
+                    pending.append(iter(children(nxt)))
+                    break
+            else:
+                order.append(path.pop())
+                state[order[-1]] = DONE
+                pending.pop()
+    return order, None

@@ -10,11 +10,10 @@ only from their start.
 """
 from __future__ import annotations
 
-from graphlib import CycleError, TopologicalSorter
 from typing import Iterable, NamedTuple
 
 from .domination import Certificate, certificate_search, obstruction_scan, rigidity_scan
-from .knotbase import Corpus, CorpusError, KnotRecord
+from .knotbase import Corpus, CorpusError, KnotRecord, _walk
 from .laurent import _Frozen, is_prime_power
 
 
@@ -117,7 +116,12 @@ def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGra
         root = stack.pop()
         if root in succ:
             continue
-        for src in _summands_first(root, records, succ):
+        order, cycle = _walk(
+            [root], lambda name: [s for s in records[name].connected_sum_of or () if s not in succ]
+        )
+        if cycle is not None:
+            raise CorpusError(f"circular composite references among {sorted(cycle[1:])}")
+        for src in order:
             record = records[src]
             candidates = set(unknots)
             if record.satellite_of is not None:
@@ -153,28 +157,6 @@ def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGra
     return DominationGraph(tuple(sorted(succ)), tuple(sorted(edges, key=lambda e: (e.src, e.dst))), audit)
 
 
-def _summands_first(root: str, records: dict[str, KnotRecord], done: dict[str, list[str]]) -> list[str]:
-    """root and its nested summands that are not in done, each after its
-    own summands (a post-order kept on an explicit stack)."""
-    order: list[str] = []
-    path = [root]
-    pending = [iter(records[root].connected_sum_of or ())]
-    seen = {root}
-    while pending:
-        for summand in pending[-1]:
-            if summand in path:
-                raise CorpusError(f"circular composite references among {sorted(path)}")
-            if summand not in done and summand not in seen:
-                seen.add(summand)
-                path.append(summand)
-                pending.append(iter(records[summand].connected_sum_of or ()))
-                break
-        else:
-            order.append(path.pop())
-            pending.pop()
-    return order
-
-
 def build_graph(corpus: Corpus) -> DominationGraph:
     """The edges of `certify` closed under transitivity: a pair reached in
     two or more steps gets a `C5_transitive` certificate with its canonical
@@ -186,14 +168,12 @@ def build_graph(corpus: Corpus) -> DominationGraph:
     audit = list(graph.audit_log)
     for src in graph.nodes:
         for dst, chain in _canonical_chains(src, succ).items():
-            if (src, dst) in closure:
-                continue
             if _negatives(corpus.get(src), corpus.get(dst)):
                 audit.append(f"conflict: {src} -> {dst} reachable through {list(chain)} but obstructed")
             else:
                 closure[(src, dst)] = Certificate("C5_transitive", chain)
 
-    cycle = _find_cycle(graph.nodes, succ)
+    cycle = _walk(graph.nodes, succ.__getitem__)[1]
     if cycle is not None:
         audit.append(f"cycle among certified edges: {cycle}")
     edges = tuple(Edge(src, dst, closure[(src, dst)]) for src, dst in sorted(closure))
@@ -226,51 +206,14 @@ def _canonical_chains(src: str, succ: dict[str, list[str]]) -> dict[str, tuple[s
     return {dst: chain for dst, chain in chains.items() if len(chain) >= 3}
 
 
-def _find_cycle(names: tuple[str, ...] | list[str], succ: dict[str, list[str]]) -> list[str] | None:
-    """The first cycle a depth-first search meets, roots taken in the
-    given order, as [v, ..., v]; None when succ is acyclic.  The walk
-    keeps an explicit stack, so deep graphs do not hit the recursion
-    limit."""
-    ON_PATH, DONE = 1, 2
-    state: dict[str, int] = {}
-    for root in names:
-        if root in state:
-            continue
-        state[root] = ON_PATH
-        path = [root]
-        pending = [iter(succ[root])]  # per path node, its unvisited successors
-        while pending:
-            for nxt in pending[-1]:
-                if state.get(nxt) == ON_PATH:
-                    return path[path.index(nxt):] + [nxt]
-                if nxt not in state:
-                    state[nxt] = ON_PATH
-                    path.append(nxt)
-                    pending.append(iter(succ[nxt]))
-                    break
-            else:
-                state[path.pop()] = DONE
-                pending.pop()
-    return None
-
-
 def longest_chain(graph: DominationGraph, start: str) -> list[str]:
     """A maximum-length strict chain of certified edges from start; ties
     broken by lexicographic order of the name sequence."""
     if start not in graph.nodes:
         raise CorpusError(f"unknown knot name {start!r}")
-    reach = {start}
-    stack = [start]
-    while stack:
-        for nxt in graph.successors(stack.pop()):
-            if nxt not in reach:
-                reach.add(nxt)
-                stack.append(nxt)
-    order = TopologicalSorter({node: graph.successors(node) for node in reach})
-    try:
-        nodes = list(order.static_order())  # successors first
-    except CycleError as exc:
-        raise CorpusError("certified edges contain a cycle; no longest chain") from exc
+    nodes, cycle = _walk([start], graph.successors)  # successors first
+    if cycle is not None:
+        raise CorpusError("certified edges contain a cycle; no longest chain")
     # Equal-length chains out of a node differ first at its successor, so
     # the least chain goes through the least successor among the longest.
     best: dict[str, tuple[int, str | None]] = {}  # node -> (-length, next node)

@@ -1,6 +1,7 @@
 """The all-pairs domination graph builder, kept as the test oracle for
 `knotdom.poset.build_graph`, the recursive graph walks kept as oracles
-for `knotdom.poset._find_cycle` and `knotdom.poset.longest_chain`, and
+for the explicit-stack walk `knotdom.knotbase._walk` (its first cycle)
+and for `knotdom.poset.longest_chain`, and
 `iter_chains`, which lists every chain (exponentially many in chain
 length) for checks on small graphs.
 

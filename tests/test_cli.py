@@ -6,6 +6,7 @@ import time
 
 import pytest
 
+from knotdom import cli
 from knotdom.cli import (
     EXIT_OBSTRUCTED,
     EXIT_OK,
@@ -19,13 +20,14 @@ from knotdom.cli import (
 
 from knotdom.alexander import kauffman_bracket
 from knotdom.diagram import braid_to_pd
+from knotdom.domination import ANCHORS
 from knotdom.knotbase import load_corpus
 from knotdom.laurent import LaurentPoly
 from knotdom.poset import chain_length_bound, longest_chain
 
 from kernel_oracle import eager_enrich_record
 from test_kernels import random_closures, random_knot_braid
-from test_poset import satellite_chain
+from test_poset import random_corpus, satellite_chain
 
 
 def run(capsys, *argv):
@@ -83,6 +85,21 @@ class TestCheck:
         payload = json.loads(out)
         assert list(payload) == sorted(payload)
         assert "O1_alexander" in payload["rules"]
+
+    def test_json_unknown_pair_lists_passed_rules(self, capsys):
+        code, out, _ = run(capsys, "--json", "check", "KT_mutant", "double_of_3_1")
+        assert code == EXIT_UNKNOWN
+        payload = json.loads(out)
+        assert payload["verdict"] == "unknown"
+        _, text, _ = run(capsys, "check", "KT_mutant", "double_of_3_1")
+        passed = text.splitlines()[-1].removeprefix("  passed: ").split(", ")
+        assert payload["rules"] == passed and all(rule.startswith("O") for rule in passed)
+        assert payload["anchors"] == [ANCHORS[rule] for rule in passed]
+
+    def test_json_equal_pair_names_no_rule(self, capsys):
+        code, out, _ = run(capsys, "--json", "check", "3_1", "3_1")
+        assert code == EXIT_OK
+        assert json.loads(out) == {"anchors": [], "pair": ["3_1", "3_1"], "rules": [], "verdict": "equal"}
 
     def test_contradiction_names_both_rules(self, capsys, tmp_path):
         # C1 certifies a#b >= a; O10_orderability obstructs it, since
@@ -173,6 +190,20 @@ class TestPoset:
         assert code == EXIT_OK
         assert "nodes: 12  edges: 13" in out
         assert "audit: clean" in out
+
+    def test_audit_findings_exit_nonzero(self, capsys, monkeypatch):
+        # random_corpus(0) certifies c4 -> p3, which two rules obstruct
+        corpus = random_corpus(0)
+        monkeypatch.setattr(cli, "load_corpus", lambda path: corpus)
+        code, out, _ = run(capsys, "poset")
+        assert code == EXIT_USAGE
+        lines = out.splitlines()
+        findings = lines[lines.index("audit findings:") + 1:]
+        assert (
+            "  conflict: c4 -> p3 certified by C1_connected_sum "
+            "but obstructed by ['O10_orderability', 'O9_ghat']"
+        ) in findings
+        assert "audit: clean" not in lines
 
     def test_json_deterministic_and_parallel(self, capsys):
         _, first, _ = run(capsys, "--json", "poset")
@@ -278,6 +309,17 @@ class TestVerifyPaper:
         code, _, err = run(capsys, "verify-paper", "--corpus", str(bad))
         assert code == EXIT_USAGE
         assert "3_1" in err
+
+    def test_trefoil_jones_computed_when_not_declared(self, capsys, tmp_path, corpus_path):
+        entries = json.loads(corpus_path.read_text())
+        for entry in entries:
+            if entry["name"] == "3_1":
+                del entry["jones"]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(entries))
+        code, out, _ = run(capsys, "verify-paper", "--corpus", str(path))
+        assert code == EXIT_OK
+        assert out == run(capsys, "verify-paper")[1]
 
     def test_run_verification_report_shape(self, corpus_path):
         report = run_verification(corpus_path)

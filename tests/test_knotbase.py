@@ -6,6 +6,7 @@ import pytest
 
 from knotdom import alexander
 from knotdom.alexander import alexander_polynomial
+from knotdom.cli import run_verification
 from knotdom.diagram import parse_pd
 from knotdom.knotbase import (
     Corpus,
@@ -224,6 +225,14 @@ class TestJonesAtLoad:
         declared = ("3_1", "4_1", "trefoil_alt_diagram")
         assert sorted(map(str, brackets)) == sorted(str(corpus.get(name).diagram) for name in declared)
         assert corpus.get("5_2").jones is None
+
+    def test_verify_paper_reads_the_loaded_trefoil_jones(self, brackets, corpus_path):
+        # the check on the trefoil's Jones reuses the bracket of the load
+        run_verification(corpus_path)
+        calls = list(brackets)
+        corpus = load_corpus(corpus_path)
+        declared = ("3_1", "4_1", "trefoil_alt_diagram")
+        assert sorted(map(str, calls)) == sorted(str(corpus.get(name).diagram) for name in declared)
 
     def test_braid_records_declaring_only_delta_need_no_bracket(self, brackets):
         records = [

@@ -2,19 +2,19 @@
 import json
 import random
 from collections import Counter
+from graphlib import TopologicalSorter
 
 import pytest
 
 from knotdom import poset
 from knotdom.domination import Certificate, certificate_search
-from knotdom.knotbase import Corpus, CorpusError, Flags, KnotRecord, build_corpus, enrich_record, record_from_json
+from knotdom.knotbase import Corpus, CorpusError, Flags, KnotRecord, _walk, build_corpus, enrich_record, record_from_json
 from knotdom.laurent import parse_poly
 from knotdom.poset import (
     ChainBound,
     DominationGraph,
     Edge,
     _canonical_chains,
-    _find_cycle,
     build_graph,
     certify,
     chain_length_bound,
@@ -380,7 +380,7 @@ class TestWalks:
                 if dst not in succ[src]:
                     succ[src].append(dst)
             expected = oracle_find_cycle(names, succ)
-            assert _find_cycle(names, succ) == expected
+            assert _walk(names, succ.__getitem__)[1] == expected
             cyclic += expected is not None
             acyclic += expected is None
         assert cyclic and acyclic, (cyclic, acyclic)
@@ -390,9 +390,44 @@ class TestWalks:
         names = [f"n{i:04d}" for i in range(5000)]
         succ = {name: [nxt] for name, nxt in zip(names, names[1:])}
         succ[names[-1]] = []
-        assert _find_cycle(names, succ) is None
+        assert _walk(names, succ.__getitem__)[1] is None
         succ[names[-1]] = [names[2500]]
-        assert _find_cycle(names, succ) == names[2500:] + [names[2500]]
+        assert _walk(names, succ.__getitem__)[1] == names[2500:] + [names[2500]]
+
+    def test_walk_orders_the_reach_children_first(self):
+        # graphlib is the oracle: fed the walk's order, a topological
+        # sorter over exactly the nodes the roots reach must find each node
+        # ready when it comes, and none left over
+        rng = random.Random(37)
+        nonempty = 0
+        for _ in range(300):
+            names = rng.sample([a + b for a in "pqxyz" for b in "0123"], rng.randint(1, 10))
+            rank = {name: i for i, name in enumerate(names)}
+            succ = {name: [] for name in names}
+            for _ in range(rng.randint(0, 20)):
+                src, dst = rng.choice(names), rng.choice(names)
+                if rank[src] < rank[dst] and dst not in succ[src]:
+                    succ[src].append(dst)
+            roots = rng.sample(names, rng.randint(0, len(names)))
+            reach, stack = set(roots), list(roots)
+            while stack:
+                for nxt in succ[stack.pop()]:
+                    if nxt not in reach:
+                        reach.add(nxt)
+                        stack.append(nxt)
+            order, cycle = _walk(roots, succ.__getitem__)
+            assert cycle is None
+            sorter = TopologicalSorter({node: succ[node] for node in reach})
+            sorter.prepare()
+            ready = set()
+            for node in order:
+                ready.update(sorter.get_ready())
+                assert node in ready
+                ready.remove(node)
+                sorter.done(node)
+            assert not sorter.is_active()
+            nonempty += len(order) > len(roots)
+        assert nonempty
 
     def test_longest_chain_on_deep_path(self):
         names = [f"n{i:04d}" for i in range(5000)]
@@ -520,6 +555,18 @@ class TestCertify:
         )
         with pytest.raises(CorpusError, match="circular composite references"):
             certify(Corpus(records), ["a"])
+
+    def test_circular_summands_error_names_only_the_cycle(self):
+        # r -> x -> a -> b -> a: r and x lead to the cycle but are not on it
+        records = (
+            KnotRecord(name="r", connected_sum_of=("x", "c")),
+            KnotRecord(name="x", connected_sum_of=("a", "c")),
+            KnotRecord(name="a", connected_sum_of=("b", "c")),
+            KnotRecord(name="b", connected_sum_of=("a", "c")),
+            KnotRecord(name="c"),
+        )
+        with pytest.raises(CorpusError, match=r"^circular composite references among \['a', 'b'\]$"):
+            certify(Corpus(records), ["r"])
 
     def test_chain_query_searches_fewer_pairs(self, monkeypatch):
         calls = []

@@ -78,8 +78,9 @@ def test_a_polynomial_is_not_a_tuple():
 
 
 def test_cli_import_loads_no_reflection_machinery():
-    # -S: some site configurations import importlib.resources themselves
-    modules = ("dataclasses", "fractions", "inspect", "importlib.resources")
+    # -S: some site configurations import importlib.resources themselves;
+    # graphlib: every graph walk in the package is knotbase._walk
+    modules = ("dataclasses", "fractions", "graphlib", "inspect", "importlib.resources")
     src = Path(knotdom.__file__).resolve().parents[1]
     code = (
         "import sys; sys.path.insert(0, sys.argv[1]); import knotdom.cli; "
