@@ -2,12 +2,15 @@
 metadata, and computed invariants.
 
 Records come from a JSON file (one top-level array of objects, field
-names as in KnotRecord).  Loading validates the schema, enriches every
-record, and cross-checks declared values against computed ones: a record
-whose declared Alexander or Jones polynomial disagrees with its diagram,
-braid, or composite construction is rejected.  Class flags are
-tri-state: True, False, or None for unknown; unknown never drives a
-downstream rule.
+names as in KnotRecord).  Loading checks the schema, the PD, braid and
+polynomial syntax, and the references between records.  A record is
+enriched on its first read: its invariants are computed and its declared
+values cross-checked against them, so a record whose declared Alexander
+or Jones polynomial disagrees with its diagram, braid, or composite
+construction is rejected before any output reads it.  Reading every
+record (`Corpus.records`) checks them all.  Class flags are tri-state:
+True, False, or None for unknown; unknown never drives a downstream
+rule.
 """
 from __future__ import annotations
 
@@ -93,13 +96,22 @@ class KnotRecord(NamedTuple):
 
 
 class Corpus(_Frozen):
-    """Name-indexed, enriched knot records."""
+    """Name-indexed knot records, each enriched on its first read, after
+    the records it references.  `records` and iteration enrich every
+    record, in input order; equality compares the enriched records.
+    Records given already enriched are kept as they are."""
 
-    __slots__ = ("records", "_by_name")
+    __slots__ = ("_declared", "_enriched")
 
-    def __init__(self, records: tuple[KnotRecord, ...]) -> None:
-        object.__setattr__(self, "records", records)
-        object.__setattr__(self, "_by_name", {r.name: r for r in records})
+    def __init__(self, records: Iterable[KnotRecord]) -> None:
+        records = tuple(records)
+        object.__setattr__(self, "_declared", {r.name: r for r in records})
+        object.__setattr__(self, "_enriched", {r.name: r for r in records if r.enriched})
+
+    @property
+    def records(self) -> tuple[KnotRecord, ...]:
+        self._enrich(self._declared)
+        return tuple(self._enriched[name] for name in self._declared)
 
     def _key(self) -> tuple:
         return self.records
@@ -108,19 +120,42 @@ class Corpus(_Frozen):
         return iter(self.records)
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self._declared)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._by_name
+        return name in self._declared
 
     def get(self, name: str) -> KnotRecord:
+        """The enriched record."""
         try:
-            return self._by_name[name]
+            return self._enriched[name]
+        except KeyError:
+            self.declared(name)  # an unknown name raises
+            self._enrich([name])
+            return self._enriched[name]
+
+    def declared(self, name: str) -> KnotRecord:
+        """The record as read, before enrichment.  Its name and references
+        are those of the enriched record, and so is a true `flags.unknot`."""
+        try:
+            return self._declared[name]
         except KeyError:
             raise CorpusError(f"unknown knot name {name!r}") from None
 
     def names(self) -> list[str]:
-        return sorted(self._by_name)
+        return sorted(self._declared)
+
+    def _enrich(self, roots: Iterable[str]) -> None:
+        """Enrich the records that `roots` reach, each after its references."""
+        declared, enriched = self._declared, self._enriched
+        order, cycle = _walk(
+            [name for name in roots if name not in enriched],
+            lambda name: [r for r in declared[name].references() if r in declared and r not in enriched],
+        )
+        if cycle is not None:
+            raise CorpusError(f"circular composite references among {sorted(cycle[1:])}")
+        for name in order:
+            enriched[name] = enrich_record(declared[name], enriched)
 
 
 def normalize_volume(text: str) -> str:
@@ -408,7 +443,8 @@ def genus_interval(record: KnotRecord) -> tuple[int, int | None]:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Load, validate, and enrich a corpus file."""
+    """Load and validate a corpus file; its records are enriched on first
+    read (see `build_corpus`)."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus file not found: {path}")
@@ -422,6 +458,10 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def build_corpus(records: list[KnotRecord]) -> Corpus:
+    """Check names and references: no duplicate names, no dangling
+    reference, no two names for one connected sum, no mutant class of one
+    record, no circular references.  Enrichment waits for the first read
+    of each record."""
     by_name: dict[str, KnotRecord] = {}
     for record in records:
         if record.name in by_name:
@@ -453,14 +493,10 @@ def build_corpus(records: list[KnotRecord]) -> Corpus:
         if count < 2:
             raise CorpusError(f"mutant class {label!r} has no peer record")
 
-    # Parts before the records built from them: one pass enriches all.
-    order, cycle = _walk([r.name for r in records], lambda name: by_name[name].references())
+    cycle = _walk([r.name for r in records], lambda name: by_name[name].references())[1]
     if cycle is not None:
         raise CorpusError(f"circular composite references among {sorted(cycle[1:])}")
-    enriched: dict[str, KnotRecord] = {}
-    for name in order:
-        enriched[name] = enrich_record(by_name[name], enriched)
-    return Corpus(tuple(enriched[r.name] for r in records))
+    return Corpus(records)
 
 
 def _walk(roots: Iterable[str], children: Callable[[str], Iterable[str]]) -> tuple[list[str], list[str] | None]:

@@ -99,30 +99,33 @@ def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGra
     >>> [(e.src, e.dst, e.certificate.rule_id) for e in graph.edges]
     [('3_1', 'unknot', 'C0_unknot'), ('granny', '3_1', 'C1_connected_sum'), ('granny', 'unknot', 'C0_unknot')]
     """
+    # Structure is read as declared, so only the records certified and
+    # the candidates tested are enriched: enrichment keeps the references
+    # and only ever sets `unknot` to False.
     names = corpus.names()
-    records = {name: corpus.get(name) for name in names}
-    unknots = [name for name in names if records[name].flags.unknot is True]
+    declared = {name: corpus.declared(name) for name in names}
+    unknots = [name for name in names if declared[name].flags.unknot is True]
     holders: dict[str, list[str]] = {}  # summand -> records having it
     for name in names:
-        for summand in set(records[name].summands()):
+        for summand in set(declared[name].summands()):
             holders.setdefault(summand, []).append(name)
 
     edges: list[Edge] = []
     succ: dict[str, list[str]] = {}  # certified record -> its direct successors
     conflicts: list[tuple[str, str, str, list[str]]] = []
     # an unknown root raises CorpusError; the first root is certified first
-    stack = (names if roots is None else [corpus.get(name).name for name in roots])[::-1]
+    stack = (names if roots is None else [corpus.declared(name).name for name in roots])[::-1]
     while stack:
         root = stack.pop()
         if root in succ:
             continue
         order, cycle = _walk(
-            [root], lambda name: [s for s in records[name].connected_sum_of or () if s not in succ]
+            [root], lambda name: [s for s in declared[name].connected_sum_of or () if s not in succ]
         )
         if cycle is not None:
             raise CorpusError(f"circular composite references among {sorted(cycle[1:])}")
         for src in order:
-            record = records[src]
+            record = corpus.get(src)
             candidates = set(unknots)
             if record.satellite_of is not None:
                 candidates.update(record.satellite_of[:2])
@@ -134,15 +137,16 @@ def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGra
                 for summand in reach:
                     candidates.update(
                         name for name in holders.get(summand, ())
-                        if reach.issuperset(records[name].summands())
+                        if reach.issuperset(declared[name].summands())
                     )
             candidates.discard(src)
             succ[src] = []
             for dst in sorted(candidates):
-                certificate = certificate_search(record, records[dst], known)
+                target = corpus.get(dst)
+                certificate = certificate_search(record, target, known)
                 if certificate is None:
                     continue
-                if negatives := _negatives(record, records[dst]):
+                if negatives := _negatives(record, target):
                     conflicts.append((src, dst, certificate.rule_id, sorted(negatives)))
                 else:
                     edges.append(Edge(src, dst, certificate))
@@ -161,14 +165,16 @@ def build_graph(corpus: Corpus) -> DominationGraph:
     """The edges of `certify` closed under transitivity: a pair reached in
     two or more steps gets a `C5_transitive` certificate with its canonical
     witness chain unless a rule blocks it.  The audit of `certify` gains
-    the blocked pairs and a cycle among the direct edges, if any."""
+    the blocked pairs and a cycle among the direct edges, if any.  It
+    reads every record first, so an invalid one fails in input order."""
+    records = {r.name: r for r in corpus.records}
     graph = certify(corpus)
     succ = {name: graph.successors(name) for name in graph.nodes}
     closure = {(e.src, e.dst): e.certificate for e in graph.edges}
     audit = list(graph.audit_log)
     for src in graph.nodes:
         for dst, chain in _canonical_chains(src, succ).items():
-            if _negatives(corpus.get(src), corpus.get(dst)):
+            if _negatives(records[src], records[dst]):
                 audit.append(f"conflict: {src} -> {dst} reachable through {list(chain)} but obstructed")
             else:
                 closure[(src, dst)] = Certificate("C5_transitive", chain)

@@ -14,10 +14,12 @@ of Laurent polynomials over Q, accepting only an integral quotient;
 `trial_division_is_prime_power` factors by trial division up to the
 square root; `backtracking_summands_cover` matches summands by recursive
 backtracking; `eager_enrich_record` computes the Jones polynomial of every
-diagram within the budget at enrichment.  The library's frontier sweep,
+diagram within the budget at enrichment; `eager_build_corpus` enriches
+every record of a corpus at load.  The library's frontier sweep,
 Kronecker determinant, integer division, integer evaluation,
-normalization, Miller-Rabin test, augmenting-path matching and Jones
-computed only where it is read must agree with them.
+normalization, Miller-Rabin test, augmenting-path matching, Jones
+computed only where it is read and records enriched on first read must
+agree with them.
 """
 from __future__ import annotations
 
@@ -27,7 +29,7 @@ from fractions import Fraction
 
 from knotdom.alexander import JONES_CROSSING_BUDGET, _permutation_sign, jones_polynomial
 from knotdom.diagram import PDCode, WirtingerPresentation
-from knotdom.knotbase import CorpusError, KnotRecord, enrich_record
+from knotdom.knotbase import Corpus, CorpusError, KnotRecord, _walk, build_corpus, enrich_record
 from knotdom.laurent import LaurentPoly, format_poly, is_prime
 
 _ONE = LaurentPoly.const(1)
@@ -484,3 +486,15 @@ def eager_enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | No
     if at_minus_one != enriched.determinant:
         raise CorpusError(f"{name}: |jones(-1)| = {at_minus_one} != determinant {enriched.determinant}")
     return enriched._replace(jones=jones)
+
+
+def eager_build_corpus(records: list[KnotRecord]) -> Corpus:
+    """`build_corpus` that enriches every record at load, in input order,
+    each after the records it references, and holds the enriched records."""
+    build_corpus(records)  # names and references
+    by_name = {r.name: r for r in records}
+    order = _walk([r.name for r in records], lambda name: by_name[name].references())[0]
+    enriched: dict[str, KnotRecord] = {}
+    for name in order:
+        enriched[name] = enrich_record(by_name[name], enriched)
+    return Corpus(tuple(enriched[r.name] for r in records))

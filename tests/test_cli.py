@@ -321,6 +321,18 @@ class TestVerifyPaper:
         assert code == EXIT_OK
         assert out == run(capsys, "verify-paper")[1]
 
+    @pytest.mark.parametrize("name, field", [("ks_cable23_of_4_1", "jones"), ("5_2", "diagram")])
+    def test_fixture_missing_a_field_is_a_clean_error(self, capsys, tmp_path, corpus_path, name, field):
+        entries = json.loads(corpus_path.read_text())
+        for entry in entries:
+            if entry["name"] == name:
+                del entry[field]
+        path = tmp_path / "corpus.json"
+        path.write_text(json.dumps(entries))
+        assert run(capsys, "verify-paper", "--corpus", str(path)) == (
+            EXIT_USAGE, "", f"error: missing or invalid fixture: {name}: missing field {field!r}\n"
+        )
+
     def test_run_verification_report_shape(self, corpus_path):
         report = run_verification(corpus_path)
         ids = [c.check_id for c in report.checks]

@@ -1,12 +1,13 @@
 """Corpus loading, record enrichment, cross-validation, flag closure."""
 import itertools
 import json
+import random
 
 import pytest
 
-from knotdom import alexander
+from knotdom import alexander, knotbase, poset
 from knotdom.alexander import alexander_polynomial
-from knotdom.cli import run_verification
+from knotdom.cli import EXIT_OK, EXIT_USAGE, main, run_verification
 from knotdom.diagram import parse_pd
 from knotdom.knotbase import (
     Corpus,
@@ -22,8 +23,12 @@ from knotdom.knotbase import (
     record_from_json,
 )
 from knotdom.laurent import format_poly, parse_poly
+from knotdom.poset import build_graph, certify
 
+from kernel_oracle import eager_build_corpus
+from test_cli import run
 from test_kernels import random_closures
+from test_poset import random_corpus, satellite_chain
 
 EXPECTED_NAMES = {
     "unknot", "3_1", "4_1", "5_1", "5_2", "6_2", "granny",
@@ -222,12 +227,14 @@ class TestJonesAtLoad:
 
     def test_bundled_load_brackets_only_declared_jones(self, brackets, corpus_path):
         corpus = load_corpus(corpus_path)
+        list(corpus)  # enriches every record
         declared = ("3_1", "4_1", "trefoil_alt_diagram")
         assert sorted(map(str, brackets)) == sorted(str(corpus.get(name).diagram) for name in declared)
         assert corpus.get("5_2").jones is None
 
     def test_verify_paper_reads_the_loaded_trefoil_jones(self, brackets, corpus_path):
-        # the check on the trefoil's Jones reuses the bracket of the load
+        # verify-paper reads every record first, which brackets the three
+        # declared Jones polynomials; the check on the trefoil's reuses its
         run_verification(corpus_path)
         calls = list(brackets)
         corpus = load_corpus(corpus_path)
@@ -375,3 +382,158 @@ def test_build_corpus_enriches_parts_listed_later():
     assert all(r.enriched for r in corpus)
     assert corpus.get("sum").delta == parse_poly("1 - 4t + 5t^2 - 4t^3 + t^4")
     assert corpus.get("sat").delta == parse_poly("1 - t + t^2") * parse_poly("1 - 4t^2 + 5t^4 - 4t^6 + t^8")
+
+
+def oracle_cases(corpus_path):
+    """The declared records of the bundled corpus, of seeded generated
+    corpora and of a 60-deep satellite chain."""
+    cases = [[record_from_json(entry) for entry in json.loads(corpus_path.read_text())]]
+    for seed in range(20):
+        generated = random_corpus(seed)
+        cases.append([generated.declared(name) for name in generated.names()])
+    cases.append([record_from_json(entry) for entry in satellite_chain(60)])
+    return cases
+
+
+def reach(corpus, names):
+    """`names` and every record they reference, transitively."""
+    seen, stack = set(), list(names)
+    while stack:
+        name = stack.pop()
+        if name not in seen:
+            seen.add(name)
+            stack.extend(corpus.declared(name).references())
+    return seen
+
+
+class TestEnrichOnFirstRead:
+    @pytest.fixture(scope="class")
+    def cases(self, corpus_path):
+        return [(records, eager_build_corpus(records)) for records in oracle_cases(corpus_path)]
+
+    @pytest.fixture
+    def enriched(self, monkeypatch):
+        """The names of the records enriched, in call order."""
+        names = []
+        enrich = knotbase.enrich_record
+        monkeypatch.setattr(
+            knotbase, "enrich_record", lambda record, siblings=None: names.append(record.name) or enrich(record, siblings)
+        )
+        return names
+
+    @pytest.fixture
+    def certify_reads(self, monkeypatch):
+        """The records `certify` certifies or tests, as it runs."""
+        names = []
+        search, rooted = poset.certificate_search, poset.certify
+
+        def recording_search(k1, k2, certified=None):
+            names.append(k2.name)
+            return search(k1, k2, certified)
+
+        def recording_certify(corpus, roots=None):
+            graph = rooted(corpus, roots)
+            names.extend(graph.nodes)
+            return graph
+
+        monkeypatch.setattr(poset, "certificate_search", recording_search)
+        monkeypatch.setattr(poset, "certify", recording_certify)
+        return names
+
+    @pytest.fixture
+    def invalid_path(self, corpus_path, tmp_path):
+        """The bundled corpus with an unreferenced satellite `x` whose
+        declared delta is wrong, listed first, and a non-palindromic `z`,
+        listed last."""
+        x = {"name": "x", "satellite_of": ["3_1", "4_1", 1], "delta": "1"}
+        z = {"name": "z", "delta": "1 + t - t^2"}
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps([x, *json.loads(corpus_path.read_text()), z]))
+        return path
+
+    def test_load_enriches_nothing(self, enriched, corpus_path):
+        corpus = load_corpus(corpus_path)
+        assert len(corpus) == len(corpus.names()) == 12 and "granny" in corpus
+        assert corpus.declared("granny").enriched is False
+        assert enriched == []
+
+    def test_get_in_any_order_matches_eager_load(self, cases):
+        for records, eager in cases:
+            corpus = build_corpus(records)
+            names = corpus.names()
+            random.Random(len(names)).shuffle(names)
+            for name in names:
+                assert corpus.get(name) == eager.get(name), name
+            assert corpus == eager
+
+    def test_rooted_certify_matches_eager_load(self, cases):
+        for records, eager in cases:
+            for name in eager.names():
+                assert certify(build_corpus(records), [name]) == certify(eager, [name]), name
+
+    def test_build_graph_matches_eager_load(self, cases):
+        for records, eager in cases:
+            assert build_graph(build_corpus(records)) == build_graph(eager)
+
+    def test_invariants_enrich_what_the_name_references(self, capsys, enriched, corpus_path, tmp_path):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps(satellite_chain(30)))
+        for path in (corpus_path, chain):
+            corpus = load_corpus(path)
+            for name in corpus.names():
+                enriched.clear()
+                assert main(["--corpus", str(path), "invariants", name]) == EXIT_OK
+                assert sorted(enriched) == sorted(reach(corpus, [name])), name
+        capsys.readouterr()
+
+    def test_check_enriches_what_both_names_reference(self, capsys, enriched, corpus):
+        for a, b in itertools.product(corpus.names(), repeat=2):
+            enriched.clear()
+            main(["check", a, b])
+            assert sorted(enriched) == sorted(reach(corpus, [a, b])), (a, b)
+        capsys.readouterr()
+
+    def test_chain_bound_enriches_what_certify_reads(self, capsys, enriched, certify_reads, corpus_path, tmp_path):
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps(satellite_chain(30)))
+        for path in (corpus_path, chain):
+            corpus = load_corpus(path)
+            for name in corpus.names():
+                enriched.clear()
+                certify_reads.clear()
+                assert main(["--corpus", str(path), "chain-bound", name]) == EXIT_OK
+                assert sorted(enriched) == sorted(reach(corpus, certify_reads)), name
+        capsys.readouterr()
+
+    def test_rooted_certify_enriches_what_it_reads(self, enriched, certify_reads, cases):
+        # a tested candidate is enriched after the records it references
+        beyond = 0
+        for records, _ in cases:
+            for name in sorted(r.name for r in records):
+                enriched.clear()
+                certify_reads.clear()
+                corpus = build_corpus(records)
+                poset.certify(corpus, [name])
+                assert sorted(enriched) == sorted(reach(corpus, certify_reads)), name
+                beyond += len(enriched) > len(set(certify_reads))
+        assert beyond
+
+    @pytest.mark.parametrize("argv", [("invariants", "3_1"), ("check", "granny", "3_1"), ("chain-bound", "granny")])
+    @pytest.mark.parametrize("form", [(), ("--json",)])
+    def test_queries_read_past_invalid_records(self, capsys, invalid_path, argv, form):
+        expected = run(capsys, *form, *argv)
+        assert expected[0] == EXIT_OK
+        assert run(capsys, "--corpus", str(invalid_path), *form, *argv) == expected
+
+    def test_whole_corpus_commands_report_the_first_invalid_record(self, capsys, invalid_path):
+        error = "x: declared delta (satellite) 1 != computed 1 - 4t + 5t^2 - 4t^3 + t^4"
+        for form in ((), ("--json",)):
+            assert run(capsys, "--corpus", str(invalid_path), *form, "poset") == (EXIT_USAGE, "", f"error: {error}\n")
+            assert run(capsys, "--corpus", str(invalid_path), *form, "verify-paper") == (
+                EXIT_USAGE, "", f"error: missing or invalid fixture: {error}\n"
+            )
+
+    def test_invariants_of_an_invalid_record_name_it(self, capsys, invalid_path):
+        assert run(capsys, "--corpus", str(invalid_path), "invariants", "z") == (
+            EXIT_USAGE, "", "error: z: delta 1 + t - t^2 is not palindromic\n"
+        )
