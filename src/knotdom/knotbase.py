@@ -2,15 +2,17 @@
 metadata, and computed invariants.
 
 Records come from a JSON file (one top-level array of objects, field
-names as in KnotRecord).  Loading checks the schema, the PD, braid and
-polynomial syntax, and the references between records.  A record is
-enriched on its first read: its invariants are computed and its declared
-values cross-checked against them, so a record whose declared Alexander
-or Jones polynomial disagrees with its diagram, braid, or composite
-construction is rejected before any output reads it.  Reading every
-record (`Corpus.records`) checks them all.  Class flags are tri-state:
-True, False, or None for unknown; unknown never drives a downstream
-rule.
+names as in KnotRecord).  Loading checks only the structure: each
+record's name, references, mutant class and `flags.unknot`
+(`record_shape`), and the references between records.  A record is
+parsed and enriched on its first read: `record_from_json` checks its
+fields and the PD, braid and polynomial syntax, then its invariants are
+computed and its declared values cross-checked against them, so a record
+whose declared Alexander or Jones polynomial disagrees with its diagram,
+braid, or composite construction is rejected before any output reads it.
+Reading every record (`Corpus.records`) checks them all.  Class flags
+are tri-state: True, False, or None for unknown; unknown never drives a
+downstream rule.
 """
 from __future__ import annotations
 
@@ -97,19 +99,25 @@ class KnotRecord(NamedTuple):
 
 class Corpus(_Frozen):
     """Name-indexed knot records, each enriched on its first read, after
-    the records it references.  `records` and iteration enrich every
-    record, in input order; equality compares the enriched records.
-    Records given already enriched are kept as they are."""
+    the records it references.  A record given as its shape
+    (`record_shape`), with its JSON object in `raw` under its name, is
+    parsed by `record_from_json` just before it is enriched.
+    `records` and iteration parse every record, then enrich every
+    record, each in input order; equality compares the enriched
+    records.  Records given already enriched are kept as they are."""
 
-    __slots__ = ("_declared", "_enriched")
+    __slots__ = ("_declared", "_raw", "_enriched")
 
-    def __init__(self, records: Iterable[KnotRecord]) -> None:
+    def __init__(self, records: Iterable[KnotRecord], raw: dict[str, dict] | None = None) -> None:
         records = tuple(records)
         object.__setattr__(self, "_declared", {r.name: r for r in records})
+        object.__setattr__(self, "_raw", dict(raw or {}))
         object.__setattr__(self, "_enriched", {r.name: r for r in records if r.enriched})
 
     @property
     def records(self) -> tuple[KnotRecord, ...]:
+        for name in list(self._raw):
+            self._parse(name)
         self._enrich(self._declared)
         return tuple(self._enriched[name] for name in self._declared)
 
@@ -135,8 +143,9 @@ class Corpus(_Frozen):
             return self._enriched[name]
 
     def declared(self, name: str) -> KnotRecord:
-        """The record as read, before enrichment.  Its name and references
-        are those of the enriched record, and so is a true `flags.unknot`."""
+        """The record before enrichment: its shape until it is first read,
+        then as parsed.  Either way its name and references are those of
+        the enriched record, and so is a true `flags.unknot`."""
         try:
             return self._declared[name]
         except KeyError:
@@ -145,8 +154,17 @@ class Corpus(_Frozen):
     def names(self) -> list[str]:
         return sorted(self._declared)
 
+    def _parse(self, name: str) -> KnotRecord:
+        """The declared record, parsed from its JSON object if not yet."""
+        obj = self._raw.get(name)
+        if obj is not None:
+            self._declared[name] = record_from_json(obj)
+            self._raw.pop(name, None)  # another thread may have parsed it too
+        return self._declared[name]
+
     def _enrich(self, roots: Iterable[str]) -> None:
-        """Enrich the records that `roots` reach, each after its references."""
+        """Parse and enrich the records that `roots` reach, each after its
+        references."""
         declared, enriched = self._declared, self._enriched
         order, cycle = _walk(
             [name for name in roots if name not in enriched],
@@ -155,7 +173,7 @@ class Corpus(_Frozen):
         if cycle is not None:
             raise CorpusError(f"circular composite references among {sorted(cycle[1:])}")
         for name in order:
-            enriched[name] = enrich_record(declared[name], enriched)
+            enriched[name] = enrich_record(self._parse(name), enriched)
 
 
 def normalize_volume(text: str) -> str:
@@ -179,54 +197,26 @@ def normalize_volume(text: str) -> str:
 _RECORD_KEYS = set(KnotRecord._fields) - {"enriched"}
 
 
-def record_from_json(obj: dict) -> KnotRecord:
+def _field(obj: dict, name: str, key: str, kind: type):
+    value = obj.get(key)
+    if value is not None and not isinstance(value, kind):
+        raise CorpusError(f"{name}: field {key!r} has the wrong type")
+    return value
+
+
+def record_shape(obj: dict) -> KnotRecord:
+    """What loading checks of a corpus entry: that it is an object with a
+    name, and its references, mutant class and `flags.unknot`, which the
+    corpus-wide checks and `poset.certify` read.  The record holds only
+    these; `record_from_json` checks and parses the rest."""
     if not isinstance(obj, dict):
         raise CorpusError(f"corpus entry is not an object: {obj!r}")
-    unknown = set(obj) - _RECORD_KEYS
-    if unknown:
-        raise CorpusError(f"unknown record fields {sorted(unknown)} in {obj.get('name')!r}")
     name = obj.get("name")
     if not isinstance(name, str) or not name:
         raise CorpusError(f"record is missing a name: {obj!r}")
-
-    def expect(key, kind):
-        value = obj.get(key)
-        if value is not None and not isinstance(value, kind):
-            raise CorpusError(f"{name}: field {key!r} has the wrong type")
-        return value
-
-    diagram = None
-    if (pd_text := expect("diagram", str)) is not None:
-        try:
-            diagram = parse_pd(pd_text)
-        except DiagramError as exc:
-            raise CorpusError(f"{name}: {exc}") from exc
-    braid = None
-    if (braid_text := expect("braid", str)) is not None:
-        try:
-            braid = parse_braid(braid_text)
-        except DiagramError as exc:
-            raise CorpusError(f"{name}: {exc}") from exc
-
-    def poly(key):
-        text = expect(key, str)
-        if text is None:
-            return None
-        try:
-            return parse_poly(text)
-        except ValueError as exc:
-            raise CorpusError(f"{name}: bad polynomial in {key!r}: {exc}") from exc
-
-    flags_obj = expect("flags", dict) or {}
-    for key, value in flags_obj.items():
-        if key not in Flags._fields:
-            raise CorpusError(f"{name}: unknown flag {key!r}")
-        if not isinstance(value, bool):
-            raise CorpusError(f"{name}: flag {key!r} must be true or false, not {value!r}")
-
-    sum_of_simple = obj.get("sum_of_simple")
-    if sum_of_simple is not None and not isinstance(sum_of_simple, bool):
-        raise CorpusError(f"{name}: sum_of_simple must be true or false")
+    unknot = (_field(obj, name, "flags", dict) or {}).get("unknot")
+    if unknot is not None and not isinstance(unknot, bool):
+        raise CorpusError(f"{name}: flag 'unknot' must be true or false, not {unknot!r}")
 
     connected_sum_of = None
     if (summands := obj.get("connected_sum_of")) is not None:
@@ -244,15 +234,66 @@ def record_from_json(obj: dict) -> KnotRecord:
             raise CorpusError(f"{name}: satellite_of must be [pattern, companion, winding >= 0]")
         satellite_of = (sat[0], sat[1], sat[2])
 
+    return KnotRecord(
+        name=name,
+        flags=Flags(unknot=unknot),
+        mutant_class=_field(obj, name, "mutant_class", str),
+        connected_sum_of=connected_sum_of,
+        satellite_of=satellite_of,
+    )
+
+
+def record_from_json(obj: dict) -> KnotRecord:
+    """A corpus entry checked and parsed: its shape (`record_shape`), the
+    field names, the PD, braid and polynomial text, the flags,
+    `sum_of_simple` and the integer fields.  The volume is kept as
+    written; enrichment normalizes it."""
+    shape = record_shape(obj)
+    name = shape.name
+    unknown = set(obj) - _RECORD_KEYS
+    if unknown:
+        raise CorpusError(f"unknown record fields {sorted(unknown)} in {name!r}")
+
+    diagram = None
+    if (pd_text := _field(obj, name, "diagram", str)) is not None:
+        try:
+            diagram = parse_pd(pd_text)
+        except DiagramError as exc:
+            raise CorpusError(f"{name}: {exc}") from exc
+    braid = None
+    if (braid_text := _field(obj, name, "braid", str)) is not None:
+        try:
+            braid = parse_braid(braid_text)
+        except DiagramError as exc:
+            raise CorpusError(f"{name}: {exc}") from exc
+
+    def poly(key):
+        text = _field(obj, name, key, str)
+        if text is None:
+            return None
+        try:
+            return parse_poly(text)
+        except ValueError as exc:
+            raise CorpusError(f"{name}: bad polynomial in {key!r}: {exc}") from exc
+
+    flags_obj = obj.get("flags") or {}
+    for key, value in flags_obj.items():
+        if key not in Flags._fields:
+            raise CorpusError(f"{name}: unknown flag {key!r}")
+        if not isinstance(value, bool):
+            raise CorpusError(f"{name}: flag {key!r} must be true or false, not {value!r}")
+
+    sum_of_simple = obj.get("sum_of_simple")
+    if sum_of_simple is not None and not isinstance(sum_of_simple, bool):
+        raise CorpusError(f"{name}: sum_of_simple must be true or false")
+
     def integer(key):
         value = obj.get(key)
         if value is not None and (not isinstance(value, int) or isinstance(value, bool) or value < 0):
             raise CorpusError(f"{name}: field {key!r} must be a nonnegative integer")
         return value
 
-    volume = expect("volume", str)
-    return KnotRecord(
-        name=name,
+    return shape._replace(
         diagram=diagram,
         braid=braid,
         delta=poly("delta"),
@@ -262,12 +303,9 @@ def record_from_json(obj: dict) -> KnotRecord:
         genus_upper=integer("genus_upper"),
         genus_exact=integer("genus_exact"),
         ghat=integer("ghat"),
-        volume=normalize_volume(volume) if volume is not None else None,
+        volume=_field(obj, name, "volume", str),
         flags=Flags(**flags_obj),
         sum_of_simple=sum_of_simple,
-        mutant_class=expect("mutant_class", str),
-        connected_sum_of=connected_sum_of,
-        satellite_of=satellite_of,
     )
 
 
@@ -443,8 +481,8 @@ def genus_interval(record: KnotRecord) -> tuple[int, int | None]:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Load and validate a corpus file; its records are enriched on first
-    read (see `build_corpus`)."""
+    """Load a corpus file and check its structure (`record_shape` and
+    `build_corpus`); each record is parsed and enriched on first read."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus file not found: {path}")
@@ -454,14 +492,16 @@ def load_corpus(path: str | Path) -> Corpus:
         raise CorpusError(f"corpus file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise CorpusError(f"corpus file {path} must hold a top-level array")
-    return build_corpus([record_from_json(obj) for obj in data])
+    shapes = [record_shape(obj) for obj in data]
+    return build_corpus(shapes, {shape.name: obj for shape, obj in zip(shapes, data)})
 
 
-def build_corpus(records: list[KnotRecord]) -> Corpus:
+def build_corpus(records: list[KnotRecord], raw: dict[str, dict] | None = None) -> Corpus:
     """Check names and references: no duplicate names, no dangling
     reference, no two names for one connected sum, no mutant class of one
-    record, no circular references.  Enrichment waits for the first read
-    of each record."""
+    record, no circular references.  Enrichment, and the parse of the
+    records given as shapes with their JSON objects in `raw` (see
+    `Corpus`), waits for the first read of each record."""
     by_name: dict[str, KnotRecord] = {}
     for record in records:
         if record.name in by_name:
@@ -496,7 +536,7 @@ def build_corpus(records: list[KnotRecord]) -> Corpus:
     cycle = _walk([r.name for r in records], lambda name: by_name[name].references())[1]
     if cycle is not None:
         raise CorpusError(f"circular composite references among {sorted(cycle[1:])}")
-    return Corpus(records)
+    return Corpus(records, raw)
 
 
 def _walk(roots: Iterable[str], children: Callable[[str], Iterable[str]]) -> tuple[list[str], list[str] | None]:

@@ -15,21 +15,24 @@ of Laurent polynomials over Q, accepting only an integral quotient;
 square root; `backtracking_summands_cover` matches summands by recursive
 backtracking; `eager_enrich_record` computes the Jones polynomial of every
 diagram within the budget at enrichment; `eager_build_corpus` enriches
-every record of a corpus at load.  The library's frontier sweep,
-Kronecker determinant, integer division, integer evaluation,
-normalization, Miller-Rabin test, augmenting-path matching, Jones
-computed only where it is read and records enriched on first read must
-agree with them.
+every record of a corpus at load; `eager_load_corpus` parses every record
+of a corpus file at load.  The library's frontier sweep, Kronecker
+determinant, integer division, integer evaluation, normalization,
+Miller-Rabin test, augmenting-path matching, Jones computed only where it
+is read and records parsed and enriched on first read must agree with
+them.
 """
 from __future__ import annotations
 
 import itertools
+import json
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 from knotdom.alexander import JONES_CROSSING_BUDGET, _permutation_sign, jones_polynomial
 from knotdom.diagram import PDCode, WirtingerPresentation
-from knotdom.knotbase import Corpus, CorpusError, KnotRecord, _walk, build_corpus, enrich_record
+from knotdom.knotbase import Corpus, CorpusError, KnotRecord, _walk, build_corpus, enrich_record, record_from_json
 from knotdom.laurent import LaurentPoly, format_poly, is_prime
 
 _ONE = LaurentPoly.const(1)
@@ -498,3 +501,9 @@ def eager_build_corpus(records: list[KnotRecord]) -> Corpus:
     for name in order:
         enriched[name] = enrich_record(by_name[name], enriched)
     return Corpus(tuple(enriched[r.name] for r in records))
+
+
+def eager_load_corpus(path: str | Path) -> Corpus:
+    """`load_corpus` that parses every record at load: `record_from_json`
+    on every entry, in input order, then `build_corpus`."""
+    return build_corpus([record_from_json(obj) for obj in json.loads(Path(path).read_text(encoding="utf-8"))])

@@ -2,6 +2,7 @@
 import itertools
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -25,7 +26,7 @@ from knotdom.knotbase import (
 from knotdom.laurent import format_poly, parse_poly
 from knotdom.poset import build_graph, certify
 
-from kernel_oracle import eager_build_corpus
+from kernel_oracle import eager_build_corpus, eager_load_corpus
 from test_cli import run
 from test_kernels import random_closures
 from test_poset import random_corpus, satellite_chain
@@ -336,7 +337,8 @@ class TestVolumes:
         assert normalize_volume("-0") == normalize_volume("-0.0") == normalize_volume("0.0") == "0.00000000"
         assert normalize_volume("99999999999999999999.9") == "99999999999999999999.90000000"
         records = [record_from_json({"name": n, "delta": "1", "volume": v}) for n, v in (("a", "-0"), ("b", "0.0"))]
-        assert records[0].volume == records[1].volume == "0.00000000"
+        corpus = build_corpus(records)
+        assert corpus.get("a").volume == corpus.get("b").volume == "0.00000000"
 
     def test_mutant_volumes_equal(self, corpus):
         assert corpus.get("KT_mutant").volume == corpus.get("Conway_mutant").volume
@@ -537,3 +539,143 @@ class TestEnrichOnFirstRead:
         assert run(capsys, "--corpus", str(invalid_path), "invariants", "z") == (
             EXIT_USAGE, "", "error: z: delta 1 + t - t^2 is not palindromic\n"
         )
+
+
+class TestParseOnFirstRead:
+    @pytest.fixture
+    def chain_path(self, tmp_path):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(satellite_chain(150)))
+        return path
+
+    @pytest.fixture
+    def parsed(self, monkeypatch):
+        """Calls of the text parsers as knotbase imports them, by parser."""
+        calls = Counter()
+        for parser in ("parse_pd", "parse_braid", "parse_poly"):
+            original = getattr(knotbase, parser)
+            monkeypatch.setattr(
+                knotbase, parser, lambda text, parser=parser, original=original: calls.update([parser]) or original(text)
+            )
+        return calls
+
+    def test_get_in_any_order_matches_eager_parse(self, corpus_path, chain_path):
+        for path in (corpus_path, chain_path):
+            eager = eager_load_corpus(path)
+            corpus = load_corpus(path)
+            names = corpus.names()
+            random.Random(len(names)).shuffle(names)
+            for name in names:
+                assert corpus.get(name) == eager.get(name), name
+            assert corpus.records == load_corpus(path).records == eager.records
+
+    def test_declared_shape_keeps_what_certify_reads(self, corpus_path, chain_path):
+        for path in (corpus_path, chain_path):
+            corpus, eager = load_corpus(path), eager_load_corpus(path)
+            for name in eager.names():
+                shape, record = corpus.declared(name), eager.get(name)
+                assert (shape.name, shape.references()) == (record.name, record.references())
+                assert shape.mutant_class == record.mutant_class
+                assert (shape.flags.unknot is True) == (record.flags.unknot is True), name
+                assert corpus.get(name) == record and corpus.declared(name) == eager.declared(name)
+
+    @pytest.mark.parametrize("entry", [
+        ["x"],
+        {"delta": "1"},
+        {"name": "x", "connected_sum_of": ["a"]},
+        {"name": "x", "satellite_of": ["a", "b", -1]},
+        {"name": "x", "flags": ["unknot"]},
+        {"name": "x", "flags": {"unknot": 1}},
+        {"name": "x", "mutant_class": 7},
+    ])
+    def test_load_checks_the_shape(self, parsed, tmp_path, entry):
+        # the first entry has a PD syntax error, which waits for first read
+        path = tmp_path / "shape.json"
+        path.write_text(json.dumps([{"name": "w", "diagram": "X(1,"}, entry]))
+        with pytest.raises(CorpusError) as expected:
+            record_from_json(entry)
+        with pytest.raises(CorpusError) as error:
+            load_corpus(path)
+        assert str(error.value) == str(expected.value)
+        assert parsed == Counter()
+
+    def test_load_parses_no_text(self, parsed, corpus_path, chain_path):
+        for path in (corpus_path, chain_path):
+            load_corpus(path)
+        assert parsed == Counter()
+
+    def test_invariants_parse_what_the_name_reaches(self, capsys, parsed, corpus_path, tmp_path):
+        # each text field of a record the enrichment walk reaches parses
+        # once, and no other; the chain's root reaches all 62 records,
+        # its last pattern only itself
+        chain = tmp_path / "chain.json"
+        chain.write_text(json.dumps(satellite_chain(60)))
+        parser = {"diagram": "parse_pd", "braid": "parse_braid", "delta": "parse_poly", "jones": "parse_poly"}
+        sizes = {}
+        for path in (corpus_path, chain):
+            entries = {entry["name"]: entry for entry in json.loads(path.read_text())}
+            for name in entries:
+                parsed.clear()
+                assert main(["--corpus", str(path), "invariants", name]) == EXIT_OK
+                reached = reach(load_corpus(path), [name])
+                assert parsed == Counter(parser[key] for n in reached for key in entries[n] if key in parser), name
+                sizes[name] = len(reached)
+        assert (sizes["a0000"], sizes["a0060"], sizes["granny"]) == (62, 1, 2)
+        capsys.readouterr()
+
+    def test_volume_normalized_once_on_first_read(self, monkeypatch, tmp_path):
+        calls = []
+        normalize = knotbase.normalize_volume
+        monkeypatch.setattr(knotbase, "normalize_volume", lambda text: calls.append(text) or normalize(text))
+        path = tmp_path / "volume.json"
+        path.write_text(json.dumps([
+            {"name": "k", "delta": "1 - t + t^2", "volume": "-0"},
+            {"name": "bad", "delta": "1 - t + t^2", "volume": "fast"},
+        ]))
+        corpus = load_corpus(path)
+        assert calls == []
+        assert corpus.get("k").volume == "0.00000000" and calls == ["-0"]
+        with pytest.raises(CorpusError) as error:
+            corpus.get("bad")
+        assert str(error.value) == "volume 'fast' is not a decimal string"
+
+    SYNTAX_ERRORS = {
+        "pd": {"diagram": "X(1,4,2,5) X(3,6"},
+        "braid": {"braid": "B2: 1 x 1"},
+        "polynomial": {"jones": "t +* 1"},
+        "flag": {"flags": {"fibred": "yes"}},
+        "determinant": {"determinant": -3},
+        "field": {"colour": "red"},
+    }
+
+    @pytest.fixture(params=SYNTAX_ERRORS, ids=str)
+    def syntax_error(self, request, corpus_path, tmp_path):
+        """The bundled corpus with two unreferenced records, `x` in the
+        middle and then `y`, each with one syntax error, and the error
+        parsing `x` gives."""
+        x = {"name": "x", "delta": "1 - t + t^2", **self.SYNTAX_ERRORS[request.param]}
+        y = {"name": "y", "delta": "1 - t + t^2", "braid": "B2: 1 1 y"}
+        entries = json.loads(corpus_path.read_text())
+        path = tmp_path / "invalid.json"
+        path.write_text(json.dumps([*entries[:6], x, *entries[6:], y]))
+        with pytest.raises(CorpusError) as error:
+            record_from_json(x)
+        return path, str(error.value)
+
+    @pytest.mark.parametrize("argv", [("invariants", "3_1"), ("check", "granny", "3_1"), ("chain-bound", "granny")])
+    @pytest.mark.parametrize("form", [(), ("--json",)])
+    def test_queries_read_past_syntax_errors(self, capsys, syntax_error, argv, form):
+        path, _ = syntax_error
+        expected = run(capsys, *form, *argv)
+        assert expected[0] == EXIT_OK
+        assert run(capsys, "--corpus", str(path), *form, *argv) == expected
+
+    def test_whole_corpus_commands_report_the_first_syntax_error(self, capsys, syntax_error):
+        path, error = syntax_error
+        assert error.startswith("x: ") or error.endswith(" in 'x'")
+        for form in ((), ("--json",)):
+            assert run(capsys, "--corpus", str(path), *form, "poset") == (EXIT_USAGE, "", f"error: {error}\n")
+            assert run(capsys, "--corpus", str(path), *form, "verify-paper") == (
+                EXIT_USAGE, "", f"error: missing or invalid fixture: {error}\n"
+            )
+            assert run(capsys, "--corpus", str(path), *form, "invariants", "x") == (EXIT_USAGE, "", f"error: {error}\n")
