@@ -210,7 +210,7 @@ def _cmd_poset(corpus_path: Path, as_json: bool) -> int:
     corpus = load_corpus(corpus_path)
     graph = poset.build_graph(corpus)
     if as_json:
-        _emit(graph.to_json_dict())
+        graph.write_json(sys.stdout)
     else:
         print(f"nodes: {len(graph.nodes)}  edges: {len(graph.edges)}")
         for edge in graph.edges:

@@ -115,35 +115,32 @@ def _scan_obstructions(
     fired: list[ObstructionReport] = []
     passed: list[str] = []
 
-    def report(rule_id: str, violated: bool, detail: str) -> None:
+    def report(rule_id: str, violated: bool, detail: str, *args) -> None:
+        # the detail is formatted with args only when the rule fires
         if violated:
-            fired.append(ObstructionReport(rule_id, detail))
+            fired.append(ObstructionReport(rule_id, detail.format(*args)))
         else:
             passed.append(rule_id)
 
     d1, d2 = k1.delta, k2.delta
-    if exact_div(d1, d2) is None:  # the detail is formatted only when O1 fires
-        report("O1_alexander", True, f"{format_poly(d2)} does not divide {format_poly(d1)}")
+    if exact_div(d1, d2) is None:
+        report("O1_alexander", True, "{} does not divide {}", format_poly(d2), format_poly(d1))
     else:
         passed.append("O1_alexander")
 
     upper1 = genus_interval(k1)[1]
     lower2 = genus_interval(k2)[0]
     if upper1 is not None:
-        report(
-            "O2_genus",
-            upper1 < lower2,
-            f"genus at most {upper1} is below genus at least {lower2}",
-        )
+        report("O2_genus", upper1 < lower2, "genus at most {} is below genus at least {}", upper1, lower2)
 
     det1, det2 = k1.determinant, k2.determinant
-    report("O3_determinant", det1 % det2 != 0, f"{det2} does not divide {det1}")
+    report("O3_determinant", det1 % det2 != 0, "{} does not divide {}", det2, det1)
 
     if k1.volume is not None and k2.volume is not None:
         report(
             "O4_volume",
             Decimal(k1.volume) < Decimal(k2.volume),
-            f"volume {k1.volume} is below volume {k2.volume}",
+            "volume {} is below volume {}", k1.volume, k2.volume,
         )
 
     for rule_id, flag in (("O5_two_bridge", "two_bridge"), ("O6_montesinos", "montesinos")):
@@ -156,7 +153,7 @@ def _scan_obstructions(
             else:
                 other = getattr(k2.flags, flag)
                 if other is not None:
-                    report(rule_id, other is False, f"{flag}=True vs {flag}={other}")
+                    report(rule_id, other is False, "{0}=True vs {0}={1}", flag, other)
 
     ta = k1.flags.toroidally_alternating
     if ta is False:
@@ -165,21 +162,17 @@ def _scan_obstructions(
         report(
             "O7_ap_class",
             k2.sum_of_simple is False,
-            f"toroidally_alternating=True vs sum_of_simple={k2.sum_of_simple}",
+            "toroidally_alternating=True vs sum_of_simple={}", k2.sum_of_simple,
         )
 
     free1 = k1.flags.free
     if free1 is False:
         passed.append("O8_free")
     elif free1 is True and k2.flags.free is not None:
-        report("O8_free", k2.flags.free is False, f"free=True vs free={k2.flags.free}")
+        report("O8_free", k2.flags.free is False, "free=True vs free={}", k2.flags.free)
 
     if k1.ghat is not None and k2.ghat is not None:
-        report(
-            "O9_ghat",
-            k1.ghat < k2.ghat,
-            f"maximal incompressible genus {k1.ghat} is below {k2.ghat}",
-        )
+        report("O9_ghat", k1.ghat < k2.ghat, "maximal incompressible genus {} is below {}", k1.ghat, k2.ghat)
 
     lo1 = k1.flags.lo_double_cover
     if lo1 is True:
@@ -188,14 +181,14 @@ def _scan_obstructions(
         report(
             "O10_orderability",
             k2.flags.lo_double_cover is True,
-            f"lo_double_cover=False vs lo_double_cover={k2.flags.lo_double_cover}",
+            "lo_double_cover=False vs lo_double_cover={}", k2.flags.lo_double_cover,
         )
 
     if k1.name != k2.name and k1.mutant_class is not None and k2.mutant_class is not None:
         report(
             "O11_mutation",
             k1.mutant_class == k2.mutant_class,
-            f"mutant_class {k1.mutant_class!r} vs {k2.mutant_class!r}",
+            "mutant_class {!r} vs {!r}", k1.mutant_class, k2.mutant_class,
         )
 
     return fired, passed

@@ -158,7 +158,7 @@ class Corpus(_Frozen):
         """The declared record, parsed from its JSON object if not yet."""
         obj = self._raw.get(name)
         if obj is not None:
-            self._declared[name] = record_from_json(obj)
+            self._declared[name] = record_from_json(obj, self._declared[name])
             self._raw.pop(name, None)  # another thread may have parsed it too
         return self._declared[name]
 
@@ -243,12 +243,14 @@ def record_shape(obj: dict) -> KnotRecord:
     )
 
 
-def record_from_json(obj: dict) -> KnotRecord:
+def record_from_json(obj: dict, shape: KnotRecord | None = None) -> KnotRecord:
     """A corpus entry checked and parsed: its shape (`record_shape`), the
     field names, the PD, braid and polynomial text, the flags,
     `sum_of_simple` and the integer fields.  The volume is kept as
-    written; enrichment normalizes it."""
-    shape = record_shape(obj)
+    written; enrichment normalizes it.  A `shape` that `record_shape`
+    already gave for obj is taken as it is."""
+    if shape is None:
+        shape = record_shape(obj)
     name = shape.name
     unknown = set(obj) - _RECORD_KEYS
     if unknown:
@@ -443,7 +445,12 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
     elif genus_upper is not None and genus_lower > genus_upper:
         raise CorpusError(f"{name}: genus_lower {genus_lower} > genus_upper {genus_upper}")
 
-    volume = normalize_volume(record.volume) if record.volume is not None else None
+    volume = None
+    if record.volume is not None:
+        try:
+            volume = normalize_volume(record.volume)
+        except CorpusError as exc:
+            raise CorpusError(f"{name}: {exc}") from exc
 
     return record._replace(
         diagram=diagram,

@@ -265,11 +265,13 @@ def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
     """Division up to units: both arguments are normalized first.
 
     Returns the (normalized) quotient, or None when the normalized
-    divisor is not a factor.  Raises ZeroDivisionError when b = 0.
+    divisor is not a factor.  Raises ZeroDivisionError when b = 0.  A
+    unit divisor returns the normalized dividend without dividing.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    return a.normalize().divided_by(b.normalize())
+    divisor = b.normalize()
+    return a.normalize() if divisor.is_one() else a.normalize().divided_by(divisor)
 
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

@@ -10,7 +10,8 @@ only from their start.
 """
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from json.encoder import encode_basestring_ascii as _quote
+from typing import Iterable, Iterator, NamedTuple, TextIO
 
 from .domination import Certificate, certificate_search, obstruction_scan, rigidity_scan
 from .knotbase import Corpus, CorpusError, KnotRecord, _walk
@@ -26,43 +27,98 @@ class Edge(NamedTuple):
 class DominationGraph(_Frozen):
     """Directed acyclic graph of certified dominations (dominator ->
     dominated) with provenance per edge and an audit log of consistency
-    findings (expected empty)."""
+    findings (expected empty).
 
-    __slots__ = ("nodes", "edges", "audit_log", "_out")
+    `edges` come with their certificates.  The closure of `build_graph`
+    passes its `C5_transitive` edges apart, as the pairs `transitive`, with
+    `trees`: for each source, every node it reaches mapped to its
+    predecessor on the canonical witness chain.  A witness chain is built
+    from its tree only when its edge is read, and iteration builds one
+    source's chains at a time, so the chains are never all held at once.
+    Edges iterate and serialize in (src, dst) order."""
 
-    def __init__(self, nodes: tuple[str, ...], edges: tuple[Edge, ...], audit_log: tuple[str, ...]) -> None:
-        out: dict[str, dict[str, Edge]] = {name: {} for name in nodes}
-        for e in sorted(edges, key=lambda e: (e.src, e.dst)):
-            out.setdefault(e.src, {})[e.dst] = e
+    __slots__ = ("nodes", "audit_log", "_out", "_trees", "_size")
+
+    def __init__(
+        self,
+        nodes: tuple[str, ...],
+        edges: Iterable[Edge],
+        audit_log: tuple[str, ...],
+        trees: dict[str, dict[str, str]] | None = None,
+        transitive: Iterable[tuple[str, str]] = (),
+    ) -> None:
+        out: dict[str, dict[str, Certificate | None]] = {}  # None: a chain in trees
+        for e in edges:
+            out.setdefault(e.src, {})[e.dst] = e.certificate
+        for src, dst in transitive:
+            out.setdefault(src, {})[dst] = None
+        out = {src: dict(sorted(out[src].items())) for src in sorted(out)}
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "audit_log", audit_log)
         object.__setattr__(self, "_out", out)
+        object.__setattr__(self, "_trees", trees or {})
+        object.__setattr__(self, "_size", sum(map(len, out.values())))
 
     def _key(self) -> tuple:
-        return self.nodes, self.edges, self.audit_log
+        return self.nodes, tuple(self.edges), self.audit_log
+
+    @property
+    def edges(self) -> _Edges:
+        return _Edges(self)
 
     def successors(self, name: str) -> list[str]:
         return list(self._out.get(name, ()))
 
     def edge(self, src: str, dst: str) -> Edge | None:
-        return self._out.get(src, {}).get(dst)
+        out = self._out.get(src, {})
+        if dst not in out:
+            return None
+        return Edge(src, dst, out[dst] or Certificate("C5_transitive", _chains(src, self._trees[src])[dst]))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "nodes": list(self.nodes),
-            "edges": [
-                {
-                    "from": e.src,
-                    "to": e.dst,
-                    "certificate": e.certificate.rule_id,
-                    "anchor": e.certificate.anchor,
-                    "witnesses": list(e.certificate.witnesses),
-                }
-                for e in self.edges
-            ],
-            "audit_log": list(self.audit_log),
-        }
+    def write_json(self, out: TextIO) -> None:
+        """Write the graph to `out` edge by edge, as the bytes of
+        `json.dumps(d, sort_keys=True, indent=2)` and a newline, where d
+        maps "nodes", "edges" and "audit_log" to lists and each edge is
+        {"from", "to", "certificate", "anchor", "witnesses"}."""
+
+        def array(values: tuple[str, ...], indent: str) -> str:
+            if not values:
+                return "[]"
+            return f"[\n{indent}  " + f",\n{indent}  ".join(map(_quote, values)) + f"\n{indent}]"
+
+        out.write(f'{{\n  "audit_log": {array(self.audit_log, "  ")},\n  "edges": ')
+        opening = "[\n"
+        for e in self.edges:
+            certificate = e.certificate
+            out.write(
+                f'{opening}    {{\n      "anchor": {_quote(certificate.anchor)},\n'
+                f'      "certificate": {_quote(certificate.rule_id)},\n'
+                f'      "from": {_quote(e.src)},\n      "to": {_quote(e.dst)},\n'
+                f'      "witnesses": {array(certificate.witnesses, "      ")}\n    }}'
+            )
+            opening = ",\n"
+        out.write("[]" if self._size == 0 else "\n  ]")
+        out.write(f',\n  "nodes": {array(self.nodes, "  ")}\n}}\n')
+
+
+class _Edges:
+    """A graph's edges in (src, dst) order, sized; each iteration builds
+    the witness chains of one source at a time."""
+
+    __slots__ = ("_graph",)
+
+    def __init__(self, graph: DominationGraph) -> None:
+        self._graph = graph
+
+    def __len__(self) -> int:
+        return self._graph._size
+
+    def __iter__(self) -> Iterator[Edge]:
+        trees = self._graph._trees
+        for src, out in self._graph._out.items():
+            chains = _chains(src, trees[src]) if src in trees else {}
+            for dst, certificate in out.items():
+                yield Edge(src, dst, certificate or Certificate("C5_transitive", chains[dst]))
 
 
 class ChainBound(NamedTuple):
@@ -170,20 +226,26 @@ def build_graph(corpus: Corpus) -> DominationGraph:
     records = {r.name: r for r in corpus.records}
     graph = certify(corpus)
     succ = {name: graph.successors(name) for name in graph.nodes}
-    closure = {(e.src, e.dst): e.certificate for e in graph.edges}
+    trees = {src: _canonical_tree(src, succ) for src in graph.nodes}
     audit = list(graph.audit_log)
-    for src in graph.nodes:
-        for dst, chain in _canonical_chains(src, succ).items():
-            if _negatives(records[src], records[dst]):
-                audit.append(f"conflict: {src} -> {dst} reachable through {list(chain)} but obstructed")
-            else:
-                closure[(src, dst)] = Certificate("C5_transitive", chain)
+    transitive = []
+    for src, tree in trees.items():
+        blocked = []
+        for dst, pred in tree.items():
+            if pred != src:  # two or more steps
+                if _negatives(records[src], records[dst]):
+                    blocked.append(dst)
+                else:
+                    transitive.append((src, dst))
+        if blocked:
+            chains = _chains(src, tree)
+            audit += (f"conflict: {src} -> {dst} reachable through {list(chains[dst])} but obstructed"
+                      for dst in blocked)
 
     cycle = _walk(graph.nodes, succ.__getitem__)[1]
     if cycle is not None:
         audit.append(f"cycle among certified edges: {cycle}")
-    edges = tuple(Edge(src, dst, closure[(src, dst)]) for src, dst in sorted(closure))
-    return DominationGraph(graph.nodes, edges, tuple(audit))
+    return DominationGraph(graph.nodes, graph.edges, tuple(audit), trees, transitive)
 
 
 def _negatives(k1: KnotRecord, k2: KnotRecord) -> list[str]:
@@ -191,25 +253,35 @@ def _negatives(k1: KnotRecord, k2: KnotRecord) -> list[str]:
     return [r.rule_id for r in obstruction_scan(k1, k2) + rigidity_scan(k1, k2)]
 
 
-def _canonical_chains(src: str, succ: dict[str, list[str]]) -> dict[str, tuple[str, ...]]:
-    """For every node reachable from src in two or more direct steps, the
+def _canonical_tree(src: str, succ: dict[str, list[str]]) -> dict[str, str]:
+    """Every node reachable from src, mapped to its predecessor on its
     canonical witness chain: shortest, ties broken lexicographically.
     Breadth first, one level at a time, taking each level's nodes by name:
-    a node keeps the place of its first reach and the least chain of its
-    level.  The audit lists closure conflicts in this order."""
-    chains: dict[str, tuple[str, ...]] = {src: (src,)}
-    level = [src]
-    while level:
-        reached: dict[str, tuple[str, ...]] = {}
-        for node in sorted(level):
+    a node keeps the place of its first reach, and the predecessor whose
+    chain is least among those of its level.  A level's chains are ranked
+    by their order, so they are compared without being built.  The audit
+    lists closure conflicts in this order."""
+    tree: dict[str, str] = {}
+    rank = {src: 0}  # the last level's nodes -> the place of their chains in order
+    while rank:
+        reached: dict[str, str] = {}
+        for node in sorted(rank):
             for nxt in succ[node]:
-                if nxt not in chains:
-                    candidate = chains[node] + (nxt,)
-                    if nxt not in reached or candidate < reached[nxt]:
-                        reached[nxt] = candidate
-        chains.update(reached)
-        level = list(reached)
-    return {dst: chain for dst, chain in chains.items() if len(chain) >= 3}
+                if nxt != src and nxt not in tree and (nxt not in reached or rank[node] < rank[reached[nxt]]):
+                    reached[nxt] = node
+        tree.update(reached)
+        order = sorted(reached, key=lambda nxt: (rank[reached[nxt]], nxt))
+        rank = {nxt: place for place, nxt in enumerate(order)}
+    return tree
+
+
+def _chains(src: str, tree: dict[str, str]) -> dict[str, tuple[str, ...]]:
+    """The chain from src to each node of `_canonical_tree`, down the tree:
+    a node's predecessor comes before it."""
+    chains = {src: (src,)}
+    for node, pred in tree.items():
+        chains[node] = chains[pred] + (node,)
+    return chains
 
 
 def longest_chain(graph: DominationGraph, start: str) -> list[str]:

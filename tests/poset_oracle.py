@@ -1,16 +1,20 @@
 """The all-pairs domination graph builder, kept as the test oracle for
-`knotdom.poset.build_graph`, the recursive graph walks kept as oracles
-for the explicit-stack walk `knotdom.knotbase._walk` (its first cycle)
-and for `knotdom.poset.longest_chain`, and
-`iter_chains`, which lists every chain (exponentially many in chain
-length) for checks on small graphs.
+`knotdom.poset.build_graph`; the dict form of a graph, kept as the
+oracle for `DominationGraph.write_json`; the recursive graph walks kept
+as oracles for the explicit-stack walk `knotdom.knotbase._walk` (its
+first cycle) and for `knotdom.poset.longest_chain`; the witness-chain
+closures kept as oracles for the predecessor trees of
+`knotdom.poset.build_graph`; and `iter_chains`, which lists every chain
+(exponentially many in chain length) for checks on small graphs.
 
-It evaluates every obstruction, rigidity and certificate rule on all
-N(N-1) ordered pairs, then re-scans for connected-sum certificates until
-nothing changes.  The library builder must serialize to the same bytes.
+The all-pairs `build_graph` evaluates every obstruction, rigidity and
+certificate rule on all N(N-1) ordered pairs, then re-scans for
+connected-sum certificates until nothing changes.  `knotdom.poset`'s
+`build_graph` must serialize to the same bytes.
 """
 from __future__ import annotations
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 from functools import lru_cache
 
@@ -112,6 +116,50 @@ def build_graph(corpus: Corpus, workers: int = 1) -> DominationGraph:
         Edge(src, dst, closure[(src, dst)]) for src, dst in sorted(closure)
     )
     return DominationGraph(tuple(names), edges, tuple(audit))
+
+
+def to_json_dict(graph: DominationGraph) -> dict:
+    """The graph as the dict that `json.dumps` serializes."""
+    return {
+        "nodes": list(graph.nodes),
+        "edges": [
+            {
+                "from": e.src,
+                "to": e.dst,
+                "certificate": e.certificate.rule_id,
+                "anchor": e.certificate.anchor,
+                "witnesses": list(e.certificate.witnesses),
+            }
+            for e in graph.edges
+        ],
+        "audit_log": list(graph.audit_log),
+    }
+
+
+def serialized(graph: DominationGraph) -> str:
+    """What `poset --json` prints for the graph."""
+    return json.dumps(to_json_dict(graph), sort_keys=True, indent=2) + "\n"
+
+
+def level_chains(src: str, succ: dict[str, list[str]]) -> dict[str, tuple[str, ...]]:
+    """For every node reachable from src in two or more direct steps, the
+    canonical witness chain: shortest, ties broken lexicographically.
+    Breadth first, one level at a time, taking each level's nodes by name:
+    a node keeps the place of its first reach and the least chain of its
+    level, built as a tuple."""
+    chains: dict[str, tuple[str, ...]] = {src: (src,)}
+    level = [src]
+    while level:
+        reached: dict[str, tuple[str, ...]] = {}
+        for node in sorted(level):
+            for nxt in succ[node]:
+                if nxt not in chains:
+                    candidate = chains[node] + (nxt,)
+                    if nxt not in reached or candidate < reached[nxt]:
+                        reached[nxt] = candidate
+        chains.update(reached)
+        level = list(reached)
+    return {dst: chain for dst, chain in chains.items() if len(chain) >= 3}
 
 
 def _canonical_chains(src: str, succ: dict[str, list[str]]) -> dict[str, tuple[str, ...]]:

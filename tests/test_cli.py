@@ -1,8 +1,10 @@
 """Command-line behavior: outputs, exit codes, and determinism."""
+import contextlib
 import json
 import random
 import re
 import time
+import tracemalloc
 
 import pytest
 
@@ -23,17 +25,42 @@ from knotdom.diagram import braid_to_pd
 from knotdom.domination import ANCHORS
 from knotdom.knotbase import load_corpus
 from knotdom.laurent import LaurentPoly
-from knotdom.poset import chain_length_bound, longest_chain
+from knotdom.poset import build_graph, chain_length_bound, longest_chain
 
 from kernel_oracle import eager_enrich_record
 from test_kernels import random_closures, random_knot_braid
-from test_poset import random_corpus, satellite_chain
+from poset_oracle import serialized
+from test_poset import random_corpus, satellite_chain, sibling_sums_corpus
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class Sink:
+    """A stdout that keeps only the count of characters written."""
+
+    size = 0
+
+    def write(self, text):
+        self.size += len(text)
+        return len(text)
+
+
+def odd_names_chain():
+    """satellite_chain(3) renamed with a quote, a backslash, and
+    characters outside ASCII and outside the basic plane; the volumes
+    obstruct the three-step pair, so the audit quotes its chain."""
+    names = {"a0000": 'a"q', "a0001": "b\\s", "a0002": "c\u00e9", "a0003": "d\U0001d542"}
+    entries = json.loads(json.dumps(satellite_chain(3)))
+    for entry in entries:
+        entry["name"] = names.get(entry["name"], entry["name"])
+        if "satellite_of" in entry:
+            entry["satellite_of"][0] = names[entry["satellite_of"][0]]
+    entries[1]["volume"], entries[-1]["volume"] = "1.0", "2.0"
+    return entries
 
 
 def braid_text(strands, letters):
@@ -209,6 +236,59 @@ class TestPoset:
         _, first, _ = run(capsys, "--json", "poset")
         _, second, _ = run(capsys, "--json", "poset")
         assert first == second
+
+    def test_json_streams_the_bytes_of_json_dumps(self, capsys, monkeypatch, tmp_path):
+        # the written graph against json.dumps of its dict form, on
+        # corpora given as files and as Corpus values
+        files = {
+            "bundled": default_corpus_path(),
+            "chain": satellite_chain(150),
+            "odd names": odd_names_chain(),
+            "one record": [{"name": "k", "delta": "1 - t + t^2"}],
+            "empty": [],
+        }
+        outputs = {}
+        for label, entries in files.items():
+            path = entries
+            if isinstance(entries, list):
+                path = tmp_path / "corpus.json"
+                path.write_text(json.dumps(entries), encoding="utf-8")
+            code, out, _ = run(capsys, "poset", "--json", str(path))
+            assert out == serialized(build_graph(load_corpus(path))), label
+            outputs[label] = code, out
+        for label, corpus in [("siblings", sibling_sums_corpus())] + [(seed, random_corpus(seed)) for seed in range(20)]:
+            monkeypatch.setattr(cli, "load_corpus", lambda path: corpus)
+            code, out, _ = run(capsys, "--json", "poset")
+            assert out == serialized(build_graph(corpus)), label
+            outputs[label] = code, out
+        payloads = {label: json.loads(out) for label, (_, out) in outputs.items()}
+        assert payloads["empty"] == {"audit_log": [], "edges": [], "nodes": []}
+        assert payloads["one record"]["edges"] == [] and payloads["one record"]["nodes"] == ["k"]
+        assert max(len(e["witnesses"]) for p in payloads.values() for e in p["edges"]) == 151
+        odd_code, odd = outputs["odd names"]
+        assert odd_code == EXIT_USAGE and len(payloads["odd names"]["audit_log"]) == 1
+        assert all(escape in odd for escape in ('\\"', "\\\\", "\\u00e9", "\\ud835\\udd42")) and odd.isascii()
+        assert sum(code == EXIT_USAGE for code, _ in outputs.values()) > 3  # audits in random corpora too
+
+    # tracemalloc peaks of `poset` on satellite_chain(150), its output
+    # discarded (Python 3.11): 1.9 MiB with --json and 1.8 MiB as text,
+    # against 78 MiB and 8.3 MiB when the closure held every witness chain
+    # and --json built the whole dict before printing it.  The bound is
+    # about twice the measurement.
+    @pytest.mark.parametrize("form", [["--json"], []], ids=["json", "text"])
+    def test_deep_chain_peak_memory(self, tmp_path, form):
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(satellite_chain(150)))
+        sink = Sink()
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(sink):
+                code = main(["poset", *form, str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK and sink.size > (10**7 if form else 3 * 10**5)
+        assert peak < 4 * 2**20
 
 
 class TestChainBound:

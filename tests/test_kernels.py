@@ -451,6 +451,18 @@ class TestIntegerDivision:
                 assert exact_div(dividend.normalize(), b.normalize()) == expected, (dividend, b)
         assert kept > 100
 
+    def test_unit_divisor_skips_the_division(self, monkeypatch):
+        # a divisor +-t^k normalizes to 1: exact_div returns the normalized
+        # dividend, which is what dividing it by 1 gives
+        rng = random.Random(13)
+        units = [LaurentPoly.from_dict({k: sign}) for k in range(-3, 4) for sign in (1, -1)]
+        cases = [(random_poly(rng), rng.choice(units)) for _ in range(200)]
+        expected = [a.normalize().divided_by(LaurentPoly.const(1)) for a, _ in cases]
+        assert expected == [a.normalize().divided_by(u) * u for a, u in cases]
+        monkeypatch.setattr(LaurentPoly, "divided_by", lambda self, divisor: pytest.fail("divided"))
+        assert [exact_div(a, u) for a, u in cases] == expected
+        assert any(q.is_zero() for q in expected) and any(not q.is_one() for q in expected)
+
     def test_huge_sparse_degrees(self):
         # Memory follows the terms, not the degree span: one slot per degree
         # would take over 100 MB here.

@@ -637,7 +637,21 @@ class TestParseOnFirstRead:
         assert corpus.get("k").volume == "0.00000000" and calls == ["-0"]
         with pytest.raises(CorpusError) as error:
             corpus.get("bad")
-        assert str(error.value) == "volume 'fast' is not a decimal string"
+        assert str(error.value) == "bad: volume 'fast' is not a decimal string"
+
+    def test_poset_shapes_each_record_once(self, monkeypatch, capsys, corpus_path):
+        # the parse takes the shape the load made, through the public
+        # record_from_json
+        names = load_corpus(corpus_path).names()
+        shaped, parsed = Counter(), Counter()
+        shape, parse = knotbase.record_shape, knotbase.record_from_json
+        monkeypatch.setattr(knotbase, "record_shape", lambda obj: shaped.update([obj["name"]]) or shape(obj))
+        monkeypatch.setattr(
+            knotbase, "record_from_json", lambda obj, *given: parsed.update([obj["name"]]) or parse(obj, *given)
+        )
+        assert main(["poset", "--corpus", str(corpus_path)]) == EXIT_OK
+        assert shaped == parsed == Counter(names)
+        capsys.readouterr()
 
     SYNTAX_ERRORS = {
         "pd": {"diagram": "X(1,4,2,5) X(3,6"},

@@ -14,7 +14,8 @@ from knotdom.poset import (
     ChainBound,
     DominationGraph,
     Edge,
-    _canonical_chains,
+    _canonical_tree,
+    _chains,
     build_graph,
     certify,
     chain_length_bound,
@@ -23,7 +24,7 @@ from knotdom.poset import (
 from poset_oracle import _canonical_chains as oracle_canonical_chains
 from poset_oracle import _find_cycle as oracle_find_cycle
 from poset_oracle import build_graph as oracle_build_graph
-from poset_oracle import iter_chains
+from poset_oracle import iter_chains, level_chains, serialized
 from poset_oracle import longest_chain as oracle_longest_chain
 
 
@@ -201,20 +202,12 @@ class TestChainLengthBound:
 
 class TestDeterminism:
     def test_serial_equals_parallel(self, corpus):
-        first = build_graph(corpus)
-        second = build_graph(corpus)
-        a = json.dumps(first.to_json_dict(), sort_keys=True, indent=2)
-        b = json.dumps(second.to_json_dict(), sort_keys=True, indent=2)
-        assert a == b
+        assert serialized(build_graph(corpus)) == serialized(build_graph(corpus))
 
     def test_repeated_builds_identical(self, corpus):
         a = build_graph(corpus)
         b = build_graph(corpus)
         assert a == b
-
-
-def serialized(graph):
-    return json.dumps(graph.to_json_dict(), sort_keys=True, indent=2)
 
 
 def random_corpus(seed: int):
@@ -303,6 +296,11 @@ def satellite_chain(depth):
     return entries
 
 
+def tree_chains(src, succ):
+    """The chains of `_canonical_tree` two or more steps long, in its order."""
+    return {dst: chain for dst, chain in _chains(src, _canonical_tree(src, succ)).items() if len(chain) >= 3}
+
+
 class TestCanonicalChains:
     def test_matches_relaxation_in_order(self):
         # names drawn so that name order differs from the order of first
@@ -314,8 +312,9 @@ class TestCanonicalChains:
             names = rng.sample([a + b for a in "pqxyz" for b in "0123"], rng.randint(1, 12))
             succ = {name: rng.sample(names, rng.randint(0, min(4, len(names)))) for name in names}
             src = rng.choice(names)
-            chains = _canonical_chains(src, succ)
+            chains = tree_chains(src, succ)
             assert list(chains.items()) == list(oracle_canonical_chains(src, succ).items())
+            assert list(chains.items()) == list(level_chains(src, succ).items())
             loops += any(name in succ[name] for name in names)
             cycles += any(src in succ[dst] for dst in chains)
             depth = {**dict.fromkeys(succ[src], 1), src: 0}
@@ -329,7 +328,7 @@ class TestCanonicalChains:
     def test_least_chain_keeps_place_of_first_reach(self):
         # z is first reached through x, but (s, a, y, z) < (s, b, x, z)
         succ = {"s": ["b", "a"], "a": ["y"], "b": ["x"], "x": ["z"], "y": ["w", "z"], "w": [], "z": []}
-        assert list(_canonical_chains("s", succ).items()) == [
+        assert list(tree_chains("s", succ).items()) == [
             ("y", ("s", "a", "y")),
             ("x", ("s", "b", "x")),
             ("z", ("s", "a", "y", "z")),
@@ -481,7 +480,7 @@ class TestCertify:
         for case in cases:
             direct, full = certify(case), build_graph(case)
             assert direct.nodes == full.nodes
-            assert direct.edges == tuple(e for e in full.edges if e.certificate.rule_id != "C5_transitive")
+            assert tuple(direct.edges) == tuple(e for e in full.edges if e.certificate.rule_id != "C5_transitive")
             prefix = full.audit_log[: len(direct.audit_log)]
             assert direct.audit_log == prefix
             assert all(" certified by " in line for line in prefix)
@@ -490,6 +489,28 @@ class TestCertify:
             certification_conflicts += len(prefix)
             closure_conflicts += any(" reachable through " in line for line in full.audit_log)
         assert transitive and certification_conflicts and closure_conflicts
+
+    def test_rebuilt_chains_match_the_oracle_closure(self, cases):
+        # every pair two or more direct steps apart is a C5 edge whose
+        # witnesses, read by edge() or by iteration, are the oracle's chain,
+        # or an audit line that quotes that chain
+        transitive = blocked = 0
+        for case in cases:
+            direct, full = certify(case), build_graph(case)
+            succ = {name: direct.successors(name) for name in direct.nodes}
+            read = {(e.src, e.dst): e.certificate for e in full.edges if e.certificate.rule_id == "C5_transitive"}
+            for src in direct.nodes:
+                for dst, chain in level_chains(src, succ).items():
+                    certificate = read.pop((src, dst), None)
+                    if certificate is None:
+                        assert full.edge(src, dst) is None
+                        assert f"conflict: {src} -> {dst} reachable through {list(chain)} but obstructed" in full.audit_log
+                        blocked += 1
+                    else:
+                        assert certificate == full.edge(src, dst).certificate == Certificate("C5_transitive", chain)
+                        transitive += 1
+            assert not read
+        assert transitive > 1700 and blocked
 
     def test_longest_chain_agrees_with_closure(self, cases):
         # a closure shortcut is never longer than its witness path, and a
@@ -529,7 +550,7 @@ class TestCertify:
                 assert start in nodes and rooted.nodes == tuple(sorted(nodes))
                 assert all(e.dst in nodes for e in rooted.edges)
                 assert all(set(case.get(name).summands()) <= nodes | {name} for name in nodes)
-                assert rooted.edges == tuple(e for e in full.edges if e.src in nodes), start
+                assert tuple(rooted.edges) == tuple(e for e in full.edges if e.src in nodes), start
                 assert rooted.audit_log == tuple(line for line in full.audit_log if line.split()[1] in nodes)
                 expected = chain_or_error(longest_chain, closed, start)
                 assert chain_or_error(longest_chain, rooted, start) == expected, start
