@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 from typing import NamedTuple
@@ -126,6 +127,13 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_verify_paper(_corpus_path(args.corpus), args.json)
     except (CorpusError, DiagramError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush
+        # at exit stays quiet too, as the `signal` module's docs advise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_USAGE
     raise AssertionError("unreachable")
 

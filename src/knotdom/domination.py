@@ -13,18 +13,22 @@ For an ordered pair of enriched records (k1, k2) the engine reports:
     bottom element, satellite over pattern, winding-one cabling,
     connected-sum projection).
 
-Every rule is sound under unknown metadata: a rule fires only when all
-of its inputs are definite.  Every report carries a provenance anchor
-naming the result it implements; the anchors are stable strings used in
-serialized output.
+The obstruction and rigidity rules are the ordered `(rule_id, test)`
+entries of `OBSTRUCTIONS` and `RIGIDITY`, read by one loop, `scan`.
+`test(k1, k2)` returns the detail when the rule fires, "" when it passes
+(a rigidity rule never passes) and None when an input is unknown, so
+every rule is sound under unknown metadata.  Every report carries a
+provenance anchor naming the result it implements; the anchors are
+stable strings used in serialized output.
 """
 from __future__ import annotations
 
 from collections import Counter
 from decimal import Decimal
+from operator import attrgetter
 from typing import NamedTuple
 
-from .knotbase import CorpusError, KnotRecord, genus_interval
+from .knotbase import CorpusError, Flags, KnotRecord, genus_interval
 from .laurent import exact_div, format_poly, is_prime_power
 
 ANCHORS = {
@@ -107,158 +111,160 @@ def _require_enriched(*records: KnotRecord) -> None:
             raise CorpusError(f"{record.name}: record is not enriched")
 
 
-def _scan_obstructions(
-    k1: KnotRecord, k2: KnotRecord
-) -> tuple[list[ObstructionReport], list[str]]:
-    """Evaluate every obstruction rule; return (fired, passed).  A rule
-    with an indefinite input lands in neither list."""
+def _o1_alexander(k1: KnotRecord, k2: KnotRecord) -> str:
+    divides = exact_div(k1.delta, k2.delta) is not None
+    return "" if divides else f"{format_poly(k2.delta)} does not divide {format_poly(k1.delta)}"
+
+
+def _o2_genus(k1: KnotRecord, k2: KnotRecord) -> str | None:
+    upper1, lower2 = genus_interval(k1)[1], genus_interval(k2)[0]
+    if upper1 is None:
+        return None
+    return f"genus at most {upper1} is below genus at least {lower2}" if upper1 < lower2 else ""
+
+
+def _o3_determinant(k1: KnotRecord, k2: KnotRecord) -> str:
+    return f"{k2.determinant} does not divide {k1.determinant}" if k1.determinant % k2.determinant else ""
+
+
+def _o4_volume(k1: KnotRecord, k2: KnotRecord) -> str | None:
+    if k1.volume is None or k2.volume is None:
+        return None
+    return f"volume {k1.volume} is below volume {k2.volume}" if Decimal(k1.volume) < Decimal(k2.volume) else ""
+
+
+def _closure(field1: str, field2: str, value: bool, unknot_exempt: bool = False):
+    """The test of a class closure: k1 with field1 == value forces k2 to
+    have field2 == value, except for the unknot when `unknot_exempt`.  A
+    field is a class flag or the record's `sum_of_simple`."""
+    read1, read2 = (attrgetter(f"flags.{f}" if f in Flags._fields else f) for f in (field1, field2))
+
+    def test(k1: KnotRecord, k2: KnotRecord) -> str | None:
+        own = read1(k1)
+        if own is None:
+            return None
+        if own is not value or (unknot_exempt and k2.flags.unknot is True):
+            return ""
+        other = read2(k2)
+        if other is None:
+            return None
+        return "" if other is value else f"{field1}={value} vs {field2}={other}"
+
+    return test
+
+
+def _o9_ghat(k1: KnotRecord, k2: KnotRecord) -> str | None:
+    if k1.ghat is None or k2.ghat is None:
+        return None
+    return f"maximal incompressible genus {k1.ghat} is below {k2.ghat}" if k1.ghat < k2.ghat else ""
+
+
+def _o11_mutation(k1: KnotRecord, k2: KnotRecord) -> str | None:
+    if k1.name == k2.name or k1.mutant_class is None or k2.mutant_class is None:
+        return None
+    return f"mutant_class {k1.mutant_class!r} vs {k2.mutant_class!r}" if k1.mutant_class == k2.mutant_class else ""
+
+
+def _same_genus(k1: KnotRecord, k2: KnotRecord) -> bool:
+    return k1.genus_exact is not None and k1.genus_exact == k2.genus_exact
+
+
+def _same_volume(k1: KnotRecord, k2: KnotRecord) -> bool:
+    return k1.volume is not None and k1.volume == k2.volume
+
+
+def _alternating_prime_power(record: KnotRecord) -> bool:
+    """Alternating with a prime-power leading coefficient of Delta."""
+    return record.flags.alternating is True and is_prime_power(abs(record.delta.leading_coefficient))
+
+
+def _r1_genus_volume(k1: KnotRecord, k2: KnotRecord) -> str | None:
+    no_winding_zero = k1.flags.no_winding_zero_companion is True and k1.flags.unknot is False
+    if no_winding_zero and _same_genus(k1, k2) and _same_volume(k1, k2):
+        return f"no winding-zero companion, equal genus {k1.genus_exact}, equal volume {k1.volume}"
+    return None
+
+
+def _r2_fibred_genus(k1: KnotRecord, k2: KnotRecord) -> str | None:
+    if k1.flags.fibred is True and _same_genus(k1, k2):
+        return f"fibred dominator with equal genus {k1.genus_exact}"
+    return None
+
+
+def _r3_nilpotent_degree(k1: KnotRecord, k2: KnotRecord) -> str | None:
+    degree = k1.delta.max_degree
+    if degree == k2.delta.max_degree and (
+        k1.flags.two_bridge is True or k1.flags.fibred is True or _alternating_prime_power(k1)
+    ):
+        return f"transfinitely p-nilpotent dominator, equal Alexander degree {degree}"
+    return None
+
+
+def _r4_free_ghat(k1: KnotRecord, k2: KnotRecord) -> str | None:
+    if k1.flags.free is True and k1.ghat is not None and k1.ghat == k2.ghat:
+        return f"free dominator with equal maximal incompressible genus {k1.ghat}"
+    return None
+
+
+def _r5_mutant_double_cover(k1: KnotRecord, k2: KnotRecord) -> str | None:
+    if k1.name != k2.name and k1.mutant_class is not None and k1.mutant_class == k2.mutant_class:
+        return f"equal double branched covers: mutant class {k1.mutant_class!r}"
+    return None
+
+
+def _r6_hyperbolic_volume(k1: KnotRecord, k2: KnotRecord) -> str | None:
+    if k1.flags.hyperbolic is True and k2.flags.hyperbolic is True and _same_volume(k1, k2):
+        return f"both hyperbolic with equal volume {k1.volume}"
+    return None
+
+
+OBSTRUCTIONS = (
+    ("O1_alexander", _o1_alexander),
+    ("O2_genus", _o2_genus),
+    ("O3_determinant", _o3_determinant),
+    ("O4_volume", _o4_volume),
+    ("O5_two_bridge", _closure("two_bridge", "two_bridge", True, unknot_exempt=True)),
+    ("O6_montesinos", _closure("montesinos", "montesinos", True, unknot_exempt=True)),
+    ("O7_ap_class", _closure("toroidally_alternating", "sum_of_simple", True)),
+    ("O8_free", _closure("free", "free", True)),
+    ("O9_ghat", _o9_ghat),
+    ("O10_orderability", _closure("lo_double_cover", "lo_double_cover", False)),
+    ("O11_mutation", _o11_mutation),
+)
+RIGIDITY = (
+    ("R1_genus_volume", _r1_genus_volume),
+    ("R2_fibred_genus", _r2_fibred_genus),
+    ("R3_nilpotent_degree", _r3_nilpotent_degree),
+    ("R4_free_ghat", _r4_free_ghat),
+    ("R5_mutant_double_cover", _r5_mutant_double_cover),
+    ("R6_hyperbolic_volume", _r6_hyperbolic_volume),
+)
+
+
+def scan(k1: KnotRecord, k2: KnotRecord, rules=OBSTRUCTIONS + RIGIDITY) -> tuple[list[ObstructionReport], list[str]]:
+    """Evaluate `rules` in order; return (fired, passed).  A rule with an
+    unknown input lands in neither list."""
+    _require_enriched(k1, k2)
     fired: list[ObstructionReport] = []
     passed: list[str] = []
-
-    def report(rule_id: str, violated: bool, detail: str, *args) -> None:
-        # the detail is formatted with args only when the rule fires
-        if violated:
-            fired.append(ObstructionReport(rule_id, detail.format(*args)))
-        else:
+    for rule_id, test in rules:
+        detail = test(k1, k2)
+        if detail:
+            fired.append(ObstructionReport(rule_id, detail))
+        elif detail is not None:
             passed.append(rule_id)
-
-    d1, d2 = k1.delta, k2.delta
-    if exact_div(d1, d2) is None:
-        report("O1_alexander", True, "{} does not divide {}", format_poly(d2), format_poly(d1))
-    else:
-        passed.append("O1_alexander")
-
-    upper1 = genus_interval(k1)[1]
-    lower2 = genus_interval(k2)[0]
-    if upper1 is not None:
-        report("O2_genus", upper1 < lower2, "genus at most {} is below genus at least {}", upper1, lower2)
-
-    det1, det2 = k1.determinant, k2.determinant
-    report("O3_determinant", det1 % det2 != 0, "{} does not divide {}", det2, det1)
-
-    if k1.volume is not None and k2.volume is not None:
-        report(
-            "O4_volume",
-            Decimal(k1.volume) < Decimal(k2.volume),
-            "volume {} is below volume {}", k1.volume, k2.volume,
-        )
-
-    for rule_id, flag in (("O5_two_bridge", "two_bridge"), ("O6_montesinos", "montesinos")):
-        own = getattr(k1.flags, flag)
-        if own is False:
-            passed.append(rule_id)
-        elif own is True:
-            if k2.flags.unknot is True:
-                passed.append(rule_id)  # the unknot is exempt from class closure
-            else:
-                other = getattr(k2.flags, flag)
-                if other is not None:
-                    report(rule_id, other is False, "{0}=True vs {0}={1}", flag, other)
-
-    ta = k1.flags.toroidally_alternating
-    if ta is False:
-        passed.append("O7_ap_class")
-    elif ta is True and k2.sum_of_simple is not None:
-        report(
-            "O7_ap_class",
-            k2.sum_of_simple is False,
-            "toroidally_alternating=True vs sum_of_simple={}", k2.sum_of_simple,
-        )
-
-    free1 = k1.flags.free
-    if free1 is False:
-        passed.append("O8_free")
-    elif free1 is True and k2.flags.free is not None:
-        report("O8_free", k2.flags.free is False, "free=True vs free={}", k2.flags.free)
-
-    if k1.ghat is not None and k2.ghat is not None:
-        report("O9_ghat", k1.ghat < k2.ghat, "maximal incompressible genus {} is below {}", k1.ghat, k2.ghat)
-
-    lo1 = k1.flags.lo_double_cover
-    if lo1 is True:
-        passed.append("O10_orderability")
-    elif lo1 is False and k2.flags.lo_double_cover is not None:
-        report(
-            "O10_orderability",
-            k2.flags.lo_double_cover is True,
-            "lo_double_cover=False vs lo_double_cover={}", k2.flags.lo_double_cover,
-        )
-
-    if k1.name != k2.name and k1.mutant_class is not None and k2.mutant_class is not None:
-        report(
-            "O11_mutation",
-            k1.mutant_class == k2.mutant_class,
-            "mutant_class {!r} vs {!r}", k1.mutant_class, k2.mutant_class,
-        )
-
     return fired, passed
 
 
 def obstruction_scan(k1: KnotRecord, k2: KnotRecord) -> list[ObstructionReport]:
     """Necessary conditions for k1 >= k2 that are definitely violated."""
-    _require_enriched(k1, k2)
-    return _scan_obstructions(k1, k2)[0]
+    return scan(k1, k2, OBSTRUCTIONS)[0]
 
 
 def rigidity_scan(k1: KnotRecord, k2: KnotRecord) -> list[ObstructionReport]:
     """Rules under which k1 >= k2 forces k1 = k2.  For distinct names each
     fired rule rules out strict domination."""
-    _require_enriched(k1, k2)
-    return _scan_rigidity(k1, k2)
-
-
-def _scan_rigidity(k1: KnotRecord, k2: KnotRecord) -> list[ObstructionReport]:
-    fired: list[ObstructionReport] = []
-
-    def fire(rule_id: str, detail: str) -> None:
-        fired.append(ObstructionReport(rule_id, detail))
-
-    g1, g2 = k1.genus_exact, k2.genus_exact
-    same_genus = g1 is not None and g1 == g2
-    same_volume = k1.volume is not None and k1.volume == k2.volume
-
-    if (
-        k1.flags.no_winding_zero_companion is True
-        and k1.flags.unknot is False
-        and same_genus
-        and same_volume
-    ):
-        fire(
-            "R1_genus_volume",
-            f"no winding-zero companion, equal genus {g1}, equal volume {k1.volume}",
-        )
-
-    if k1.flags.fibred is True and same_genus:
-        fire("R2_fibred_genus", f"fibred dominator with equal genus {g1}")
-
-    nilpotent = (
-        k1.flags.two_bridge is True
-        or k1.flags.fibred is True
-        or (
-            k1.flags.alternating is True
-            and not k1.delta.is_zero()
-            and is_prime_power(abs(k1.delta.leading_coefficient))
-        )
-    )
-    deg1 = 0 if k1.delta.is_zero() else k1.delta.max_degree
-    deg2 = 0 if k2.delta.is_zero() else k2.delta.max_degree
-    if nilpotent and deg1 == deg2:
-        fire("R3_nilpotent_degree", f"transfinitely p-nilpotent dominator, equal Alexander degree {deg1}")
-
-    if k1.flags.free is True and k1.ghat is not None and k1.ghat == k2.ghat:
-        fire("R4_free_ghat", f"free dominator with equal maximal incompressible genus {k1.ghat}")
-
-    if (
-        k1.name != k2.name
-        and k1.mutant_class is not None
-        and k1.mutant_class == k2.mutant_class
-    ):
-        fire("R5_mutant_double_cover", f"equal double branched covers: mutant class {k1.mutant_class!r}")
-
-    if k1.flags.hyperbolic is True and k2.flags.hyperbolic is True and same_volume:
-        fire("R6_hyperbolic_volume", f"both hyperbolic with equal volume {k1.volume}")
-
-    return fired
+    return scan(k1, k2, RIGIDITY)[0]
 
 
 def certificate_search(
@@ -271,10 +277,6 @@ def certificate_search(
     sum.  `certified` optionally supplies known edges for pairing the
     summands of composite knots."""
     _require_enriched(k1, k2)
-    return _search_certificate(k1, k2, frozenset(certified or ()))
-
-
-def _search_certificate(k1: KnotRecord, k2: KnotRecord, certified: frozenset) -> Certificate | None:
     if k1.name == k2.name:
         return Certificate("C4_reflexive", (k1.name,))
     if k2.flags.unknot is True:
@@ -286,17 +288,13 @@ def _search_certificate(k1: KnotRecord, k2: KnotRecord, certified: frozenset) ->
         if companion == k2.name and winding == 1:
             return Certificate("C3_winding_one_companion", (k1.name, k2.name))
     if k1.connected_sum_of is not None and _summands_cover(
-        k1.summands(), k2.summands(), certified
+        k1.summands(), k2.summands(), frozenset(certified or ())
     ):
         return Certificate("C1_connected_sum", (k1.name, k2.name))
     return None
 
 
-def _summands_cover(
-    sum1: tuple[str, ...],
-    sum2: tuple[str, ...],
-    certified: frozenset[tuple[str, str]],
-) -> bool:
+def _summands_cover(sum1: tuple[str, ...], sum2: tuple[str, ...], certified: frozenset[tuple[str, str]]) -> bool:
     """Can every summand of k2 be matched injectively to a summand of k1
     that equals it or certifiably dominates it?  Plain sub-multiset
     inclusion is the identity matching.  Copies are matched one at a time
@@ -339,9 +337,8 @@ def evaluate_pair(
     _require_enriched(k1, k2)
     if k1.name == k2.name:
         return Verdict("equal")
-    fired, passed = _scan_obstructions(k1, k2)
-    fired += _scan_rigidity(k1, k2)
-    certificate = _search_certificate(k1, k2, frozenset(certified or ()))
+    fired, passed = scan(k1, k2)
+    certificate = certificate_search(k1, k2, certified)
     if certificate is not None and fired:
         negative = sorted(r.rule_id for r in fired)
         raise CorpusError(

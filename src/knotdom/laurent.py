@@ -36,9 +36,9 @@ class LaurentPoly(_Frozen):
     """A Laurent polynomial with integer coefficients.
 
     >>> t = LaurentPoly.t()
-    >>> (1 + t) * (1 - t + t**2)
+    >>> (1 + t) * (1 - t + LaurentPoly.t(2))
     LaurentPoly('1 + t^3')
-    >>> (t**-2 - t**-1 + 1).normalize()
+    >>> (LaurentPoly.t(-2) - LaurentPoly.t(-1) + 1).normalize()
     LaurentPoly('1 - t + t^2')
     """
 
@@ -79,10 +79,6 @@ class LaurentPoly(_Frozen):
 
     def is_one(self) -> bool:
         return self.terms == ((0, 1),)
-
-    def is_unit(self) -> bool:
-        """True for +-t^k, the units of Z[t, t^-1]."""
-        return len(self.terms) == 1 and self.terms[0][1] in (1, -1)
 
     @property
     def min_degree(self) -> int:
@@ -135,21 +131,6 @@ class LaurentPoly(_Frozen):
         return LaurentPoly.from_dict(out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int) -> LaurentPoly:
-        if n < 0:
-            if not self.is_unit():
-                raise ValueError("only units +-t^k can be inverted")
-            e, c = self.terms[0]
-            return LaurentPoly(((e * n, 1 if c == 1 or n % 2 == 0 else -1),))
-        result = LaurentPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
 
     def shift(self, k: int) -> LaurentPoly:
         """Multiply by the unit t^k."""

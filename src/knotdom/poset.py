@@ -13,9 +13,9 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .domination import Certificate, certificate_search, obstruction_scan, rigidity_scan
+from .domination import Certificate, _alternating_prime_power, _require_enriched, certificate_search, scan
 from .knotbase import Corpus, CorpusError, KnotRecord, _walk
-from .laurent import _Frozen, is_prime_power
+from .laurent import _Frozen
 
 
 class Edge(NamedTuple):
@@ -250,7 +250,7 @@ def build_graph(corpus: Corpus) -> DominationGraph:
 
 def _negatives(k1: KnotRecord, k2: KnotRecord) -> list[str]:
     """Rule ids of the obstruction and rigidity rules that fire on the pair."""
-    return [r.rule_id for r in obstruction_scan(k1, k2) + rigidity_scan(k1, k2)]
+    return [r.rule_id for r in scan(k1, k2)[0]]
 
 
 def _canonical_tree(src: str, succ: dict[str, list[str]]) -> dict[str, str]:
@@ -310,18 +310,10 @@ def chain_length_bound(record: KnotRecord) -> list[ChainBound]:
     incompressible genus bounds total length for free knots, and the
     Alexander degree bounds the alternating-knot count when the leading
     coefficient is a prime power."""
-    if not record.enriched:
-        raise CorpusError(f"{record.name}: record is not enriched")
+    _require_enriched(record)
     bounds: list[ChainBound] = []
     if record.flags.free is True and record.ghat is not None:
         bounds.append(ChainBound(record.ghat, "free_ghat", "total_length"))
-    if (
-        record.flags.alternating is True
-        and record.delta is not None
-        and not record.delta.is_zero()
-        and is_prime_power(abs(record.delta.leading_coefficient))
-    ):
-        bounds.append(
-            ChainBound(record.delta.max_degree, "alternating_degree", "alternating_count")
-        )
+    if _alternating_prime_power(record):
+        bounds.append(ChainBound(record.delta.max_degree, "alternating_degree", "alternating_count"))
     return bounds

@@ -6,6 +6,9 @@ first cycle) and for `knotdom.poset.longest_chain`; the witness-chain
 closures kept as oracles for the predecessor trees of
 `knotdom.poset.build_graph`; and `iter_chains`, which lists every chain
 (exponentially many in chain length) for checks on small graphs.
+`_scan_obstructions` and `_scan_rigidity`, the hand-written rule scans,
+are kept as the oracle for the rule table read by
+`knotdom.domination.scan`.
 
 The all-pairs `build_graph` evaluates every obstruction, rigidity and
 certificate rule on all N(N-1) ordered pairs, then re-scans for
@@ -16,11 +19,154 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
+from decimal import Decimal
 from functools import lru_cache
 
-from knotdom.domination import Certificate, _scan_obstructions, certificate_search, rigidity_scan
-from knotdom.knotbase import Corpus, CorpusError
+from knotdom.domination import Certificate, ObstructionReport, certificate_search
+from knotdom.knotbase import Corpus, CorpusError, KnotRecord, genus_interval
+from knotdom.laurent import exact_div, format_poly, is_prime_power
 from knotdom.poset import DominationGraph, Edge
+
+
+def _scan_obstructions(
+    k1: KnotRecord, k2: KnotRecord
+) -> tuple[list[ObstructionReport], list[str]]:
+    """Evaluate every obstruction rule; return (fired, passed).  A rule
+    with an indefinite input lands in neither list."""
+    fired: list[ObstructionReport] = []
+    passed: list[str] = []
+
+    def report(rule_id: str, violated: bool, detail: str, *args) -> None:
+        # the detail is formatted with args only when the rule fires
+        if violated:
+            fired.append(ObstructionReport(rule_id, detail.format(*args)))
+        else:
+            passed.append(rule_id)
+
+    d1, d2 = k1.delta, k2.delta
+    if exact_div(d1, d2) is None:
+        report("O1_alexander", True, "{} does not divide {}", format_poly(d2), format_poly(d1))
+    else:
+        passed.append("O1_alexander")
+
+    upper1 = genus_interval(k1)[1]
+    lower2 = genus_interval(k2)[0]
+    if upper1 is not None:
+        report("O2_genus", upper1 < lower2, "genus at most {} is below genus at least {}", upper1, lower2)
+
+    det1, det2 = k1.determinant, k2.determinant
+    report("O3_determinant", det1 % det2 != 0, "{} does not divide {}", det2, det1)
+
+    if k1.volume is not None and k2.volume is not None:
+        report(
+            "O4_volume",
+            Decimal(k1.volume) < Decimal(k2.volume),
+            "volume {} is below volume {}", k1.volume, k2.volume,
+        )
+
+    for rule_id, flag in (("O5_two_bridge", "two_bridge"), ("O6_montesinos", "montesinos")):
+        own = getattr(k1.flags, flag)
+        if own is False:
+            passed.append(rule_id)
+        elif own is True:
+            if k2.flags.unknot is True:
+                passed.append(rule_id)  # the unknot is exempt from class closure
+            else:
+                other = getattr(k2.flags, flag)
+                if other is not None:
+                    report(rule_id, other is False, "{0}=True vs {0}={1}", flag, other)
+
+    ta = k1.flags.toroidally_alternating
+    if ta is False:
+        passed.append("O7_ap_class")
+    elif ta is True and k2.sum_of_simple is not None:
+        report(
+            "O7_ap_class",
+            k2.sum_of_simple is False,
+            "toroidally_alternating=True vs sum_of_simple={}", k2.sum_of_simple,
+        )
+
+    free1 = k1.flags.free
+    if free1 is False:
+        passed.append("O8_free")
+    elif free1 is True and k2.flags.free is not None:
+        report("O8_free", k2.flags.free is False, "free=True vs free={}", k2.flags.free)
+
+    if k1.ghat is not None and k2.ghat is not None:
+        report("O9_ghat", k1.ghat < k2.ghat, "maximal incompressible genus {} is below {}", k1.ghat, k2.ghat)
+
+    lo1 = k1.flags.lo_double_cover
+    if lo1 is True:
+        passed.append("O10_orderability")
+    elif lo1 is False and k2.flags.lo_double_cover is not None:
+        report(
+            "O10_orderability",
+            k2.flags.lo_double_cover is True,
+            "lo_double_cover=False vs lo_double_cover={}", k2.flags.lo_double_cover,
+        )
+
+    if k1.name != k2.name and k1.mutant_class is not None and k2.mutant_class is not None:
+        report(
+            "O11_mutation",
+            k1.mutant_class == k2.mutant_class,
+            "mutant_class {!r} vs {!r}", k1.mutant_class, k2.mutant_class,
+        )
+
+    return fired, passed
+
+
+def _scan_rigidity(k1: KnotRecord, k2: KnotRecord) -> list[ObstructionReport]:
+    fired: list[ObstructionReport] = []
+
+    def fire(rule_id: str, detail: str) -> None:
+        fired.append(ObstructionReport(rule_id, detail))
+
+    g1, g2 = k1.genus_exact, k2.genus_exact
+    same_genus = g1 is not None and g1 == g2
+    same_volume = k1.volume is not None and k1.volume == k2.volume
+
+    if (
+        k1.flags.no_winding_zero_companion is True
+        and k1.flags.unknot is False
+        and same_genus
+        and same_volume
+    ):
+        fire(
+            "R1_genus_volume",
+            f"no winding-zero companion, equal genus {g1}, equal volume {k1.volume}",
+        )
+
+    if k1.flags.fibred is True and same_genus:
+        fire("R2_fibred_genus", f"fibred dominator with equal genus {g1}")
+
+    nilpotent = (
+        k1.flags.two_bridge is True
+        or k1.flags.fibred is True
+        or (
+            k1.flags.alternating is True
+            and not k1.delta.is_zero()
+            and is_prime_power(abs(k1.delta.leading_coefficient))
+        )
+    )
+    deg1 = 0 if k1.delta.is_zero() else k1.delta.max_degree
+    deg2 = 0 if k2.delta.is_zero() else k2.delta.max_degree
+    if nilpotent and deg1 == deg2:
+        fire("R3_nilpotent_degree", f"transfinitely p-nilpotent dominator, equal Alexander degree {deg1}")
+
+    if k1.flags.free is True and k1.ghat is not None and k1.ghat == k2.ghat:
+        fire("R4_free_ghat", f"free dominator with equal maximal incompressible genus {k1.ghat}")
+
+    if (
+        k1.name != k2.name
+        and k1.mutant_class is not None
+        and k1.mutant_class == k2.mutant_class
+    ):
+        fire("R5_mutant_double_cover", f"equal double branched covers: mutant class {k1.mutant_class!r}")
+
+    if k1.flags.hyperbolic is True and k2.flags.hyperbolic is True and same_volume:
+        fire("R6_hyperbolic_volume", f"both hyperbolic with equal volume {k1.volume}")
+
+    return fired
 
 
 def evaluate_full(k1, k2, certified=None):
@@ -29,7 +175,7 @@ def evaluate_full(k1, k2, certified=None):
     `knotdom.domination.evaluate_pair`'s verdict."""
     certificate = certificate_search(k1, k2, certified)
     fired, passed = _scan_obstructions(k1, k2)
-    rigidity = rigidity_scan(k1, k2) if k1.name != k2.name else []
+    rigidity = _scan_rigidity(k1, k2) if k1.name != k2.name else []
     return fired, rigidity, passed, certificate
 
 

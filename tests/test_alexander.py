@@ -1,5 +1,6 @@
 """Alexander and Jones computations against independent oracles and the
 printed worked examples."""
+import math
 import random
 
 import pytest
@@ -74,8 +75,7 @@ def skein_bracket(crossings):
     """Recursive skein expansion of the bracket: smooth one crossing at a
     time, then count loops of the final pairing.  Structurally independent
     of the state-sum implementation."""
-    A = LaurentPoly.t()
-    delta = LaurentPoly.from_dict({2: -1, -2: -1})
+    delta = LaurentPoly.from_dict({2: -1, -2: -1})  # the loop value, in the variable A = t
 
     slot_pairs = []
     slots = {}
@@ -101,9 +101,7 @@ def skein_bracket(crossings):
 
     def rec(ci, joins, exponent):
         if ci == len(crossings):
-            return (A ** exponent if exponent >= 0 else LaurentPoly.t(exponent)) * delta ** (
-                loops(joins) - 1
-            )
+            return LaurentPoly.t(exponent) * math.prod([delta] * (loops(joins) - 1), start=LaurentPoly.const(1))
         a_side = rec(ci + 1, joins + [((ci, 0), (ci, 1)), ((ci, 2), (ci, 3))], exponent + 1)
         b_side = rec(ci + 1, joins + [((ci, 0), (ci, 3)), ((ci, 1), (ci, 2))], exponent - 1)
         return a_side + b_side

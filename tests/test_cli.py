@@ -1,10 +1,14 @@
 """Command-line behavior: outputs, exit codes, and determinism."""
 import contextlib
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -289,6 +293,22 @@ class TestPoset:
             tracemalloc.stop()
         assert code == EXIT_OK and sink.size > (10**7 if form else 3 * 10**5)
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("form", [["--json"], []], ids=["json", "text"])
+    def test_closed_reader_ends_quietly(self, tmp_path, form):
+        # `poset ... | head -c 100`: the output (4.6 MB and 0.17 MB) is far
+        # larger than a pipe holds, so writing it meets the closed pipe.
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(satellite_chain(100)))
+        src = str(Path(cli.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "knotdom.cli", "poset", *form, str(path)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert len(child.stdout.read(100)) == 100
+        child.stdout.close()
+        stderr = child.stderr.read()
+        assert (child.wait(timeout=60), stderr) == (EXIT_USAGE, b"")
 
 
 class TestChainBound:

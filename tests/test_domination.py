@@ -8,18 +8,23 @@ import pytest
 
 from knotdom.domination import (
     ANCHORS,
+    OBSTRUCTIONS,
+    RIGIDITY,
     Certificate,
+    ObstructionReport,
     _summands_cover,
     certificate_search,
     evaluate_pair,
     obstruction_scan,
     rigidity_scan,
+    scan,
 )
 from knotdom.knotbase import CorpusError, Flags, KnotRecord, enrich_record
 from knotdom.laurent import parse_poly
 
 from kernel_oracle import backtracking_summands_cover
-from poset_oracle import evaluate_full
+from poset_oracle import _scan_obstructions, _scan_rigidity, evaluate_full
+from test_poset import random_corpus
 
 
 def rule_ids(reports):
@@ -109,6 +114,92 @@ class TestObstructionScan:
         bare = KnotRecord(name="x")
         with pytest.raises(CorpusError, match="not enriched"):
             obstruction_scan(bare, bare)
+
+
+def oracle_scan(k1, k2):
+    fired, passed = _scan_obstructions(k1, k2)
+    return fired + _scan_rigidity(k1, k2), passed
+
+
+def drawn_pairs(seed, count):
+    """Pairs of enriched records with every field a rule reads drawn,
+    unknowns included, and names drawn from three so that some agree."""
+    rng = random.Random(seed)
+    deltas = ("1", "1 - t + t^2", "1 - 3t + t^2", "2 - 3t + 2t^2", "1 - t + t^2 - t^3 + t^4")
+    bases = [make_record("base", delta) for delta in deltas]
+
+    def draw():
+        lower = rng.choice([0, 1, 2])
+        return rng.choice(bases)._replace(
+            name=rng.choice("xyz"),
+            genus_lower=lower,
+            genus_upper=rng.choice([None, lower, lower + 1]),
+            genus_exact=rng.choice([None, lower]),
+            volume=rng.choice([None, "0", "2.0298832128", "2.02988", "4.0"]),
+            ghat=rng.choice([None, 0, 1, 2]),
+            flags=Flags(*(rng.choice([None, True, False]) for _ in Flags._fields)),
+            sum_of_simple=rng.choice([None, True, False]),
+            mutant_class=rng.choice([None, "m", "n"]),
+        )
+
+    return [(draw(), draw()) for _ in range(count)]
+
+
+def with_field(record, name, value):
+    if name in Flags._fields:
+        return record._replace(flags=record.flags._replace(**{name: value}))
+    return record._replace(**{name: value})
+
+
+class TestRuleTable:
+    def test_ids_are_the_anchored_rules_in_order(self):
+        assert [rule_id for rule_id, _ in OBSTRUCTIONS + RIGIDITY] == [r for r in ANCHORS if r[0] in "OR"]
+
+    def test_scan_matches_the_hand_written_scans(self, corpus):
+        # the fired ids and details in order, and the passed list
+        for case in [corpus] + [random_corpus(seed) for seed in range(20)]:
+            records = list(case)
+            for k1 in records:
+                for k2 in records:
+                    assert scan(k1, k2) == oracle_scan(k1, k2), (k1.name, k2.name)
+
+    def test_scan_matches_on_drawn_records(self):
+        pairs = drawn_pairs(0, 3000)
+        for k1, k2 in pairs:
+            assert scan(k1, k2) == oracle_scan(k1, k2), (k1, k2)
+        fired = Counter(r.rule_id for k1, k2 in pairs for r in scan(k1, k2)[0])
+        assert set(fired) == {r for r in ANCHORS if r[0] in "OR"}  # every rule fires somewhere
+
+    @pytest.mark.parametrize(
+        "rule_id,field1,field2,value,detail,unknot_exempt",
+        [
+            ("O5_two_bridge", "two_bridge", "two_bridge", True, "two_bridge=True vs two_bridge=False", True),
+            ("O6_montesinos", "montesinos", "montesinos", True, "montesinos=True vs montesinos=False", True),
+            ("O7_ap_class", "toroidally_alternating", "sum_of_simple", True,
+             "toroidally_alternating=True vs sum_of_simple=False", False),
+            ("O8_free", "free", "free", True, "free=True vs free=False", False),
+            ("O10_orderability", "lo_double_cover", "lo_double_cover", False,
+             "lo_double_cover=False vs lo_double_cover=True", False),
+        ],
+    )
+    def test_class_closure(self, rule_id, field1, field2, value, detail, unknot_exempt):
+        rules = [entry for entry in OBSTRUCTIONS if entry[0] == rule_id]
+        base = make_record("k1", "1 - t + t^2")._replace(flags=Flags(unknot=False))
+        k1 = with_field(base, field1, value)  # inside the class
+        k2 = with_field(base._replace(name="k2"), field2, not value)  # outside it
+        silent, passed, fired = ([], []), ([], [rule_id]), ([ObstructionReport(rule_id, detail)], [])
+        # silent when k1's or k2's input is unknown
+        assert scan(with_field(k1, field1, None), k2, rules) == silent
+        assert scan(k1, with_field(k2, field2, None), rules) == silent
+        # passed when k1 is outside the class or k2 inside it
+        assert scan(with_field(k1, field1, not value), k2, rules) == passed
+        assert scan(k1, with_field(k2, field2, value), rules) == passed
+        # fired with the exact detail
+        assert scan(k1, k2, rules) == fired
+        # only O5 and O6 exempt the unknot, whatever its own input
+        unknot = with_field(k2, "unknot", True)
+        assert scan(k1, unknot, rules) == (passed if unknot_exempt else fired)
+        assert scan(k1, with_field(unknot, field2, None), rules) == (passed if unknot_exempt else silent)
 
 
 class TestRigidityScan:
