@@ -28,7 +28,7 @@ from decimal import Decimal
 from operator import attrgetter
 from typing import NamedTuple
 
-from .knotbase import CorpusError, Flags, KnotRecord, genus_interval
+from .knotbase import CorpusError, Flags, KnotRecord, _require_enriched, genus_interval
 from .laurent import exact_div, format_poly, is_prime_power
 
 ANCHORS = {
@@ -103,12 +103,6 @@ class Verdict(NamedTuple):
             "rules": list(self.rule_ids()),
             "anchors": list(self.anchors()),
         }
-
-
-def _require_enriched(*records: KnotRecord) -> None:
-    for record in records:
-        if not record.enriched:
-            raise CorpusError(f"{record.name}: record is not enriched")
 
 
 def _o1_alexander(k1: KnotRecord, k2: KnotRecord) -> str:

@@ -4,15 +4,17 @@ metadata, and computed invariants.
 Records come from a JSON file (one top-level array of objects, field
 names as in KnotRecord).  Loading checks only the structure: each
 record's name, references, mutant class and `flags.unknot`
-(`record_shape`), and the references between records.  A record is
-parsed and enriched on its first read: `record_from_json` checks its
-fields and the PD, braid and polynomial syntax, then its invariants are
-computed and its declared values cross-checked against them, so a record
-whose declared Alexander or Jones polynomial disagrees with its diagram,
-braid, or composite construction is rejected before any output reads it.
-Reading every record (`Corpus.records`) checks them all.  Class flags
-are tri-state: True, False, or None for unknown; unknown never drives a
-downstream rule.
+(`record_shape`), then names, connected sums and mutant classes across
+records.  A record is parsed and enriched on its first read, after the
+records it references, which rejects a dangling or circular reference:
+`record_from_json` checks its fields and the PD, braid and polynomial
+syntax, then its invariants are computed and its declared values
+cross-checked against them, so a record whose declared Alexander or
+Jones polynomial disagrees with its diagram, braid, or composite
+construction is rejected before any output reads it.  Reading every
+record (`Corpus.records`) checks them all.  Class flags are tri-state:
+True, False, or None for unknown; unknown never drives a downstream
+rule.
 """
 from __future__ import annotations
 
@@ -97,14 +99,21 @@ class KnotRecord(NamedTuple):
         return (self.connected_sum_of or ()) + (self.satellite_of[:2] if self.satellite_of else ())
 
 
+def _require_enriched(*records: KnotRecord) -> None:
+    for record in records:
+        if not record.enriched:
+            raise CorpusError(f"{record.name}: record is not enriched")
+
+
 class Corpus(_Frozen):
     """Name-indexed knot records, each enriched on its first read, after
-    the records it references.  A record given as its shape
-    (`record_shape`), with its JSON object in `raw` under its name, is
-    parsed by `record_from_json` just before it is enriched.
-    `records` and iteration parse every record, then enrich every
-    record, each in input order; equality compares the enriched
-    records.  Records given already enriched are kept as they are."""
+    the records it references, which rejects a dangling reference
+    (`_sibling`) or a circular one (`_enrich`).  A record given as its
+    shape (`record_shape`), with its JSON object in `raw` under its name,
+    is parsed by `record_from_json` just before it is enriched.  `records`
+    and iteration parse every record, then enrich every record, each in
+    input order; equality compares the enriched records.  Records given
+    already enriched are kept as they are."""
 
     __slots__ = ("_declared", "_raw", "_enriched")
 
@@ -164,7 +173,7 @@ class Corpus(_Frozen):
 
     def _enrich(self, roots: Iterable[str]) -> None:
         """Parse and enrich the records that `roots` reach, each after its
-        references."""
+        references: the one check that references are not circular."""
         declared, enriched = self._declared, self._enriched
         order, cycle = _walk(
             [name for name in roots if name not in enriched],
@@ -480,8 +489,7 @@ def genus_interval(record: KnotRecord) -> tuple[int, int | None]:
     """[exact, exact] when the genus is known; otherwise the
     [degree-bound, diagram-bound] interval, unbounded above for
     metadata-only records."""
-    if not record.enriched:
-        raise CorpusError(f"{record.name}: record is not enriched")
+    _require_enriched(record)
     if record.genus_exact is not None:
         return record.genus_exact, record.genus_exact
     return record.genus_lower, record.genus_upper
@@ -489,7 +497,8 @@ def genus_interval(record: KnotRecord) -> tuple[int, int | None]:
 
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus file and check its structure (`record_shape` and
-    `build_corpus`); each record is parsed and enriched on first read."""
+    `build_corpus`); each record is parsed, its references checked and
+    itself enriched on first read."""
     path = Path(path)
     if not path.exists():
         raise CorpusError(f"corpus file not found: {path}")
@@ -504,21 +513,16 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def build_corpus(records: list[KnotRecord], raw: dict[str, dict] | None = None) -> Corpus:
-    """Check names and references: no duplicate names, no dangling
-    reference, no two names for one connected sum, no mutant class of one
-    record, no circular references.  Enrichment, and the parse of the
-    records given as shapes with their JSON objects in `raw` (see
-    `Corpus`), waits for the first read of each record."""
-    by_name: dict[str, KnotRecord] = {}
+    """Check what no first read can: no duplicate names, no two names for
+    one connected sum, no mutant class of one record.  The references,
+    enrichment, and the parse of the records given as shapes with their
+    JSON objects in `raw` (see `Corpus`) wait for the first read of each
+    record."""
+    names: set[str] = set()
     for record in records:
-        if record.name in by_name:
+        if record.name in names:
             raise CorpusError(f"duplicate record name {record.name!r}")
-        by_name[record.name] = record
-
-    for record in records:
-        for ref in record.references():
-            if ref not in by_name:
-                raise CorpusError(f"{record.name}: dangling cross-reference to {ref!r}")
+        names.add(record.name)
 
     # Two names for one summand multiset are one knot, and each would
     # certify the other by connected-sum projection.
@@ -539,10 +543,6 @@ def build_corpus(records: list[KnotRecord], raw: dict[str, dict] | None = None) 
     for label, count in mutant_members.items():
         if count < 2:
             raise CorpusError(f"mutant class {label!r} has no peer record")
-
-    cycle = _walk([r.name for r in records], lambda name: by_name[name].references())[1]
-    if cycle is not None:
-        raise CorpusError(f"circular composite references among {sorted(cycle[1:])}")
     return Corpus(records, raw)
 
 

@@ -13,8 +13,8 @@ from __future__ import annotations
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .domination import Certificate, _alternating_prime_power, _require_enriched, certificate_search, scan
-from .knotbase import Corpus, CorpusError, KnotRecord, _walk
+from .domination import Certificate, _alternating_prime_power, certificate_search, scan
+from .knotbase import Corpus, CorpusError, KnotRecord, _require_enriched, _walk
 from .laurent import _Frozen
 
 
@@ -155,9 +155,11 @@ def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGra
     >>> [(e.src, e.dst, e.certificate.rule_id) for e in graph.edges]
     [('3_1', 'unknot', 'C0_unknot'), ('granny', '3_1', 'C1_connected_sum'), ('granny', 'unknot', 'C0_unknot')]
     """
-    # Structure is read as declared, so only the records certified and
-    # the candidates tested are enriched: enrichment keeps the references
-    # and only ever sets `unknot` to False.
+    # Candidates come from structure as declared, so only the records
+    # certified and the candidates tested are enriched: enrichment keeps
+    # the references and only ever sets `unknot` to False.  The walk reads
+    # each record enriched, which rejects a dangling or circular summand
+    # before the walk follows it.
     names = corpus.names()
     declared = {name: corpus.declared(name) for name in names}
     unknots = [name for name in names if declared[name].flags.unknot is True]
@@ -175,11 +177,7 @@ def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGra
         root = stack.pop()
         if root in succ:
             continue
-        order, cycle = _walk(
-            [root], lambda name: [s for s in declared[name].connected_sum_of or () if s not in succ]
-        )
-        if cycle is not None:
-            raise CorpusError(f"circular composite references among {sorted(cycle[1:])}")
+        order = _walk([root], lambda name: [s for s in corpus.get(name).connected_sum_of or () if s not in succ])[0]
         for src in order:
             record = corpus.get(src)
             candidates = set(unknots)

@@ -493,10 +493,14 @@ def eager_enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | No
 
 def eager_build_corpus(records: list[KnotRecord]) -> Corpus:
     """`build_corpus` that enriches every record at load, in input order,
-    each after the records it references, and holds the enriched records."""
-    build_corpus(records)  # names and references
+    each after the records it references, and holds the enriched records.
+    A circular reference raises here, and `enrich_record` raises on a
+    dangling one."""
+    build_corpus(records)  # names, connected sums and mutant classes
     by_name = {r.name: r for r in records}
-    order = _walk([r.name for r in records], lambda name: by_name[name].references())[0]
+    order, cycle = _walk([r.name for r in records], lambda name: [r for r in by_name[name].references() if r in by_name])
+    if cycle is not None:
+        raise CorpusError(f"circular composite references among {sorted(cycle[1:])}")
     enriched: dict[str, KnotRecord] = {}
     for name in order:
         enriched[name] = enrich_record(by_name[name], enriched)

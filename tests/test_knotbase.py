@@ -69,11 +69,15 @@ class TestLoadCorpus:
             load_corpus(path)
 
     def test_dangling_reference_rejected(self, tmp_path):
+        # the load leaves references to the first read
         payload = [{"name": "x", "delta": "1", "connected_sum_of": ["a", "b"]}]
         path = tmp_path / "dangling.json"
         path.write_text(json.dumps(payload))
-        with pytest.raises(CorpusError, match="dangling cross-reference"):
-            load_corpus(path)
+        corpus = load_corpus(path)
+        with pytest.raises(CorpusError, match="^x: dangling cross-reference to 'a'$"):
+            corpus.records
+        with pytest.raises(CorpusError, match="^x: dangling cross-reference to 'a'$"):
+            corpus.get("x")
 
     def test_lone_mutant_rejected(self, tmp_path):
         payload = [{"name": "x", "delta": "1", "mutant_class": "solo"}]
@@ -345,11 +349,14 @@ class TestVolumes:
 
 
 def test_build_corpus_requires_composites_enrichable(corpus):
-    # circular composite references cannot be ordered
+    # circular composite references cannot be ordered; the first read
+    # rejects them
     a = KnotRecord(name="a", delta=parse_poly("1"), satellite_of=("b", "b", 0))
     b = KnotRecord(name="b", delta=parse_poly("1"), satellite_of=("a", "a", 0))
     with pytest.raises(CorpusError, match="circular composite"):
-        build_corpus([a, b])
+        build_corpus([a, b]).records
+    with pytest.raises(CorpusError, match="circular composite"):
+        build_corpus([a, b]).get("a")
 
 
 def test_build_corpus_rejects_two_names_for_one_connected_sum():
@@ -367,8 +374,10 @@ def test_build_corpus_cycle_error_names_only_the_cycle():
     a = KnotRecord(name="a", delta=parse_poly("1"), satellite_of=("b", "b", 0))
     b = KnotRecord(name="b", delta=parse_poly("1"), satellite_of=("a", "a", 0))
     c = KnotRecord(name="c", delta=parse_poly("1"), satellite_of=("a", "a", 0))
-    with pytest.raises(CorpusError, match=r"circular composite references among \['a', 'b'\]$"):
-        build_corpus([c, a, b])
+    with pytest.raises(CorpusError, match=r"^circular composite references among \['a', 'b'\]$"):
+        build_corpus([c, a, b]).records
+    with pytest.raises(CorpusError, match=r"^circular composite references among \['a', 'b'\]$"):
+        build_corpus([c, a, b]).get("c")
 
 
 def test_build_corpus_enriches_parts_listed_later():
@@ -442,16 +451,32 @@ class TestEnrichOnFirstRead:
         monkeypatch.setattr(poset, "certify", recording_certify)
         return names
 
-    @pytest.fixture
-    def invalid_path(self, corpus_path, tmp_path):
-        """The bundled corpus with an unreferenced satellite `x` whose
-        declared delta is wrong, listed first, and a non-palindromic `z`,
-        listed last."""
-        x = {"name": "x", "satellite_of": ["3_1", "4_1", 1], "delta": "1"}
+    INVALID_RECORDS = {
+        "declared": (
+            [{"name": "x", "satellite_of": ["3_1", "4_1", 1], "delta": "1"}],
+            "x: declared delta (satellite) 1 != computed 1 - 4t + 5t^2 - 4t^3 + t^4",
+        ),
+        "dangling": (
+            [{"name": "x", "satellite_of": ["3_1", "ghost", 1], "delta": "1"}],
+            "x: dangling cross-reference to 'ghost'",
+        ),
+        "circular": (
+            [{"name": "x", "satellite_of": ["y", "3_1", 1]}, {"name": "y", "satellite_of": ["x", "3_1", 1]}],
+            "circular composite references among ['x', 'y']",
+        ),
+    }
+
+    @pytest.fixture(params=INVALID_RECORDS, ids=str)
+    def invalid(self, request, corpus_path, tmp_path):
+        """The bundled corpus with unreferenced invalid records listed
+        first, a wrong declared delta, a dangling reference or a satellite
+        cycle, and a non-palindromic `z` listed last; and the error the
+        first read of every record gives."""
+        first, error = self.INVALID_RECORDS[request.param]
         z = {"name": "z", "delta": "1 + t - t^2"}
         path = tmp_path / "invalid.json"
-        path.write_text(json.dumps([x, *json.loads(corpus_path.read_text()), z]))
-        return path
+        path.write_text(json.dumps([*first, *json.loads(corpus_path.read_text()), z]))
+        return path, error
 
     def test_load_enriches_nothing(self, enriched, corpus_path):
         corpus = load_corpus(corpus_path)
@@ -522,21 +547,22 @@ class TestEnrichOnFirstRead:
 
     @pytest.mark.parametrize("argv", [("invariants", "3_1"), ("check", "granny", "3_1"), ("chain-bound", "granny")])
     @pytest.mark.parametrize("form", [(), ("--json",)])
-    def test_queries_read_past_invalid_records(self, capsys, invalid_path, argv, form):
+    def test_queries_read_past_invalid_records(self, capsys, invalid, argv, form):
+        path, _ = invalid
         expected = run(capsys, *form, *argv)
         assert expected[0] == EXIT_OK
-        assert run(capsys, "--corpus", str(invalid_path), *form, *argv) == expected
+        assert run(capsys, "--corpus", str(path), *form, *argv) == expected
 
-    def test_whole_corpus_commands_report_the_first_invalid_record(self, capsys, invalid_path):
-        error = "x: declared delta (satellite) 1 != computed 1 - 4t + 5t^2 - 4t^3 + t^4"
+    def test_whole_corpus_commands_report_the_first_invalid_record(self, capsys, invalid):
+        invalid_path, error = invalid
         for form in ((), ("--json",)):
             assert run(capsys, "--corpus", str(invalid_path), *form, "poset") == (EXIT_USAGE, "", f"error: {error}\n")
             assert run(capsys, "--corpus", str(invalid_path), *form, "verify-paper") == (
                 EXIT_USAGE, "", f"error: missing or invalid fixture: {error}\n"
             )
 
-    def test_invariants_of_an_invalid_record_name_it(self, capsys, invalid_path):
-        assert run(capsys, "--corpus", str(invalid_path), "invariants", "z") == (
+    def test_invariants_of_an_invalid_record_name_it(self, capsys, invalid):
+        assert run(capsys, "--corpus", str(invalid[0]), "invariants", "z") == (
             EXIT_USAGE, "", "error: z: delta 1 + t - t^2 is not palindromic\n"
         )
 

@@ -567,8 +567,8 @@ class TestCertify:
             certify(corpus, ["granny", "no_such_knot"])
 
     def test_circular_summands_fail_cleanly(self):
-        # build_corpus rejects these; a Corpus assembled past it must not
-        # send the summands-first walk round the cycle
+        # enrichment rejects these before the summands-first walk follows
+        # them, so the walk is never sent round the cycle
         records = (
             KnotRecord(name="a", connected_sum_of=("b", "c")),
             KnotRecord(name="b", connected_sum_of=("a", "c")),
@@ -588,6 +588,15 @@ class TestCertify:
         )
         with pytest.raises(CorpusError, match=r"^circular composite references among \['a', 'b'\]$"):
             certify(Corpus(records), ["r"])
+
+    def test_dangling_summand_fails_cleanly(self):
+        # enrichment rejects it before the summands-first walk follows it
+        records = (
+            KnotRecord(name="s", connected_sum_of=("a", "ghost")),
+            KnotRecord(name="a", delta=parse_poly("1 - t + t^2")),
+        )
+        with pytest.raises(CorpusError, match="^s: dangling cross-reference to 'ghost'$"):
+            certify(Corpus(records), ["s"])
 
     def test_chain_query_searches_fewer_pairs(self, monkeypatch):
         calls = []
