@@ -87,16 +87,12 @@ _PD_TOKEN = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
 def parse_pd(text: str) -> PDCode:
     """Parse whitespace-separated X(a,b,c,d) tokens; empty input is the
     0-crossing unknot diagram."""
-    s = text.strip()
-    if not s:
-        return PDCode.from_tuples([])
+    s = text.strip()  # so every run of whitespace below ends at a token
     crossings = []
     pos = 0
     while pos < len(s):
-        while pos < len(s) and s[pos].isspace():
+        while s[pos].isspace():
             pos += 1
-        if pos >= len(s):
-            break
         m = _PD_TOKEN.match(s, pos)
         if not m:
             raise DiagramError(f"malformed PD token at offset {pos} in {text!r}")
@@ -108,23 +104,6 @@ def parse_pd(text: str) -> PDCode:
 def _succ(label: int, n: int) -> int:
     """Next arc label along the orientation, wrapping 2n -> 1."""
     return label % (2 * n) + 1
-
-
-def _disjoint_sets(size: int):
-    """find and union over 0..size-1, with path halving; union(x, y)
-    puts x's root under y's root."""
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    def union(x: int, y: int) -> None:
-        parent[find(x)] = find(y)
-
-    return find, union
 
 
 def _validate(crossings: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -190,101 +169,88 @@ def parse_braid(text: str) -> BraidWord:
 
 def braid_to_pd(braid: BraidWord) -> PDCode:
     """PD code of the trace closure (strand i top joined to strand i
-    bottom).  The closure must be a knot: one permutation cycle."""
-    m = braid.strand_count
+    bottom).  The closure must be a knot: one permutation cycle.
+
+    >>> str(braid_to_pd(parse_braid("B2: 1 1 1")))
+    'X(1,5,2,4) X(5,3,6,2) X(3,1,4,6)'
+    """
+    m, letters = braid.strand_count, braid.letters
+    n = len(letters)
     # Each crossing joins at most two cycles of the permutation, so more
     # strands than letters + 1 cannot close into a knot.
-    if m > len(braid.letters) + 1:
-        raise DiagramError(
-            f"braid closure has at least {m - len(braid.letters)} components, expected a knot"
-        )
+    if m > n + 1:
+        raise DiagramError(f"braid closure has at least {m - n} components, expected a knot")
     perm = list(range(m))
-    for letter in braid.letters:
+    for letter in letters:
         i = abs(letter) - 1
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    seen = set()
+    seen: set[int] = set()
     cycles = 0
-    for start in range(m):
-        if start in seen:
-            continue
-        cycles += 1
-        j = start
+    for j in range(m):
+        cycles += j not in seen
         while j not in seen:
             seen.add(j)
             j = perm[j]
     if cycles != 1:
         raise DiagramError(f"braid closure has {cycles} components, expected a knot")
-    if not braid.letters:
+    if n == 0:
         return PDCode.from_tuples([])
 
-    # Wire the diagram: edge ids flow top to bottom, positions 0..m-1.
-    # Each crossing records its four port edges; the trace closure
-    # identifies bottom edges with the top edges of the same position.
-    next_edge = m
-    position_edge = list(range(m))
-    ports = []  # per crossing: dict NW/NE/SW/SE -> edge id
-    for letter in braid.letters:
-        i = abs(letter) - 1
-        nw, ne = position_edge[i], position_edge[i + 1]
-        sw, se = next_edge, next_edge + 1
-        next_edge += 2
-        ports.append({"NW": nw, "NE": ne, "SW": sw, "SE": se})
-        position_edge[i], position_edge[i + 1] = sw, se
-
-    find, union = _disjoint_sets(next_edge)
-    for pos in range(m):
-        union(position_edge[pos], pos)
-
-    # Orientation: strands run downward; both strands cross NW->SE and
-    # NE->SW.  A positive letter puts the NE->SW strand on top, which is
-    # a positive crossing in the PD sign convention; negative letters
-    # mirror it.
-    exits: dict[int, tuple[int, str]] = {}  # entering edge -> (crossing, out port)
-    for idx, (letter, port) in enumerate(zip(braid.letters, ports)):
-        exits[find(port["NW"])] = (idx, "SE")
-        exits[find(port["NE"])] = (idx, "SW")
-
-    start_edge = find(ports[0]["NW"])
-    labels: dict[int, int] = {}
-    edge = start_edge
-    for label in range(1, 2 * len(braid.letters) + 1):
-        labels[edge] = label
-        crossing, out_port = exits[edge]
-        edge = find(ports[crossing][out_port])
-    if edge != start_edge or len(labels) != 2 * len(braid.letters):
-        raise DiagramError("braid traversal did not close into a single knot")
-
-    tuples = []
-    for letter, port in zip(braid.letters, ports):
-        nw = labels[find(port["NW"])]
-        ne = labels[find(port["NE"])]
-        sw = labels[find(port["SW"])]
-        se = labels[find(port["SE"])]
-        if letter > 0:
-            tuples.append((nw, sw, se, ne))  # under NW->SE; CCW from NW
+    # Strands run downward and cross NW -> SE or NE -> SW.  below[k, p] is
+    # the next crossing under crossing k at position p, wrapping to the top
+    # (the trace closure).  The walk labels the stretches between crossings
+    # 1..2n in the order it meets them, from the top of crossing 0's NW.
+    column: list[list[int]] = [[] for _ in range(m)]
+    for k, letter in enumerate(letters):
+        column[abs(letter) - 1].append(k)
+        column[abs(letter)].append(k)
+    below = {(k, p): nxt for p, ks in enumerate(column) for k, nxt in zip(ks, ks[1:] + ks[:1])}
+    nw, ne, sw, se = ([0] * n for _ in range(4))
+    k, p = 0, abs(letters[0]) - 1
+    for label in range(1, 2 * n + 1):
+        left = abs(letters[k]) - 1
+        if p == left:
+            nw[k], se[k], p = label, _succ(label, n), left + 1
         else:
-            tuples.append((ne, nw, sw, se))  # under NE->SW; CCW from NE
-    return PDCode.from_tuples(tuples)
+            ne[k], sw[k], p = label, _succ(label, n), left
+        k = below[k, p]
+    # A positive letter puts the NE->SW strand on top, which is a positive
+    # crossing in the PD sign convention; negative letters mirror it.  The
+    # tuple reads counterclockwise from the under-strand's entry, NW or NE.
+    return PDCode.from_tuples(
+        [
+            (nw[k], sw[k], se[k], ne[k]) if letter > 0 else (ne[k], nw[k], sw[k], se[k])
+            for k, letter in enumerate(letters)
+        ]
+    )
 
 
 def wirtinger(pd: PDCode) -> WirtingerPresentation:
     """One meridian generator per arc (maximal overpass), one conjugation
-    relation per crossing.  The 0-crossing unknot gives one free generator."""
+    relation per crossing.  The 0-crossing unknot gives one free generator.
+
+    Arcs are numbered along the orientation: arc 0 starts at label c of
+    crossing 0, and each arc ends at a label that enters a crossing as
+    its under-strand a.  Below, arc 0 is {2, 3}, arc 1 {4, 5}, arc 2 {6, 1}.
+
+    >>> wirtinger(parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"))
+    WirtingerPresentation(generator_count=3, relations=((0, 1, 2, -1), (1, 2, 0, -1), (2, 0, 1, -1)))
+    """
     n = pd.crossing_count
     if n == 0:
         return WirtingerPresentation(1, ())
-    find, union = _disjoint_sets(2 * n + 1)  # labels 1..2n; 0 unused
-    for o_in in pd.over_in:
-        union(_succ(o_in, n), o_in)  # over passage keeps the same arc
-    roots = sorted({find(label) for label in range(1, 2 * n + 1)})
-    arc_index = {root: i for i, root in enumerate(roots)}
-
-    relations = []
-    for (a, _, c, _), sign, o_in in zip(pd.crossings, pd.signs, pd.over_in):
-        relations.append(
-            (arc_index[find(c)], arc_index[find(o_in)], arc_index[find(a)], sign)
-        )
-    return WirtingerPresentation(len(roots), tuple(relations))
+    under_in = {a for a, _, _, _ in pd.crossings}
+    arc_of = [0] * (2 * n + 1)  # labels 1..2n; 0 unused
+    arc, label = 0, pd.crossings[0][2]
+    for _ in range(2 * n):
+        arc_of[label] = arc
+        arc += label in under_in
+        label = _succ(label, n)
+    relations = tuple(
+        (arc_of[c], arc_of[o_in], arc_of[a], sign)
+        for (a, _, c, _), sign, o_in in zip(pd.crossings, pd.signs, pd.over_in)
+    )
+    return WirtingerPresentation(n, relations)
 
 
 def seifert_circles(pd: PDCode) -> tuple[int, int]:
@@ -293,17 +259,21 @@ def seifert_circles(pd: PDCode) -> tuple[int, int]:
     n = pd.crossing_count
     if n == 0:
         return 1, 0
-    find, union = _disjoint_sets(2 * n + 1)  # labels 1..2n; 0 unused
-    # The oriented smoothing joins each incoming arc to the outgoing arc
-    # on the same side of the crossing.
+    # The oriented smoothing sends each incoming label to the outgoing
+    # label on the same side of the crossing; the circles are the cycles
+    # of that permutation of the labels.
+    turn: dict[int, int] = {}
     for (a, b, c, d), sign in zip(pd.crossings, pd.signs):
         if sign > 0:  # over-strand runs d -> b
-            union(a, b)
-            union(d, c)
+            turn[a], turn[d] = b, c
         else:  # over-strand runs b -> d
-            union(a, d)
-            union(b, c)
-    circles = len({find(label) for label in range(1, 2 * n + 1)})
+            turn[a], turn[b] = d, c
+    circles = 0
+    while turn:
+        circles += 1
+        label = next(iter(turn))
+        while label in turn:
+            label = turn.pop(label)
     if (n - circles + 1) % 2 != 0:
         raise DiagramError("Seifert resolution gave an odd n - s + 1")
     return circles, (n - circles + 1) // 2

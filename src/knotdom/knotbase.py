@@ -403,6 +403,8 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
         raise CorpusError(f"{name}: delta(1) = {delta.eval_int(1)}, expected +-1")
     coeffs = delta.coefficients()
     top = delta.max_degree
+    # Past this check top is even: an odd top pairs every coefficient with
+    # its mirror, so delta(1) would be even and has been rejected above.
     if any(coeffs.get(top - e) != c for e, c in delta.terms):
         raise CorpusError(f"{name}: delta {format_poly(delta)} is not palindromic")
 
@@ -414,8 +416,6 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
             jones = _merge(name, "jones", jones, jones_polynomial(diagram))
         check_jones(name, jones, determinant)
 
-    if top % 2 != 0:
-        raise CorpusError(f"{name}: delta has odd degree {top}")
     genus_lower = _merge(name, "genus_lower", record.genus_lower, top // 2)
 
     genus_upper = record.genus_upper

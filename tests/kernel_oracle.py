@@ -16,11 +16,13 @@ square root; `backtracking_summands_cover` matches summands by recursive
 backtracking; `eager_enrich_record` computes the Jones polynomial of every
 diagram within the budget at enrichment; `eager_build_corpus` enriches
 every record of a corpus at load; `eager_load_corpus` parses every record
-of a corpus file at load.  The library's frontier sweep, Kronecker
-determinant, integer division, integer evaluation, normalization,
-Miller-Rabin test, augmenting-path matching, Jones computed only where it
-is read and records parsed and enriched on first read must agree with
-them.
+of a corpus file at load; `union_find_braid_to_pd`, `union_find_wirtinger`
+and `union_find_seifert_circles` merge arc labels with a union-find
+(`_disjoint_sets`).  The library's frontier sweep, Kronecker determinant,
+integer division, integer evaluation, normalization, Miller-Rabin test,
+augmenting-path matching, Jones computed only where it is read, records
+parsed and enriched on first read and its walks along the diagram must
+agree with them.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from knotdom.alexander import JONES_CROSSING_BUDGET, _permutation_sign, jones_polynomial
-from knotdom.diagram import PDCode, WirtingerPresentation
+from knotdom.diagram import BraidWord, DiagramError, PDCode, WirtingerPresentation, _succ
 from knotdom.knotbase import Corpus, CorpusError, KnotRecord, _walk, build_corpus, enrich_record, record_from_json
 from knotdom.laurent import LaurentPoly, format_poly, is_prime
 
@@ -511,3 +513,144 @@ def eager_load_corpus(path: str | Path) -> Corpus:
     """`load_corpus` that parses every record at load: `record_from_json`
     on every entry, in input order, then `build_corpus`."""
     return build_corpus([record_from_json(obj) for obj in json.loads(Path(path).read_text(encoding="utf-8"))])
+
+
+def _disjoint_sets(size: int):
+    """find and union over 0..size-1, with path halving; union(x, y)
+    puts x's root under y's root."""
+    parent = list(range(size))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    def union(x: int, y: int) -> None:
+        parent[find(x)] = find(y)
+
+    return find, union
+
+
+
+def union_find_braid_to_pd(braid: BraidWord) -> PDCode:
+    """PD code of the trace closure (strand i top joined to strand i
+    bottom).  The closure must be a knot: one permutation cycle."""
+    m = braid.strand_count
+    # Each crossing joins at most two cycles of the permutation, so more
+    # strands than letters + 1 cannot close into a knot.
+    if m > len(braid.letters) + 1:
+        raise DiagramError(
+            f"braid closure has at least {m - len(braid.letters)} components, expected a knot"
+        )
+    perm = list(range(m))
+    for letter in braid.letters:
+        i = abs(letter) - 1
+        perm[i], perm[i + 1] = perm[i + 1], perm[i]
+    seen = set()
+    cycles = 0
+    for start in range(m):
+        if start in seen:
+            continue
+        cycles += 1
+        j = start
+        while j not in seen:
+            seen.add(j)
+            j = perm[j]
+    if cycles != 1:
+        raise DiagramError(f"braid closure has {cycles} components, expected a knot")
+    if not braid.letters:
+        return PDCode.from_tuples([])
+
+    # Wire the diagram: edge ids flow top to bottom, positions 0..m-1.
+    # Each crossing records its four port edges; the trace closure
+    # identifies bottom edges with the top edges of the same position.
+    next_edge = m
+    position_edge = list(range(m))
+    ports = []  # per crossing: dict NW/NE/SW/SE -> edge id
+    for letter in braid.letters:
+        i = abs(letter) - 1
+        nw, ne = position_edge[i], position_edge[i + 1]
+        sw, se = next_edge, next_edge + 1
+        next_edge += 2
+        ports.append({"NW": nw, "NE": ne, "SW": sw, "SE": se})
+        position_edge[i], position_edge[i + 1] = sw, se
+
+    find, union = _disjoint_sets(next_edge)
+    for pos in range(m):
+        union(position_edge[pos], pos)
+
+    # Orientation: strands run downward; both strands cross NW->SE and
+    # NE->SW.  A positive letter puts the NE->SW strand on top, which is
+    # a positive crossing in the PD sign convention; negative letters
+    # mirror it.
+    exits: dict[int, tuple[int, str]] = {}  # entering edge -> (crossing, out port)
+    for idx, (letter, port) in enumerate(zip(braid.letters, ports)):
+        exits[find(port["NW"])] = (idx, "SE")
+        exits[find(port["NE"])] = (idx, "SW")
+
+    start_edge = find(ports[0]["NW"])
+    labels: dict[int, int] = {}
+    edge = start_edge
+    for label in range(1, 2 * len(braid.letters) + 1):
+        labels[edge] = label
+        crossing, out_port = exits[edge]
+        edge = find(ports[crossing][out_port])
+    if edge != start_edge or len(labels) != 2 * len(braid.letters):
+        raise DiagramError("braid traversal did not close into a single knot")
+
+    tuples = []
+    for letter, port in zip(braid.letters, ports):
+        nw = labels[find(port["NW"])]
+        ne = labels[find(port["NE"])]
+        sw = labels[find(port["SW"])]
+        se = labels[find(port["SE"])]
+        if letter > 0:
+            tuples.append((nw, sw, se, ne))  # under NW->SE; CCW from NW
+        else:
+            tuples.append((ne, nw, sw, se))  # under NE->SW; CCW from NE
+    return PDCode.from_tuples(tuples)
+
+
+
+def union_find_wirtinger(pd: PDCode) -> WirtingerPresentation:
+    """One meridian generator per arc (maximal overpass), one conjugation
+    relation per crossing.  The 0-crossing unknot gives one free generator."""
+    n = pd.crossing_count
+    if n == 0:
+        return WirtingerPresentation(1, ())
+    find, union = _disjoint_sets(2 * n + 1)  # labels 1..2n; 0 unused
+    for o_in in pd.over_in:
+        union(_succ(o_in, n), o_in)  # over passage keeps the same arc
+    roots = sorted({find(label) for label in range(1, 2 * n + 1)})
+    arc_index = {root: i for i, root in enumerate(roots)}
+
+    relations = []
+    for (a, _, c, _), sign, o_in in zip(pd.crossings, pd.signs, pd.over_in):
+        relations.append(
+            (arc_index[find(c)], arc_index[find(o_in)], arc_index[find(a)], sign)
+        )
+    return WirtingerPresentation(len(roots), tuple(relations))
+
+
+
+def union_find_seifert_circles(pd: PDCode) -> tuple[int, int]:
+    """Count the circles of the orientation-respecting resolution and the
+    genus upper bound (n - s + 1) / 2 of the resulting Seifert surface."""
+    n = pd.crossing_count
+    if n == 0:
+        return 1, 0
+    find, union = _disjoint_sets(2 * n + 1)  # labels 1..2n; 0 unused
+    # The oriented smoothing joins each incoming arc to the outgoing arc
+    # on the same side of the crossing.
+    for (a, b, c, d), sign in zip(pd.crossings, pd.signs):
+        if sign > 0:  # over-strand runs d -> b
+            union(a, b)
+            union(d, c)
+        else:  # over-strand runs b -> d
+            union(a, d)
+            union(b, c)
+    circles = len({find(label) for label in range(1, 2 * n + 1)})
+    if (n - circles + 1) % 2 != 0:
+        raise DiagramError("Seifert resolution gave an odd n - s + 1")
+    return circles, (n - circles + 1) // 2

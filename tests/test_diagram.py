@@ -217,6 +217,9 @@ class TestSeifert:
             (TREFOIL, 2, 1),
             (FIG8, 3, 1),
             ("", 1, 0),
+            ("X(1,1,2,2)", 2, 0),
+            ("X(1,2,2,1)", 2, 0),
+            ("X(2,1,3,2) X(4,4,1,3)", 3, 0),
         ],
     )
     def test_known_counts(self, pd_text, circles, genus_upper):

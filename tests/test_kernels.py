@@ -1,6 +1,6 @@
 """The frontier-sweep Kauffman bracket, the Kronecker Alexander
-determinant and integer exact division against the kernels they replaced
-(`kernel_oracle`), on seeded random input."""
+determinant, integer exact division and the diagram walks against the
+kernels they replaced (`kernel_oracle`), on seeded random input."""
 import os
 import random
 import subprocess
@@ -19,7 +19,7 @@ from knotdom.alexander import (
     kauffman_bracket,
     linear_determinant,
 )
-from knotdom.diagram import BraidWord, DiagramError, PDCode, braid_to_pd, parse_pd, wirtinger
+from knotdom.diagram import BraidWord, DiagramError, PDCode, braid_to_pd, parse_pd, seifert_circles, wirtinger
 from knotdom.laurent import LaurentPoly, exact_div, is_prime, parse_poly
 import kernel_oracle
 from kernel_oracle import (
@@ -33,6 +33,9 @@ from kernel_oracle import (
     node_determinant,
     shift_normalize,
     state_sum_bracket,
+    union_find_braid_to_pd,
+    union_find_seifert_circles,
+    union_find_wirtinger,
 )
 from test_alexander import cofactor_determinant
 
@@ -477,3 +480,43 @@ class TestIntegerDivision:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+
+class TestDiagramWalks:
+    def test_walks_match_the_union_find_oracles(self):
+        # The walk numbers Wirtinger arcs in its own order, so presentations
+        # are compared up to renaming generators: by count, relation signs
+        # and the Alexander determinant.
+        def same_invariants(pd):
+            assert seifert_circles(pd) == union_find_seifert_circles(pd), pd
+            pres, old = wirtinger(pd), union_find_wirtinger(pd)
+            assert pres.generator_count == old.generator_count, pd
+            assert [r[3] for r in pres.relations] == [r[3] for r in old.relations], pd
+            if pd.crossing_count:
+                got = linear_determinant(alexander_rows(pres)).normalize()
+                assert got == linear_determinant(alexander_rows(old)).normalize(), pd
+
+        for text in ("X(1,1,2,2)", "X(1,2,2,1)", "X(2,1,3,2) X(4,4,1,3)"):
+            same_invariants(parse_pd(text))
+        rng = random.Random(2020)
+        knots = errors = 0
+        for _ in range(1500):
+            strands = rng.randint(2, 6)
+            letters = tuple(rng.choice((1, -1)) * rng.randint(1, strands - 1) for _ in range(rng.randint(0, 30)))
+            braid = BraidWord(strands, letters)
+            try:
+                expected = union_find_braid_to_pd(braid)
+            except DiagramError as exc:
+                with pytest.raises(DiagramError) as raised:
+                    braid_to_pd(braid)
+                assert str(raised.value) == str(exc), braid
+                errors += 1
+                continue
+            pd = braid_to_pd(braid)
+            assert pd.crossings == expected.crossings, braid
+            knots += 1
+            same_invariants(pd)
+            if pd.crossing_count:
+                shuffled = PDCode.from_tuples(rng.sample(pd.crossings, len(pd.crossings)))
+                same_invariants(rotated(shuffled, rng.randrange(2 * pd.crossing_count)))
+        assert knots > 300 and errors > 300
