@@ -2,7 +2,10 @@
 kept as test oracles.
 
 `state_sum_bracket` is the Kauffman bracket summed over all 2^n states
-with a fresh union-find per state; `fox_matrix`, `alexander_matrix` and
+with a fresh union-find per state; `dict_sweep_bracket` is the frontier
+sweep with a dict of terms per state and a `frozenset` key per matching,
+in the order of `quadratic_sweep_order`, which recounts every remaining
+crossing's frontier labels at each step; `fox_matrix`, `alexander_matrix` and
 `bareiss_determinant` are the dense Fox matrix over Z[t, t^-1] and its
 fraction-free Bareiss determinant; `node_determinant` evaluates a Fox
 minor at t = 2..D+2 modulo 61-bit primes, replaying one pivot sequence
@@ -18,7 +21,8 @@ diagram within the budget at enrichment; `eager_build_corpus` enriches
 every record of a corpus at load; `eager_load_corpus` parses every record
 of a corpus file at load; `union_find_braid_to_pd`, `union_find_wirtinger`
 and `union_find_seifert_circles` merge arc labels with a union-find
-(`_disjoint_sets`).  The library's frontier sweep, Kronecker determinant,
+(`_disjoint_sets`).  The library's integer frontier sweep and its
+incremental order, Kronecker determinant,
 integer division, integer evaluation, normalization, Miller-Rabin test,
 augmenting-path matching, Jones computed only where it is read, records
 parsed and enriched on first read and its walks along the diagram must
@@ -32,7 +36,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
-from knotdom.alexander import JONES_CROSSING_BUDGET, _permutation_sign, jones_polynomial
+from knotdom.alexander import JONES_CROSSING_BUDGET, _join, _permutation_sign, jones_polynomial
 from knotdom.diagram import BraidWord, DiagramError, PDCode, WirtingerPresentation, _succ
 from knotdom.knotbase import Corpus, CorpusError, KnotRecord, _walk, build_corpus, enrich_record, record_from_json
 from knotdom.laurent import LaurentPoly, format_poly, is_prime
@@ -92,6 +96,55 @@ def state_sum_bracket(pd: PDCode) -> LaurentPoly:
         loops = len({find(x) for x in range(size)})
         total = total + LaurentPoly.t(2 * a_count - n) * delta_powers[loops - 1]
     return total
+
+
+def dict_sweep_bracket(pd: PDCode) -> LaurentPoly:
+    """Kauffman bracket by the frontier sweep with one dict {exponent:
+    coefficient} per matching, keyed by the matching's `frozenset` of
+    (end, far end) pairs and rebuilt as a dict for every branch; each
+    closed loop multiplies by a precomputed power of -A^2 - A^-2."""
+    if not pd.crossings:
+        return LaurentPoly.const(1)
+    states: dict[frozenset, dict[int, int]] = {frozenset(): {0: 1}}
+    for a, b, c, d in quadratic_sweep_order(pd.crossings):
+        swept: dict[frozenset, dict[int, int]] = {}
+        for matching, poly in states.items():
+            for weight, strands in ((1, ((a, b), (c, d))), (-1, ((a, d), (b, c)))):
+                ends = dict(matching)
+                loops = _join(ends, *strands[0]) + _join(ends, *strands[1])
+                if not ends:
+                    loops -= 1
+                target = swept.setdefault(frozenset(ends.items()), {})
+                for e, coeff in poly.items():
+                    for de, dc in _DELTA_POWERS[loops]:
+                        exp = e + weight + de
+                        target[exp] = target.get(exp, 0) + coeff * dc
+        states = swept
+    (bracket,) = states.values()
+    return LaurentPoly.from_dict(bracket)
+
+
+# delta^k = (-A^2 - A^-2)^k for the at most two loops one crossing closes
+_DELTA_POWERS = (((0, 1),), ((-2, -1), (2, -1)), ((-4, 1), (0, 2), (4, 1)))
+
+
+def quadratic_sweep_order(crossings):
+    """Greedy contraction order: next, the crossing with the most arc
+    labels on the open frontier, counted afresh for every remaining
+    crossing at every step; ties go to the lower index."""
+    remaining = list(range(len(crossings)))
+    frontier: set[int] = set()
+    order = []
+    while remaining:
+        best = max(remaining, key=lambda i: (sum(x in frontier for x in crossings[i]), -i))
+        remaining.remove(best)
+        order.append(crossings[best])
+        for x in crossings[best]:  # a label seen twice leaves the frontier
+            if x in frontier:
+                frontier.remove(x)
+            else:
+                frontier.add(x)
+    return order
 
 
 def fox_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:

@@ -1,4 +1,5 @@
-"""The frontier-sweep Kauffman bracket, the Kronecker Alexander
+"""The integer frontier-sweep Kauffman bracket and its contraction
+order, the Kronecker Alexander
 determinant, integer exact division and the diagram walks against the
 kernels they replaced (`kernel_oracle`), on seeded random input."""
 import os
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 import knotdom
 from knotdom.alexander import (
+    _sweep_order,
     alexander_rows,
     jones_polynomial,
     kauffman_bracket,
@@ -28,9 +30,11 @@ from kernel_oracle import (
     _replay_mod,
     alexander_matrix,
     bareiss_determinant,
+    dict_sweep_bracket,
     fraction_divided_by,
     linear_rows,
     node_determinant,
+    quadratic_sweep_order,
     shift_normalize,
     state_sum_bracket,
     union_find_braid_to_pd,
@@ -54,13 +58,13 @@ def random_knot_braid(rng: random.Random, strands: int, length: int) -> BraidWor
         return braid
 
 
-def random_closures(seed: int, count: int, max_crossings: int):
-    """Knots closing random 3- to 6-strand braids of 3 to max_crossings
-    letters; a knot on s strands needs at least s - 1 letters and their
-    count must have the parity of s - 1."""
+def random_closures(seed: int, count: int, max_crossings: int, min_strands: int = 3):
+    """Knots closing random min_strands- to 6-strand braids of 3 to
+    max_crossings letters; a knot on s strands needs at least s - 1
+    letters and their count must have the parity of s - 1."""
     rng = random.Random(seed)
     for _ in range(count):
-        strands = rng.randint(3, 6)
+        strands = rng.randint(min_strands, 6)
         length = rng.randrange(strands - 1, max_crossings + 1, 2)
         if length < 3:
             length += 2
@@ -71,11 +75,11 @@ def random_closures(seed: int, count: int, max_crossings: int):
 class TestBracketSweep:
     @pytest.mark.parametrize(
         "text",
-        ["", "X(1,1,2,2)", "X(2,1,3,2) X(4,4,1,3)", "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"],
+        ["", "X(1,1,2,2)", "X(1,2,2,1)", "X(2,1,3,2) X(4,4,1,3)", "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"],
     )
     def test_kinks_and_small_diagrams(self, text):
         pd = parse_pd(text)
-        assert kauffman_bracket(pd) == state_sum_bracket(pd)
+        assert kauffman_bracket(pd) == state_sum_bracket(pd) == dict_sweep_bracket(pd)
 
     def test_random_closures_mirrors_and_shuffles(self):
         for rng, braid, pd in random_closures(20261018, 30, 12):
@@ -85,6 +89,54 @@ class TestBracketSweep:
             assert kauffman_bracket(mirror) == state_sum_bracket(mirror), braid
             shuffled = PDCode.from_tuples(rng.sample(pd.crossings, len(pd.crossings)))
             assert kauffman_bracket(shuffled) == expected, braid
+
+    def test_against_the_dict_sweep_up_to_24_crossings(self):
+        for rng, braid, pd in random_closures(20261019, 60, 24, min_strands=2):
+            expected = dict_sweep_bracket(pd)
+            assert kauffman_bracket(pd) == expected, braid
+            mirror = pd.mirror()
+            assert kauffman_bracket(mirror) == dict_sweep_bracket(mirror), braid
+            shuffled = PDCode.from_tuples(rng.sample(pd.crossings, len(pd.crossings)))
+            assert kauffman_bracket(shuffled) == expected, braid
+
+    def test_digits_stay_below_half_the_base(self):
+        """The docstring's bound on the densest diagrams within the Jones
+        budget: every coefficient of the bracket of an n-crossing knot
+        lies within 2^(2n) of 0 (its L1 norm is at most 4^n), below
+        X / 2 = 2^(2n+1) for the kernel's base X = 2^(2n+2)."""
+        for pd in dense_diagrams():
+            n = pd.crossing_count
+            bracket = kauffman_bracket(pd)
+            assert bracket == dict_sweep_bracket(pd), str(pd)
+            coeffs = [abs(c) for _, c in bracket.terms]
+            assert sum(coeffs) <= 4**n and max(coeffs) < 2 ** (2 * n + 1), str(pd)
+
+    def test_incremental_order_is_the_quadratic_rule(self):
+        texts = ["X(1,1,2,2)", "X(1,2,2,1)", "X(2,1,3,2) X(4,4,1,3)"]
+        diagrams = [parse_pd(text) for text in texts] + list(dense_diagrams())
+        for rng, braid, pd in random_closures(20261020, 60, 24, min_strands=2):
+            shuffled = PDCode.from_tuples(rng.sample(pd.crossings, len(pd.crossings)))
+            diagrams += [pd, pd.mirror(), shuffled]
+        for pd in diagrams:
+            assert _sweep_order(pd.crossings) == quadratic_sweep_order(pd.crossings), str(pd)
+
+
+def dense_diagrams():
+    """T(2,23) and seeded alternating closures of 21 to 24 crossings: a
+    3-braid in sigma_1 and sigma_2^-1 (even length) or a 4-braid in
+    sigma_1, sigma_2^-1 and sigma_3 (odd length), redrawn until it closes
+    into a knot."""
+    yield braid_to_pd(BraidWord(2, (1,) * 23))
+    rng = random.Random(2123)
+    for crossings in (21, 22, 23, 24, 22, 24, 21, 23):
+        letters = (1, -2) if crossings % 2 == 0 else (1, -2, 3)
+        while True:
+            braid = BraidWord(len(letters) + 1, tuple(rng.choice(letters) for _ in range(crossings)))
+            try:
+                yield braid_to_pd(braid)
+            except DiagramError:
+                continue
+            break
 
 
 class TestJonesBraidMoves:
