@@ -9,10 +9,10 @@ from .alexander import (
     satellite_delta,
 )
 from .diagram import BraidWord, PDCode, braid_to_pd, parse_braid, parse_pd, seifert_circles, wirtinger
-from .domination import Certificate, ObstructionReport, Verdict, certificate_search, evaluate_pair, obstruction_scan, rigidity_scan
+from .domination import Certificate, ObstructionReport, Verdict, certificate_search, obstruction_scan, rigidity_scan
 from .knotbase import Corpus, CorpusError, Flags, KnotRecord, enrich_record, genus_interval, load_corpus
 from .laurent import LaurentPoly, exact_div, format_poly, is_prime_power, parse_poly
-from .poset import ChainBound, DominationGraph, build_graph, certify, chain_length_bound, longest_chain
+from .poset import ChainBound, DominationGraph, build_graph, certify, chain_length_bound, evaluate, longest_chain
 
 __version__ = "0.1.0"
 
@@ -38,7 +38,7 @@ __all__ = [
     "connected_sum_delta",
     "determinant_invariant",
     "enrich_record",
-    "evaluate_pair",
+    "evaluate",
     "exact_div",
     "format_poly",
     "genus_interval",

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 from typing import NamedTuple
 
-from . import alexander, domination, poset
+from . import alexander, poset
 from .diagram import DiagramError, parse_braid, parse_pd, seifert_circles
 from .knotbase import CorpusError, KnotRecord, check_jones, enrich_record, load_corpus
 from .laurent import LaurentPoly, exact_div, format_poly, parse_poly
@@ -197,9 +197,7 @@ _VERDICT_EXIT = {
 
 
 def _cmd_check(name1: str, name2: str, corpus_path: Path, as_json: bool) -> int:
-    corpus = load_corpus(corpus_path)
-    k1, k2 = corpus.get(name1), corpus.get(name2)
-    verdict = domination.evaluate_pair(k1, k2)
+    verdict = poset.evaluate(load_corpus(corpus_path), name1, name2)
     if as_json:
         _emit(verdict.to_json_dict((name1, name2)))
     else:
@@ -363,9 +361,9 @@ def run_verification(corpus_path: Path | str) -> RunReport:
         "winding-zero satellite keeps the pattern's Alexander polynomial",
     )
 
-    v_ks_41 = domination.evaluate_pair(ks, fig8)
-    v_granny = domination.evaluate_pair(corpus.get("granny"), trefoil)
-    v_mutants = domination.evaluate_pair(corpus.get("KT_mutant"), corpus.get("Conway_mutant"))
+    v_ks_41 = poset.evaluate(corpus, "ks_cable23_of_4_1", "4_1")
+    v_granny = poset.evaluate(corpus, "granny", "3_1")
+    v_mutants = poset.evaluate(corpus, "KT_mutant", "Conway_mutant")
     add(
         "pair_verdicts",
         "Ex. 6.5, Prop. 1.2, Cor. 3.2",

@@ -9,9 +9,9 @@ For an ordered pair of enriched records (k1, k2) the engine reports:
     knots, left-orderability of double branched covers, mutation);
   - rigidity rules: invariant equalities under which any domination
     collapses to equality, so distinct names cannot strictly dominate;
-  - certificates: positive constructions (reflexivity, the unknot as
-    bottom element, satellite over pattern, winding-one cabling,
-    connected-sum projection).
+  - certificates: positive constructions (the unknot as bottom
+    element, satellite over pattern, winding-one cabling, connected-sum
+    projection).
 
 The obstruction and rigidity rules are the ordered `(rule_id, test)`
 entries of `OBSTRUCTIONS` and `RIGIDITY`, read by one loop, `scan`.
@@ -28,7 +28,7 @@ from decimal import Decimal
 from operator import attrgetter
 from typing import NamedTuple
 
-from .knotbase import CorpusError, Flags, KnotRecord, _require_enriched, genus_interval
+from .knotbase import Flags, KnotRecord, _require_enriched, genus_interval
 from .laurent import exact_div, format_poly, is_prime_power
 
 ANCHORS = {
@@ -53,7 +53,6 @@ ANCHORS = {
     "C1_connected_sum": "Prop. 1.2",
     "C2_satellite_pattern": "Prop. 2.1",
     "C3_winding_one_companion": "Sec. 6, winding-one cabling",
-    "C4_reflexive": "Sec. 1, partial order (reflexivity)",
     "C5_transitive": "Sec. 1, partial order (transitivity)",
 }
 
@@ -93,15 +92,12 @@ class Verdict(NamedTuple):
             return self.passed
         return ()
 
-    def anchors(self) -> tuple[str, ...]:
-        return tuple(ANCHORS[r] for r in self.rule_ids())
-
     def to_json_dict(self, pair: tuple[str, str]) -> dict:
         return {
             "pair": list(pair),
             "verdict": self.kind,
             "rules": list(self.rule_ids()),
-            "anchors": list(self.anchors()),
+            "anchors": [ANCHORS[r] for r in self.rule_ids()],
         }
 
 
@@ -266,13 +262,11 @@ def certificate_search(
     k2: KnotRecord,
     certified: frozenset[tuple[str, str]] | set | None = None,
 ) -> Certificate | None:
-    """First matching positive construction, in the order reflexivity,
-    unknot target, satellite pattern, winding-one companion, connected
-    sum.  `certified` optionally supplies known edges for pairing the
-    summands of composite knots."""
+    """First matching positive construction for distinct knots, in the
+    order unknot target, satellite pattern, winding-one companion,
+    connected sum.  `certified` optionally supplies known edges for
+    pairing the summands of composite knots."""
     _require_enriched(k1, k2)
-    if k1.name == k2.name:
-        return Certificate("C4_reflexive", (k1.name,))
     if k2.flags.unknot is True:
         return Certificate("C0_unknot", (k1.name, k2.name))
     if k1.satellite_of is not None:
@@ -319,28 +313,3 @@ def _summands_cover(sum1: tuple[str, ...], sum2: tuple[str, ...], certified: fro
             held[source][t] += step
     return True
 
-
-def evaluate_pair(
-    k1: KnotRecord,
-    k2: KnotRecord,
-    certified: frozenset[tuple[str, str]] | set | None = None,
-) -> Verdict:
-    """Verdict for the ordered query "does k1 1-dominate k2?".  Raises
-    CorpusError when a certificate and an obstruction both fire, since
-    then the corpus contradicts itself and neither verdict can stand."""
-    _require_enriched(k1, k2)
-    if k1.name == k2.name:
-        return Verdict("equal")
-    fired, passed = scan(k1, k2)
-    certificate = certificate_search(k1, k2, certified)
-    if certificate is not None and fired:
-        negative = sorted(r.rule_id for r in fired)
-        raise CorpusError(
-            f"contradiction: {k1.name} -> {k2.name} certified by {certificate.rule_id} "
-            f"but obstructed by {negative}"
-        )
-    if fired:
-        return Verdict("obstructed", obstructions=tuple(fired))
-    if certificate is not None:
-        return Verdict("certified", certificate=certificate)
-    return Verdict("unknown", passed=tuple(passed))

@@ -1,19 +1,19 @@
 """Certified domination graph over a corpus: certification, transitive
-closure, audit, longest chains, and chain-length bounds.
+closure, audit, pair verdicts, longest chains, and chain-length bounds.
 
 Edges use certificates only; Unknown pairs never contribute, so every
 reported chain is a lower bound on the true partial order.  `certify`
 checks the candidate edges that record structure allows in one ordered
 pass, and `build_graph` closes them under transitivity, so output is
-byte-identical across runs.  Chain queries need only `certify`, and
-only from their start.
+byte-identical across runs.  Chain and pair queries need only
+`certify`, and only from their start.
 """
 from __future__ import annotations
 
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .domination import Certificate, _alternating_prime_power, certificate_search, scan
+from .domination import Certificate, Verdict, _alternating_prime_power, certificate_search, scan
 from .knotbase import Corpus, CorpusError, KnotRecord, _require_enriched, _walk
 from .laurent import _Frozen
 
@@ -244,6 +244,39 @@ def build_graph(corpus: Corpus) -> DominationGraph:
     if cycle is not None:
         audit.append(f"cycle among certified edges: {cycle}")
     return DominationGraph(graph.nodes, graph.edges, tuple(audit), trees, transitive)
+
+
+def evaluate(corpus: Corpus, name1: str, name2: str) -> Verdict:
+    """Verdict for "does name1 1-dominate name2?", read off the certified
+    graph out of name1, so certified exactly when `build_graph` holds the
+    edge.  An audit finding of that graph, or a rule blocking a reachable
+    name2, is a contradiction in the corpus: it raises CorpusError.
+
+    >>> from knotdom.cli import default_corpus_path, load_corpus
+    >>> evaluate(load_corpus(default_corpus_path()), "granny", "unknot").certificate
+    Certificate(rule_id='C0_unknot', witnesses=('granny', 'unknot'))
+    """
+    k1, k2 = corpus.get(name1), corpus.get(name2)
+    if name1 == name2:
+        return Verdict("equal")
+    graph = certify(corpus, [name1])
+    if graph.audit_log:
+        raise CorpusError("; ".join(graph.audit_log))
+    tree = _canonical_tree(name1, {name: graph.successors(name) for name in graph.nodes})
+    certificate = None
+    if name2 in tree:
+        edge = graph.edge(name1, name2)  # None when name2 is two or more steps away
+        certificate = edge.certificate if edge else Certificate("C5_transitive", _chains(name1, tree)[name2])
+    fired, passed = scan(k1, k2)
+    if certificate is not None and fired:
+        negatives = sorted(r.rule_id for r in fired)
+        raise CorpusError(f"conflict: {name1} -> {name2} certified by {certificate.rule_id} through "
+                          f"{list(certificate.witnesses)} but obstructed by {negatives}")
+    if fired:
+        return Verdict("obstructed", obstructions=tuple(fired))
+    if certificate is not None:
+        return Verdict("certified", certificate=certificate)
+    return Verdict("unknown", passed=tuple(passed))
 
 
 def _negatives(k1: KnotRecord, k2: KnotRecord) -> list[str]:

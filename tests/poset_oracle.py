@@ -171,8 +171,8 @@ def _scan_rigidity(k1: KnotRecord, k2: KnotRecord) -> list[ObstructionReport]:
 
 def evaluate_full(k1, k2, certified=None):
     """All three scans, unconditionally: (obstructions, rigidity reports,
-    passed obstruction rules, certificate), the raw material of
-    `knotdom.domination.evaluate_pair`'s verdict."""
+    passed obstruction rules, certificate), from which `build_graph` below
+    certifies or audits a pair."""
     certificate = certificate_search(k1, k2, certified)
     fired, passed = _scan_obstructions(k1, k2)
     rigidity = _scan_rigidity(k1, k2) if k1.name != k2.name else []

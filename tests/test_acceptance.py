@@ -15,10 +15,10 @@ from knotdom.alexander import (
 )
 from knotdom.cli import main
 from knotdom.diagram import wirtinger
-from knotdom.domination import evaluate_pair, obstruction_scan, rigidity_scan
-from knotdom.knotbase import Flags, KnotRecord, enrich_record
+from knotdom.domination import obstruction_scan, rigidity_scan
+from knotdom.knotbase import Flags, KnotRecord, build_corpus
 from knotdom.laurent import LaurentPoly, exact_div, parse_poly
-from knotdom.poset import ChainBound, chain_length_bound, longest_chain
+from knotdom.poset import ChainBound, chain_length_bound, evaluate, longest_chain
 
 from kernel_oracle import bareiss_determinant, linear_rows
 from poset_oracle import evaluate_full, iter_chains
@@ -53,12 +53,13 @@ def test_criterion_2_band_sum_not_dominating(corpus):
 
     # the band connected sum of the trefoil and the unknot, entered as a
     # metadata record, is reported as not Alexander-dominating its factor
-    band_sum = enrich_record(
-        KnotRecord(name="band_sum_of_3_1_and_unknot", delta=band_sum_delta, genus_exact=2)
+    extended = build_corpus(
+        [*corpus.records, KnotRecord(name="band_sum_of_3_1_and_unknot", delta=band_sum_delta, genus_exact=2)]
     )
+    band_sum = extended.get("band_sum_of_3_1_and_unknot")
     fired = [r.rule_id for r in obstruction_scan(band_sum, trefoil)]
     assert "O1_alexander" in fired
-    verdict = evaluate_pair(band_sum, trefoil)
+    verdict = evaluate(extended, "band_sum_of_3_1_and_unknot", "3_1")
     assert verdict.kind == "obstructed"
     passed(2, "band-sum polynomial is not divisible by the trefoil's; O1 fires")
 
@@ -77,7 +78,7 @@ def test_criterion_4_cable_satellite(corpus):
     assert cable == expansion == P("1 - t - 2t^2 + 3t^3 - 2t^4 - t^5 + t^6")
     assert exact_div(cable, trefoil.delta) is not None  # pattern divides
     assert exact_div(cable, fig8.delta) is None         # companion does not
-    verdict = evaluate_pair(corpus.get("ks_cable23_of_4_1"), fig8)
+    verdict = evaluate(corpus, "ks_cable23_of_4_1", "4_1")
     assert verdict.kind == "obstructed"
     assert "O1_alexander" in verdict.rule_ids()
     passed(4, "cable satellite formula matches the printed factorization; (ks, 4_1) obstructed by O1")
@@ -97,7 +98,8 @@ def test_criterion_6_equal_invariants_yet_certified(corpus):
         assert satellite_delta(trefoil.delta, companion, 0) == trefoil.delta
 
     pattern = corpus.get("double_of_3_1")
-    ambient = enrich_record(
+    extended = build_corpus([
+        *corpus.records,
         KnotRecord(
             name="ambient_satellite_of_double",
             delta=P("1"),
@@ -106,13 +108,13 @@ def test_criterion_6_equal_invariants_yet_certified(corpus):
             satellite_of=("double_of_3_1", "3_1", 0),
             flags=Flags(free=False, fibred=False, no_winding_zero_companion=False),
         ),
-        {r.name: r for r in corpus},
-    )
+    ])
+    ambient = extended.get("ambient_satellite_of_double")
     assert ambient.delta == pattern.delta
     assert ambient.genus_exact == pattern.genus_exact
     assert ambient.volume == pattern.volume
 
-    verdict = evaluate_pair(ambient, pattern)
+    verdict = evaluate(extended, "ambient_satellite_of_double", "double_of_3_1")
     assert verdict.kind == "certified"
     assert verdict.certificate.rule_id == "C2_satellite_pattern"
     rigidity = [r.rule_id for r in rigidity_scan(ambient, pattern)]

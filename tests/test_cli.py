@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -146,6 +147,67 @@ class TestCheck:
         assert code == EXIT_USAGE
         assert out == ""
         assert "C1_connected_sum" in err and "O10_orderability" in err
+
+    def test_sum_certified_through_a_summand_edge(self, capsys, tmp_path):
+        # p dominates its pattern q, so p#k dominates q#k by pairing the
+        # summands through that edge
+        corpus = [
+            {"name": "k", "delta": "1 - t + t^2"},
+            {"name": "q", "delta": "1 - 3t + t^2"},
+            {"name": "p", "satellite_of": ["q", "k", 0]},
+            {"name": "s1", "connected_sum_of": ["p", "k"]},
+            {"name": "s2", "connected_sum_of": ["q", "k"]},
+        ]
+        path = tmp_path / "sums.json"
+        path.write_text(json.dumps(corpus))
+        assert run(capsys, "--corpus", str(path), "check", "s1", "s2") == (
+            EXIT_OK, "s1 >= s2: certified\n  C1_connected_sum [Prop. 1.2] witnesses: s1 -> s2\n", ""
+        )
+
+    def test_blocked_transitive_pair_is_a_contradiction(self, capsys, tmp_path):
+        # a >= b >= c by patterns, but O10_orderability obstructs a >= c
+        corpus = [
+            {"name": "k", "delta": "1 - t + t^2"},
+            {"name": "a", "satellite_of": ["b", "k", 0], "flags": {"lo_double_cover": False}},
+            {"name": "b", "satellite_of": ["c", "k", 0]},
+            {"name": "c", "delta": "1 - 3t + t^2", "flags": {"lo_double_cover": True}},
+        ]
+        path = tmp_path / "blocked.json"
+        path.write_text(json.dumps(corpus))
+        assert run(capsys, "--corpus", str(path), "check", "a", "c") == (
+            EXIT_USAGE, "",
+            "error: conflict: a -> c certified by C5_transitive through ['a', 'b', 'c'] "
+            "but obstructed by ['O10_orderability']\n",
+        )
+        code, out, _ = run(capsys, "--corpus", str(path), "poset")
+        assert code == EXIT_USAGE
+        assert "conflict: a -> c reachable through ['a', 'b', 'c'] but obstructed" in out
+
+    @pytest.mark.parametrize("depth", [None, 30], ids=["bundled", "satellite-chain-30"])
+    def test_certified_exactly_on_graph_edges(self, capsys, tmp_path, corpus_path, depth):
+        path = corpus_path
+        if depth is not None:
+            path = tmp_path / "chain.json"
+            path.write_text(json.dumps(satellite_chain(depth)))
+        corpus = load_corpus(path)
+        graph = build_graph(corpus)
+        assert graph.audit_log == ()
+        rules = Counter()
+        for a in corpus.names():
+            for b in corpus.names():
+                code, out, _ = run(capsys, "--corpus", str(path), "check", a, b)
+                edge = graph.edge(a, b)
+                if edge is None:
+                    assert code != EXIT_USAGE and out.split("\n")[0] != f"{a} >= {b}: certified", (a, b)
+                    continue
+                cert = edge.certificate
+                witnesses = " -> ".join(cert.witnesses)
+                assert (code, out) == (
+                    EXIT_OK, f"{a} >= {b}: certified\n  {cert.rule_id} [{cert.anchor}] witnesses: {witnesses}\n"
+                ), (a, b)
+                rules[cert.rule_id] += 1
+        assert sum(rules.values()) == len(graph.edges)
+        assert rules["C5_transitive"] == (0 if depth is None else depth * (depth - 1) // 2), rules
 
 
 class TestInvariants:

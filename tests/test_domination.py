@@ -14,13 +14,13 @@ from knotdom.domination import (
     ObstructionReport,
     _summands_cover,
     certificate_search,
-    evaluate_pair,
     obstruction_scan,
     rigidity_scan,
     scan,
 )
 from knotdom.knotbase import CorpusError, Flags, KnotRecord, enrich_record
 from knotdom.laurent import parse_poly
+from knotdom.poset import evaluate
 
 from kernel_oracle import backtracking_summands_cover
 from poset_oracle import _scan_obstructions, _scan_rigidity, evaluate_full
@@ -253,10 +253,6 @@ class TestRigidityScan:
 
 
 class TestCertificateSearch:
-    def test_reflexive(self, corpus):
-        cert = certificate_search(corpus.get("3_1"), corpus.get("3_1"))
-        assert cert == Certificate("C4_reflexive", ("3_1",))
-
     def test_unknot_bottom(self, corpus):
         cert = certificate_search(corpus.get("6_2"), corpus.get("unknot"))
         assert cert.rule_id == "C0_unknot"
@@ -360,25 +356,25 @@ class TestSummandsCover:
 
 class TestEvaluatePair:
     def test_equal(self, corpus):
-        assert evaluate_pair(corpus.get("3_1"), corpus.get("3_1")).kind == "equal"
+        assert evaluate(corpus, "3_1", "3_1").kind == "equal"
 
     def test_cable_does_not_dominate_companion(self, corpus):
-        verdict = evaluate_pair(corpus.get("ks_cable23_of_4_1"), corpus.get("4_1"))
+        verdict = evaluate(corpus, "ks_cable23_of_4_1", "4_1")
         assert verdict.kind == "obstructed"
         assert "O1_alexander" in verdict.rule_ids()
 
     def test_granny_dominates_summand(self, corpus):
-        verdict = evaluate_pair(corpus.get("granny"), corpus.get("3_1"))
+        verdict = evaluate(corpus, "granny", "3_1")
         assert verdict.kind == "certified"
         assert verdict.certificate.rule_id == "C1_connected_sum"
 
     def test_six2_vs_five2_golden(self, corpus):
-        verdict = evaluate_pair(corpus.get("6_2"), corpus.get("5_2"))
+        verdict = evaluate(corpus, "6_2", "5_2")
         assert verdict.kind == "obstructed"
         assert verdict.rule_ids() == ("O1_alexander", "O3_determinant")
 
     def test_unknown_lists_passed_rules(self, corpus):
-        verdict = evaluate_pair(corpus.get("KT_mutant"), corpus.get("double_of_3_1"))
+        verdict = evaluate(corpus, "KT_mutant", "double_of_3_1")
         assert verdict.kind == "unknown"
         assert verdict.passed == (
             "O1_alexander",
@@ -389,14 +385,14 @@ class TestEvaluatePair:
         )
 
     def test_json_shape(self, corpus):
-        verdict = evaluate_pair(corpus.get("granny"), corpus.get("3_1"))
+        verdict = evaluate(corpus, "granny", "3_1")
         payload = verdict.to_json_dict(("granny", "3_1"))
         assert sorted(payload) == ["anchors", "pair", "rules", "verdict"]
         assert payload["pair"] == ["granny", "3_1"]
         json.dumps(payload)  # serializable
 
     def test_rigidity_converts_to_obstruction(self, corpus):
-        verdict = evaluate_pair(corpus.get("3_1"), corpus.get("trefoil_alt_diagram"))
+        verdict = evaluate(corpus, "3_1", "trefoil_alt_diagram")
         assert verdict.kind == "obstructed"
         assert all(r.startswith("R") for r in verdict.rule_ids())
 

@@ -513,11 +513,13 @@ class TestEnrichOnFirstRead:
                 assert sorted(enriched) == sorted(reach(corpus, [name])), name
         capsys.readouterr()
 
-    def test_check_enriches_what_both_names_reference(self, capsys, enriched, corpus):
+    def test_check_enriches_what_certify_reads(self, capsys, enriched, certify_reads, corpus):
         for a, b in itertools.product(corpus.names(), repeat=2):
             enriched.clear()
+            certify_reads.clear()
             main(["check", a, b])
-            assert sorted(enriched) == sorted(reach(corpus, [a, b])), (a, b)
+            assert sorted(enriched) == sorted(reach(corpus, [a, b, *certify_reads])), (a, b)
+            assert bool(certify_reads) is (a != b), (a, b)
         capsys.readouterr()
 
     def test_chain_bound_enriches_what_certify_reads(self, capsys, enriched, certify_reads, corpus_path, tmp_path):
