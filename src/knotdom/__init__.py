@@ -9,7 +9,7 @@ from .alexander import (
     satellite_delta,
 )
 from .diagram import BraidWord, PDCode, braid_to_pd, parse_braid, parse_pd, seifert_circles, wirtinger
-from .domination import Certificate, ObstructionReport, Verdict, certificate_search, obstruction_scan, rigidity_scan
+from .domination import Certificate, ObstructionReport, Verdict, certificate_search, scan
 from .knotbase import Corpus, CorpusError, Flags, KnotRecord, enrich_record, genus_interval, load_corpus
 from .laurent import LaurentPoly, exact_div, format_poly, is_prime_power, parse_poly
 from .poset import ChainBound, DominationGraph, build_graph, certify, chain_length_bound, evaluate, longest_chain
@@ -46,12 +46,11 @@ __all__ = [
     "jones_polynomial",
     "load_corpus",
     "longest_chain",
-    "obstruction_scan",
     "parse_braid",
     "parse_pd",
     "parse_poly",
-    "rigidity_scan",
     "satellite_delta",
+    "scan",
     "seifert_circles",
     "wirtinger",
 ]

@@ -231,30 +231,19 @@ RIGIDITY = (
 )
 
 
-def scan(k1: KnotRecord, k2: KnotRecord, rules=OBSTRUCTIONS + RIGIDITY) -> tuple[list[ObstructionReport], list[str]]:
-    """Evaluate `rules` in order; return (fired, passed).  A rule with an
-    unknown input lands in neither list."""
+def scan(k1: KnotRecord, k2: KnotRecord) -> tuple[list[ObstructionReport], list[str]]:
+    """Evaluate `OBSTRUCTIONS` then `RIGIDITY` in order; return (fired,
+    passed).  A rule with an unknown input lands in neither list."""
     _require_enriched(k1, k2)
     fired: list[ObstructionReport] = []
     passed: list[str] = []
-    for rule_id, test in rules:
+    for rule_id, test in OBSTRUCTIONS + RIGIDITY:
         detail = test(k1, k2)
         if detail:
             fired.append(ObstructionReport(rule_id, detail))
         elif detail is not None:
             passed.append(rule_id)
     return fired, passed
-
-
-def obstruction_scan(k1: KnotRecord, k2: KnotRecord) -> list[ObstructionReport]:
-    """Necessary conditions for k1 >= k2 that are definitely violated."""
-    return scan(k1, k2, OBSTRUCTIONS)[0]
-
-
-def rigidity_scan(k1: KnotRecord, k2: KnotRecord) -> list[ObstructionReport]:
-    """Rules under which k1 >= k2 forces k1 = k2.  For distinct names each
-    fired rule rules out strict domination."""
-    return scan(k1, k2, RIGIDITY)[0]
 
 
 def certificate_search(

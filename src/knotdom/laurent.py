@@ -143,10 +143,6 @@ class LaurentPoly(_Frozen):
             out[e * w] = out.get(e * w, 0) + c
         return LaurentPoly.from_dict(out)
 
-    def mirror(self) -> LaurentPoly:
-        """Replace t by t^-1."""
-        return LaurentPoly(tuple(sorted((-e, c) for e, c in self.terms)))
-
     # -- normalization and divisibility ------------------------------------
 
     def normalize(self) -> LaurentPoly:

@@ -5,8 +5,9 @@ Edges use certificates only; Unknown pairs never contribute, so every
 reported chain is a lower bound on the true partial order.  `certify`
 checks the candidate edges that record structure allows in one ordered
 pass, and `build_graph` closes them under transitivity, so output is
-byte-identical across runs.  Chain and pair queries need only
-`certify`, and only from their start.
+byte-identical across runs.  Chain queries need only `certify`, and
+pair queries the closure out of their first name: both only from their
+start.
 """
 from __future__ import annotations
 
@@ -29,10 +30,11 @@ class DominationGraph(_Frozen):
     dominated) with provenance per edge and an audit log of consistency
     findings (expected empty).
 
-    `edges` come with their certificates.  The closure of `build_graph`
-    passes its `C5_transitive` edges apart, as the pairs `transitive`, with
-    `trees`: for each source, every node it reaches mapped to its
-    predecessor on the canonical witness chain.  A witness chain is built
+    `edges` come with their certificates.  The closure passes its
+    `C5_transitive` edges apart, as the pairs `transitive`, with `trees`:
+    for each source it closes (every node for `build_graph`, the first
+    name for `evaluate`), every node it reaches mapped to its predecessor
+    on the canonical witness chain.  A witness chain is built
     from its tree only when its edge is read, and iteration builds one
     source's chains at a time, so the chains are never all held at once.
     Edges iterate and serialize in (src, dst) order."""
@@ -200,8 +202,8 @@ def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGra
                 certificate = certificate_search(record, target, known)
                 if certificate is None:
                     continue
-                if negatives := _negatives(record, target):
-                    conflicts.append((src, dst, certificate.rule_id, sorted(negatives)))
+                if fired := scan(record, target)[0]:
+                    conflicts.append((src, dst, certificate.rule_id, sorted(r.rule_id for r in fired)))
                 else:
                     edges.append(Edge(src, dst, certificate))
                     succ[src].append(dst)
@@ -221,36 +223,16 @@ def build_graph(corpus: Corpus) -> DominationGraph:
     witness chain unless a rule blocks it.  The audit of `certify` gains
     the blocked pairs and a cycle among the direct edges, if any.  It
     reads every record first, so an invalid one fails in input order."""
-    records = {r.name: r for r in corpus.records}
+    corpus.records  # parses and enriches every record in input order
     graph = certify(corpus)
-    succ = {name: graph.successors(name) for name in graph.nodes}
-    trees = {src: _canonical_tree(src, succ) for src in graph.nodes}
-    audit = list(graph.audit_log)
-    transitive = []
-    for src, tree in trees.items():
-        blocked = []
-        for dst, pred in tree.items():
-            if pred != src:  # two or more steps
-                if _negatives(records[src], records[dst]):
-                    blocked.append(dst)
-                else:
-                    transitive.append((src, dst))
-        if blocked:
-            chains = _chains(src, tree)
-            audit += (f"conflict: {src} -> {dst} reachable through {list(chains[dst])} but obstructed"
-                      for dst in blocked)
-
-    cycle = _walk(graph.nodes, succ.__getitem__)[1]
-    if cycle is not None:
-        audit.append(f"cycle among certified edges: {cycle}")
-    return DominationGraph(graph.nodes, graph.edges, tuple(audit), trees, transitive)
+    return _close(corpus, graph, graph.nodes)
 
 
 def evaluate(corpus: Corpus, name1: str, name2: str) -> Verdict:
-    """Verdict for "does name1 1-dominate name2?", read off the certified
+    """Verdict for "does name1 1-dominate name2?", read off the closed
     graph out of name1, so certified exactly when `build_graph` holds the
-    edge.  An audit finding of that graph, or a rule blocking a reachable
-    name2, is a contradiction in the corpus: it raises CorpusError.
+    edge.  An audit finding of that graph is a contradiction in the
+    corpus: it raises CorpusError.
 
     >>> from knotdom.cli import default_corpus_path, load_corpus
     >>> evaluate(load_corpus(default_corpus_path()), "granny", "unknot").certificate
@@ -259,29 +241,45 @@ def evaluate(corpus: Corpus, name1: str, name2: str) -> Verdict:
     k1, k2 = corpus.get(name1), corpus.get(name2)
     if name1 == name2:
         return Verdict("equal")
-    graph = certify(corpus, [name1])
+    graph = _close(corpus, certify(corpus, [name1]), [name1])
     if graph.audit_log:
         raise CorpusError("; ".join(graph.audit_log))
-    tree = _canonical_tree(name1, {name: graph.successors(name) for name in graph.nodes})
-    certificate = None
-    if name2 in tree:
-        edge = graph.edge(name1, name2)  # None when name2 is two or more steps away
-        certificate = edge.certificate if edge else Certificate("C5_transitive", _chains(name1, tree)[name2])
     fired, passed = scan(k1, k2)
-    if certificate is not None and fired:
-        negatives = sorted(r.rule_id for r in fired)
-        raise CorpusError(f"conflict: {name1} -> {name2} certified by {certificate.rule_id} through "
-                          f"{list(certificate.witnesses)} but obstructed by {negatives}")
     if fired:
         return Verdict("obstructed", obstructions=tuple(fired))
-    if certificate is not None:
-        return Verdict("certified", certificate=certificate)
+    edge = graph.edge(name1, name2)
+    if edge is not None:
+        return Verdict("certified", certificate=edge.certificate)
     return Verdict("unknown", passed=tuple(passed))
 
 
-def _negatives(k1: KnotRecord, k2: KnotRecord) -> list[str]:
-    """Rule ids of the obstruction and rigidity rules that fire on the pair."""
-    return [r.rule_id for r in scan(k1, k2)[0]]
+def _close(corpus: Corpus, graph: DominationGraph, sources: Iterable[str]) -> DominationGraph:
+    """`graph`, the direct edges of `certify`, closed under transitivity
+    out of `sources`: each pair two or more steps apart that no rule
+    blocks becomes a `C5_transitive` edge, and a blocked one an audit
+    line naming its witness chain and the rules.  The audit also gains a
+    cycle among the direct edges, if any."""
+    succ = {name: graph.successors(name) for name in graph.nodes}
+    trees = {src: _canonical_tree(src, succ) for src in sources}
+    audit = list(graph.audit_log)
+    transitive = []
+    for src, tree in trees.items():
+        blocked = []
+        for dst, pred in tree.items():
+            if pred != src:  # two or more steps
+                if fired := scan(corpus.get(src), corpus.get(dst))[0]:
+                    blocked.append((dst, sorted(r.rule_id for r in fired)))
+                else:
+                    transitive.append((src, dst))
+        if blocked:
+            chains = _chains(src, tree)
+            audit += (f"conflict: {src} -> {dst} certified by C5_transitive through {list(chains[dst])} "
+                      f"but obstructed by {negatives}" for dst, negatives in blocked)
+
+    cycle = _walk(graph.nodes, succ.__getitem__)[1]
+    if cycle is not None:
+        audit.append(f"cycle among certified edges: {cycle}")
+    return DominationGraph(graph.nodes, graph.edges, tuple(audit), trees, transitive)
 
 
 def _canonical_tree(src: str, succ: dict[str, list[str]]) -> dict[str, str]:

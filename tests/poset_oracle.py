@@ -249,7 +249,8 @@ def build_graph(corpus: Corpus, workers: int = 1) -> DominationGraph:
                 continue
             if pair in blocked:
                 audit.append(
-                    f"conflict: {src} -> {dst} reachable through {list(chain)} but obstructed"
+                    f"conflict: {src} -> {dst} certified by C5_transitive through {list(chain)} "
+                    f"but obstructed by {sorted(blocked[pair])}"
                 )
                 continue
             closure[pair] = Certificate("C5_transitive", chain)

@@ -15,7 +15,6 @@ from knotdom.alexander import (
 )
 from knotdom.cli import main
 from knotdom.diagram import wirtinger
-from knotdom.domination import obstruction_scan, rigidity_scan
 from knotdom.knotbase import Flags, KnotRecord, build_corpus
 from knotdom.laurent import LaurentPoly, exact_div, parse_poly
 from knotdom.poset import ChainBound, chain_length_bound, evaluate, longest_chain
@@ -23,6 +22,7 @@ from knotdom.poset import ChainBound, chain_length_bound, evaluate, longest_chai
 from kernel_oracle import bareiss_determinant, linear_rows
 from poset_oracle import evaluate_full, iter_chains
 from test_alexander import cofactor_determinant, minor_delta
+from test_domination import obstructions, rigidities
 
 
 def P(text):
@@ -57,7 +57,7 @@ def test_criterion_2_band_sum_not_dominating(corpus):
         [*corpus.records, KnotRecord(name="band_sum_of_3_1_and_unknot", delta=band_sum_delta, genus_exact=2)]
     )
     band_sum = extended.get("band_sum_of_3_1_and_unknot")
-    fired = [r.rule_id for r in obstruction_scan(band_sum, trefoil)]
+    fired = [r.rule_id for r in obstructions(band_sum, trefoil)]
     assert "O1_alexander" in fired
     verdict = evaluate(extended, "band_sum_of_3_1_and_unknot", "3_1")
     assert verdict.kind == "obstructed"
@@ -117,7 +117,7 @@ def test_criterion_6_equal_invariants_yet_certified(corpus):
     verdict = evaluate(extended, "ambient_satellite_of_double", "double_of_3_1")
     assert verdict.kind == "certified"
     assert verdict.certificate.rule_id == "C2_satellite_pattern"
-    rigidity = [r.rule_id for r in rigidity_scan(ambient, pattern)]
+    rigidity = [r.rule_id for r in rigidities(ambient, pattern)]
     assert "R1_genus_volume" not in rigidity
     passed(6, "equal delta/genus/volume pair is still certified; rigidity stays silent")
 

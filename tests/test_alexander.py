@@ -367,7 +367,7 @@ class TestJones:
 
     def test_mirror_inverts_variable(self):
         for pd in (TREFOIL, FIG8):
-            assert jones_polynomial(pd.mirror()) == jones_polynomial(pd).mirror()
+            assert jones_polynomial(pd.mirror()) == jones_polynomial(pd).substitute_power(-1)
 
     def test_fig8_chirality_independent(self):
         assert jones_polynomial(FIG8.mirror()) == jones_polynomial(FIG8)

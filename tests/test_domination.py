@@ -14,8 +14,6 @@ from knotdom.domination import (
     ObstructionReport,
     _summands_cover,
     certificate_search,
-    obstruction_scan,
-    rigidity_scan,
     scan,
 )
 from knotdom.knotbase import CorpusError, Flags, KnotRecord, enrich_record
@@ -24,11 +22,25 @@ from knotdom.poset import evaluate
 
 from kernel_oracle import backtracking_summands_cover
 from poset_oracle import _scan_obstructions, _scan_rigidity, evaluate_full
-from test_poset import random_corpus
+from test_poset import random_corpus, sibling_sums_corpus
 
 
 def rule_ids(reports):
     return [r.rule_id for r in reports]
+
+
+def fired_from(table, k1, k2):
+    """The reports `scan` fires on the pair from the rules of `table`."""
+    ids = {rule_id for rule_id, _ in table}
+    return [r for r in scan(k1, k2)[0] if r.rule_id in ids]
+
+
+def obstructions(k1, k2):
+    return fired_from(OBSTRUCTIONS, k1, k2)
+
+
+def rigidities(k1, k2):
+    return fired_from(RIGIDITY, k1, k2)
 
 
 def make_record(name, delta, **kwargs):
@@ -42,61 +54,61 @@ def make_record(name, delta, **kwargs):
 
 class TestObstructionScan:
     def test_fig8_vs_trefoil(self, corpus):
-        fired = obstruction_scan(corpus.get("4_1"), corpus.get("3_1"))
+        fired = obstructions(corpus.get("4_1"), corpus.get("3_1"))
         assert rule_ids(fired) == ["O1_alexander", "O3_determinant"]
 
     def test_anything_vs_unknot_clean(self, corpus):
         unknot = corpus.get("unknot")
         for record in corpus:
             if record.name != "unknot":
-                assert obstruction_scan(record, unknot) == [], record.name
+                assert obstructions(record, unknot) == [], record.name
 
     def test_five2_vs_fig8(self, corpus):
-        fired = obstruction_scan(corpus.get("5_2"), corpus.get("4_1"))
+        fired = obstructions(corpus.get("5_2"), corpus.get("4_1"))
         assert rule_ids(fired) == ["O1_alexander", "O3_determinant"]
 
     def test_volume_fires_upward(self, corpus):
-        fired = obstruction_scan(corpus.get("3_1"), corpus.get("double_of_3_1"))
+        fired = obstructions(corpus.get("3_1"), corpus.get("double_of_3_1"))
         assert "O4_volume" in rule_ids(fired)
 
     def test_class_closure_rules(self, corpus):
-        fired = rule_ids(obstruction_scan(corpus.get("3_1"), corpus.get("granny")))
+        fired = rule_ids(obstructions(corpus.get("3_1"), corpus.get("granny")))
         assert "O5_two_bridge" in fired and "O6_montesinos" in fired
 
     def test_ap_class_fires_on_satellites(self, corpus):
-        fired = obstruction_scan(corpus.get("granny"), corpus.get("ks_cable23_of_4_1"))
+        fired = obstructions(corpus.get("granny"), corpus.get("ks_cable23_of_4_1"))
         assert "O7_ap_class" in rule_ids(fired)
 
     def test_free_rule(self, corpus):
-        fired = obstruction_scan(corpus.get("3_1"), corpus.get("double_of_3_1"))
+        fired = obstructions(corpus.get("3_1"), corpus.get("double_of_3_1"))
         assert "O8_free" in rule_ids(fired)
 
     def test_ghat_rule(self, corpus):
-        fired = obstruction_scan(corpus.get("3_1"), corpus.get("granny"))
+        fired = obstructions(corpus.get("3_1"), corpus.get("granny"))
         assert "O9_ghat" in rule_ids(fired)
 
     def test_mutation_rule(self, corpus):
-        fired = obstruction_scan(corpus.get("KT_mutant"), corpus.get("Conway_mutant"))
+        fired = obstructions(corpus.get("KT_mutant"), corpus.get("Conway_mutant"))
         assert "O11_mutation" in rule_ids(fired)
 
     def test_orderability_rule_on_synthetic_records(self):
         not_lo = make_record("not_lo", "1 - t + t^2", flags=Flags(lo_double_cover=False))
         lo = make_record("lo", "1", flags=Flags(lo_double_cover=True))
-        assert rule_ids(obstruction_scan(not_lo, lo)) == ["O10_orderability"]
-        assert "O10_orderability" not in rule_ids(obstruction_scan(lo, not_lo))
+        assert rule_ids(obstructions(not_lo, lo)) == ["O10_orderability"]
+        assert "O10_orderability" not in rule_ids(obstructions(lo, not_lo))
 
     def test_unknown_flags_silence_rules(self):
         # two_bridge unknown on the dominator: O5 neither fires nor passes
         vague = make_record("vague", "1 - t + t^2")
         plain = make_record("plain", "1")
         fired, passed = (
-            rule_ids(obstruction_scan(vague, plain)),
+            rule_ids(obstructions(vague, plain)),
             evaluate_full(vague, plain)[2],
         )
         assert "O5_two_bridge" not in fired and "O5_two_bridge" not in passed
 
     def test_details_embed_compared_values(self, corpus):
-        fired = obstruction_scan(corpus.get("5_2"), corpus.get("4_1"))
+        fired = obstructions(corpus.get("5_2"), corpus.get("4_1"))
         by_rule = {r.rule_id: r for r in fired}
         assert "1 - 3t + t^2" in by_rule["O1_alexander"].detail
         assert "2 - 3t + 2t^2" in by_rule["O1_alexander"].detail
@@ -107,13 +119,13 @@ class TestObstructionScan:
         records = list(corpus)
         for k1 in records:
             for k2 in records:
-                for report in obstruction_scan(k1, k2):
+                for report in obstructions(k1, k2):
                     assert report.anchor
 
     def test_unenriched_rejected(self):
         bare = KnotRecord(name="x")
         with pytest.raises(CorpusError, match="not enriched"):
-            obstruction_scan(bare, bare)
+            obstructions(bare, bare)
 
 
 def oracle_scan(k1, k2):
@@ -183,39 +195,39 @@ class TestRuleTable:
         ],
     )
     def test_class_closure(self, rule_id, field1, field2, value, detail, unknot_exempt):
-        rules = [entry for entry in OBSTRUCTIONS if entry[0] == rule_id]
+        test = dict(OBSTRUCTIONS)[rule_id]
         base = make_record("k1", "1 - t + t^2")._replace(flags=Flags(unknot=False))
         k1 = with_field(base, field1, value)  # inside the class
         k2 = with_field(base._replace(name="k2"), field2, not value)  # outside it
-        silent, passed, fired = ([], []), ([], [rule_id]), ([ObstructionReport(rule_id, detail)], [])
+        silent, passed, fired = None, "", detail
         # silent when k1's or k2's input is unknown
-        assert scan(with_field(k1, field1, None), k2, rules) == silent
-        assert scan(k1, with_field(k2, field2, None), rules) == silent
+        assert test(with_field(k1, field1, None), k2) == silent
+        assert test(k1, with_field(k2, field2, None)) == silent
         # passed when k1 is outside the class or k2 inside it
-        assert scan(with_field(k1, field1, not value), k2, rules) == passed
-        assert scan(k1, with_field(k2, field2, value), rules) == passed
+        assert test(with_field(k1, field1, not value), k2) == passed
+        assert test(k1, with_field(k2, field2, value)) == passed
         # fired with the exact detail
-        assert scan(k1, k2, rules) == fired
+        assert test(k1, k2) == fired
         # only O5 and O6 exempt the unknot, whatever its own input
         unknot = with_field(k2, "unknot", True)
-        assert scan(k1, unknot, rules) == (passed if unknot_exempt else fired)
-        assert scan(k1, with_field(unknot, field2, None), rules) == (passed if unknot_exempt else silent)
+        assert test(k1, unknot) == (passed if unknot_exempt else fired)
+        assert test(k1, with_field(unknot, field2, None)) == (passed if unknot_exempt else silent)
 
 
 class TestRigidityScan:
     def test_fibred_equal_genus(self, corpus):
-        fired = rule_ids(rigidity_scan(corpus.get("4_1"), corpus.get("3_1")))
+        fired = rule_ids(rigidities(corpus.get("4_1"), corpus.get("3_1")))
         assert "R2_fibred_genus" in fired
         assert "R3_nilpotent_degree" in fired
         assert "R4_free_ghat" in fired
 
     def test_mutants(self, corpus):
-        fired = rule_ids(rigidity_scan(corpus.get("KT_mutant"), corpus.get("Conway_mutant")))
+        fired = rule_ids(rigidities(corpus.get("KT_mutant"), corpus.get("Conway_mutant")))
         assert "R5_mutant_double_cover" in fired
         assert "R6_hyperbolic_volume" in fired
 
     def test_distinct_genus_fires_nothing(self, corpus):
-        assert rigidity_scan(corpus.get("granny"), corpus.get("3_1")) == []
+        assert rigidities(corpus.get("granny"), corpus.get("3_1")) == []
 
     def test_winding_zero_blocks_r1(self, corpus):
         # equal genus, volume, delta: but the dominator has a winding-zero
@@ -230,12 +242,12 @@ class TestRigidityScan:
             flags=Flags(no_winding_zero_companion=False, free=False, fibred=False),
             siblings=siblings,
         )
-        fired = rigidity_scan(ambient, corpus.get("double_of_3_1"))
+        fired = rigidities(ambient, corpus.get("double_of_3_1"))
         assert "R1_genus_volume" not in rule_ids(fired)
         assert fired == []
 
     def test_r1_fires_on_equal_twins(self, corpus):
-        fired = rule_ids(rigidity_scan(corpus.get("3_1"), corpus.get("trefoil_alt_diagram")))
+        fired = rule_ids(rigidities(corpus.get("3_1"), corpus.get("trefoil_alt_diagram")))
         assert fired == [
             "R1_genus_volume",
             "R2_fibred_genus",
@@ -248,7 +260,7 @@ class TestRigidityScan:
         # leading coefficient 2
         five2 = corpus.get("5_2")
         stripped = five2._replace(flags=five2.flags._replace(two_bridge=None, fibred=None))
-        fired = rule_ids(rigidity_scan(stripped, corpus.get("4_1")))
+        fired = rule_ids(rigidities(stripped, corpus.get("4_1")))
         assert "R3_nilpotent_degree" in fired
 
 
@@ -391,6 +403,13 @@ class TestEvaluatePair:
         assert payload["pair"] == ["granny", "3_1"]
         json.dumps(payload)  # serializable
 
+    def test_cycle_out_of_the_first_name_is_a_contradiction(self):
+        # s1 and s2 certify each other: the audit line of build_graph,
+        # whatever the second name
+        for name2 in ("s2", "a"):
+            with pytest.raises(CorpusError, match=r"^cycle among certified edges: \['s1', 's2', 's1'\]$"):
+                evaluate(sibling_sums_corpus(), "s1", name2)
+
     def test_rigidity_converts_to_obstruction(self, corpus):
         verdict = evaluate(corpus, "3_1", "trefoil_alt_diagram")
         assert verdict.kind == "obstructed"
@@ -416,7 +435,7 @@ class TestEngineInvariants:
             for k2 in records:
                 if k1.name == k2.name:
                     continue
-                fired = rule_ids(obstruction_scan(k1, k2))
+                fired = rule_ids(obstructions(k1, k2))
                 if "O3_determinant" in fired:
                     assert "O1_alexander" in fired, (k1.name, k2.name)
 
@@ -424,11 +443,11 @@ class TestEngineInvariants:
         # making an unknown flag definite never un-fires a rule
         kt = corpus.get("KT_mutant")
         double = corpus.get("double_of_3_1")
-        before = set(rule_ids(obstruction_scan(double, kt)))
+        before = set(rule_ids(obstructions(double, kt)))
         enriched_kt = kt._replace(
             flags=kt.flags._replace(free=True, toroidally_alternating=True)
         )
-        after = set(rule_ids(obstruction_scan(double, enriched_kt)))
+        after = set(rule_ids(obstructions(double, enriched_kt)))
         assert before <= after
 
     def test_all_anchor_strings_nonempty(self):

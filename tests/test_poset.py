@@ -7,7 +7,7 @@ from graphlib import TopologicalSorter
 import pytest
 
 from knotdom import poset
-from knotdom.domination import Certificate, certificate_search
+from knotdom.domination import Certificate, certificate_search, scan
 from knotdom.knotbase import Corpus, CorpusError, Flags, KnotRecord, _walk, build_corpus, enrich_record, record_from_json
 from knotdom.laurent import parse_poly
 from knotdom.poset import (
@@ -26,6 +26,8 @@ from poset_oracle import _find_cycle as oracle_find_cycle
 from poset_oracle import build_graph as oracle_build_graph
 from poset_oracle import iter_chains, level_chains, serialized
 from poset_oracle import longest_chain as oracle_longest_chain
+
+CLOSURE = " certified by C5_transitive through "  # in a closure conflict line only
 
 
 def edge_set(graph):
@@ -446,8 +448,8 @@ class TestOracle:
                 if e.certificate.rule_id == "C1_connected_sum":
                     own = Counter(case.get(e.src).summands())
                     through_edges += not Counter(case.get(e.dst).summands()) <= own
-        assert any(" certified by " in a and "but obstructed by" in a for a in audits)
-        assert any(" reachable through " in a and a.endswith("but obstructed") for a in audits)
+        assert any(" certified by " in a and CLOSURE not in a and "but obstructed by" in a for a in audits)
+        assert any(" certified by C5_transitive through " in a and "but obstructed by" in a for a in audits)
         assert through_edges > 0
 
     def test_conflict_certified_through_earlier_edges(self):
@@ -483,11 +485,11 @@ class TestCertify:
             assert tuple(direct.edges) == tuple(e for e in full.edges if e.certificate.rule_id != "C5_transitive")
             prefix = full.audit_log[: len(direct.audit_log)]
             assert direct.audit_log == prefix
-            assert all(" certified by " in line for line in prefix)
-            assert not any(" certified by " in line for line in full.audit_log[len(prefix):])
+            assert all(" certified by " in line and CLOSURE not in line for line in prefix)
+            assert not any(" certified by " in line and CLOSURE not in line for line in full.audit_log[len(prefix):])
             transitive += len(full.edges) - len(direct.edges)
             certification_conflicts += len(prefix)
-            closure_conflicts += any(" reachable through " in line for line in full.audit_log)
+            closure_conflicts += any(CLOSURE in line for line in full.audit_log)
         assert transitive and certification_conflicts and closure_conflicts
 
     def test_rebuilt_chains_match_the_oracle_closure(self, cases):
@@ -504,7 +506,8 @@ class TestCertify:
                     certificate = read.pop((src, dst), None)
                     if certificate is None:
                         assert full.edge(src, dst) is None
-                        assert f"conflict: {src} -> {dst} reachable through {list(chain)} but obstructed" in full.audit_log
+                        rules = sorted(r.rule_id for r in scan(case.get(src), case.get(dst))[0])
+                        assert f"conflict: {src} -> {dst}{CLOSURE}{list(chain)} but obstructed by {rules}" in full.audit_log
                         blocked += 1
                     else:
                         assert certificate == full.edge(src, dst).certificate == Certificate("C5_transitive", chain)
