@@ -9,7 +9,7 @@ from .alexander import (
     satellite_delta,
 )
 from .diagram import BraidWord, PDCode, braid_to_pd, parse_braid, parse_pd, seifert_circles, wirtinger
-from .domination import Certificate, ObstructionReport, Verdict, certificate_search, scan
+from .domination import Certificate, ObstructionReport, Verdict, scan
 from .knotbase import Corpus, CorpusError, Flags, KnotRecord, enrich_record, genus_interval, load_corpus
 from .laurent import LaurentPoly, exact_div, format_poly, is_prime_power, parse_poly
 from .poset import ChainBound, DominationGraph, build_graph, certify, chain_length_bound, evaluate, longest_chain
@@ -32,7 +32,6 @@ __all__ = [
     "alexander_polynomial",
     "braid_to_pd",
     "build_graph",
-    "certificate_search",
     "certify",
     "chain_length_bound",
     "connected_sum_delta",

@@ -253,9 +253,6 @@ def _cmd_chain_bound(name: str, corpus_path: Path, as_json: bool) -> int:
 
 
 def _cmd_verify_paper(corpus_path: Path, as_json: bool) -> int:
-    if not corpus_path.exists():
-        print(f"error: missing fixture: corpus file not found: {corpus_path}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         report = run_verification(corpus_path)
     except CorpusError as exc:

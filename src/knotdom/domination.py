@@ -8,10 +8,7 @@ For an ordered pair of enriched records (k1, k2) the engine reports:
     closure for 2-bridge / Montesinos / sums of simple knots / free
     knots, left-orderability of double branched covers, mutation);
   - rigidity rules: invariant equalities under which any domination
-    collapses to equality, so distinct names cannot strictly dominate;
-  - certificates: positive constructions (the unknot as bottom
-    element, satellite over pattern, winding-one cabling, connected-sum
-    projection).
+    collapses to equality, so distinct names cannot strictly dominate.
 
 The obstruction and rigidity rules are the ordered `(rule_id, test)`
 entries of `OBSTRUCTIONS` and `RIGIDITY`, read by one loop, `scan`.
@@ -19,11 +16,12 @@ entries of `OBSTRUCTIONS` and `RIGIDITY`, read by one loop, `scan`.
 (a rigidity rule never passes) and None when an input is unknown, so
 every rule is sound under unknown metadata.  Every report carries a
 provenance anchor naming the result it implements; the anchors are
-stable strings used in serialized output.
+stable strings used in serialized output, those of the certificates
+too: `knotdom.poset.certify` builds each certificate from the record
+structure it reads.
 """
 from __future__ import annotations
 
-from collections import Counter
 from decimal import Decimal
 from operator import attrgetter
 from typing import NamedTuple
@@ -244,61 +242,3 @@ def scan(k1: KnotRecord, k2: KnotRecord) -> tuple[list[ObstructionReport], list[
         elif detail is not None:
             passed.append(rule_id)
     return fired, passed
-
-
-def certificate_search(
-    k1: KnotRecord,
-    k2: KnotRecord,
-    certified: frozenset[tuple[str, str]] | set | None = None,
-) -> Certificate | None:
-    """First matching positive construction for distinct knots, in the
-    order unknot target, satellite pattern, winding-one companion,
-    connected sum.  `certified` optionally supplies known edges for
-    pairing the summands of composite knots."""
-    _require_enriched(k1, k2)
-    if k2.flags.unknot is True:
-        return Certificate("C0_unknot", (k1.name, k2.name))
-    if k1.satellite_of is not None:
-        pattern, companion, winding = k1.satellite_of
-        if pattern == k2.name:
-            return Certificate("C2_satellite_pattern", (k1.name, k2.name))
-        if companion == k2.name and winding == 1:
-            return Certificate("C3_winding_one_companion", (k1.name, k2.name))
-    if k1.connected_sum_of is not None and _summands_cover(
-        k1.summands(), k2.summands(), frozenset(certified or ())
-    ):
-        return Certificate("C1_connected_sum", (k1.name, k2.name))
-    return None
-
-
-def _summands_cover(sum1: tuple[str, ...], sum2: tuple[str, ...], certified: frozenset[tuple[str, str]]) -> bool:
-    """Can every summand of k2 be matched injectively to a summand of k1
-    that equals it or certifiably dominates it?  Plain sub-multiset
-    inclusion is the identity matching.  Copies are matched one at a time
-    along augmenting paths over the distinct names, without recursion."""
-    spare = Counter(sum1)  # unmatched copies of each k1 summand
-    held: dict[str, Counter] = {source: Counter() for source in spare}  # source -> target -> copies
-    for target in sorted(sum2):
-        # Search for moves that give target one more copy: a target takes
-        # a copy from a source (+1), and may hand back one it holds (-1).
-        seen, queued, stack, path = set(), {target}, [(target, ())], None
-        while stack and path is None:
-            t, moves = stack.pop()
-            for source in spare:
-                if source in seen or (source != t and (source, t) not in certified):
-                    continue
-                seen.add(source)
-                taken = moves + ((source, t, 1),)
-                if spare[source]:
-                    path = taken
-                for other, copies in held[source].items():
-                    if copies and other not in queued:
-                        queued.add(other)
-                        stack.append((other, taken + ((source, other, -1),)))
-        if path is None:
-            return False
-        spare[path[-1][0]] -= 1
-        for source, t, step in path:
-            held[source][t] += step
-    return True
-

@@ -11,10 +11,11 @@ start.
 """
 from __future__ import annotations
 
+from collections import Counter
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Iterable, Iterator, NamedTuple, TextIO
 
-from .domination import Certificate, Verdict, _alternating_prime_power, certificate_search, scan
+from .domination import Certificate, Verdict, _alternating_prime_power, scan
 from .knotbase import Corpus, CorpusError, KnotRecord, _require_enriched, _walk
 from .laurent import _Frozen
 
@@ -141,10 +142,13 @@ def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGra
     this graph.
 
     Every certificate but reflexivity and transitivity comes from
-    structure: `flags.unknot`, `satellite_of`, or `connected_sum_of`, whose
-    summands may pair through earlier edges.  So the candidates out of a
-    knot are the unknots, its pattern and companion, and, for a composite,
-    the records whose summands all lie among its own summands and their
+    structure, by the first of four constructions that applies: an
+    unknot is below every knot (C0, `flags.unknot`), a satellite
+    dominates its pattern (C2) and, at winding 1, its companion (C3), and
+    a composite dominates a knot whose summands pair injectively with its
+    own, each equal or below through an earlier edge (C1,
+    `connected_sum_of`).  So the candidates out of a composite are the
+    records whose summands all lie among its own summands and their
     direct successors.  A record's edges therefore depend only on it and
     on its summands' edges: the walk certifies each summand before its
     sums, and each certified target in turn, so the edges out of a record
@@ -158,10 +162,10 @@ def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGra
     [('3_1', 'unknot', 'C0_unknot'), ('granny', '3_1', 'C1_connected_sum'), ('granny', 'unknot', 'C0_unknot')]
     """
     # Candidates come from structure as declared, so only the records
-    # certified and the candidates tested are enriched: enrichment keeps
-    # the references and only ever sets `unknot` to False.  The walk reads
-    # each record enriched, which rejects a dangling or circular summand
-    # before the walk follows it.
+    # certified and the targets of their certificates are enriched:
+    # enrichment keeps the references and only ever sets `unknot` to
+    # False.  The walk reads each record enriched, which rejects a
+    # dangling or circular summand before the walk follows it.
     names = corpus.names()
     declared = {name: corpus.declared(name) for name in names}
     unknots = [name for name in names if declared[name].flags.unknot is True]
@@ -182,30 +186,30 @@ def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGra
         order = _walk([root], lambda name: [s for s in corpus.get(name).connected_sum_of or () if s not in succ])[0]
         for src in order:
             record = corpus.get(src)
-            candidates = set(unknots)
+            found = dict.fromkeys(unknots, "C0_unknot")  # target -> its construction, first one first
             if record.satellite_of is not None:
-                candidates.update(record.satellite_of[:2])
-            known: frozenset[tuple[str, str]] = frozenset()
+                pattern, companion, winding = record.satellite_of
+                found.setdefault(pattern, "C2_satellite_pattern")
+                if winding == 1:
+                    found.setdefault(companion, "C3_winding_one_companion")
             if record.connected_sum_of is not None:
                 reach = set(record.connected_sum_of)
                 known = frozenset((s, t) for s in reach for t in succ[s])
                 reach.update(t for _, t in known)
-                for summand in reach:
-                    candidates.update(
-                        name for name in holders.get(summand, ())
-                        if reach.issuperset(declared[name].summands())
-                    )
-            candidates.discard(src)
+                covered = {
+                    name for summand in reach for name in holders.get(summand, ())
+                    if reach.issuperset(declared[name].summands())
+                }
+                for name in covered.difference(found, [src]):
+                    if _summands_cover(record.connected_sum_of, declared[name].summands(), known):
+                        found[name] = "C1_connected_sum"
+            found.pop(src, None)
             succ[src] = []
-            for dst in sorted(candidates):
-                target = corpus.get(dst)
-                certificate = certificate_search(record, target, known)
-                if certificate is None:
-                    continue
-                if fired := scan(record, target)[0]:
-                    conflicts.append((src, dst, certificate.rule_id, sorted(r.rule_id for r in fired)))
+            for dst, rule_id in sorted(found.items()):
+                if fired := scan(record, corpus.get(dst))[0]:
+                    conflicts.append((src, dst, rule_id, sorted(r.rule_id for r in fired)))
                 else:
-                    edges.append(Edge(src, dst, certificate))
+                    edges.append(Edge(src, dst, Certificate(rule_id, (src, dst))))
                     succ[src].append(dst)
                     if dst not in succ:
                         stack.append(dst)
@@ -215,6 +219,38 @@ def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGra
         for src, dst, rule_id, negatives in sorted(conflicts)
     )
     return DominationGraph(tuple(sorted(succ)), tuple(sorted(edges, key=lambda e: (e.src, e.dst))), audit)
+
+
+def _summands_cover(sum1: tuple[str, ...], sum2: tuple[str, ...], certified: frozenset[tuple[str, str]]) -> bool:
+    """Can every summand of k2 be matched injectively to a summand of k1
+    that equals it or certifiably dominates it?  Plain sub-multiset
+    inclusion is the identity matching.  Copies are matched one at a time
+    along augmenting paths over the distinct names, without recursion."""
+    spare = Counter(sum1)  # unmatched copies of each k1 summand
+    held: dict[str, Counter] = {source: Counter() for source in spare}  # source -> target -> copies
+    for target in sorted(sum2):
+        # Search for moves that give target one more copy: a target takes
+        # a copy from a source (+1), and may hand back one it holds (-1).
+        seen, queued, stack, path = set(), {target}, [(target, ())], None
+        while stack and path is None:
+            t, moves = stack.pop()
+            for source in spare:
+                if source in seen or (source != t and (source, t) not in certified):
+                    continue
+                seen.add(source)
+                taken = moves + ((source, t, 1),)
+                if spare[source]:
+                    path = taken
+                for other, copies in held[source].items():
+                    if copies and other not in queued:
+                        queued.add(other)
+                        stack.append((other, taken + ((source, other, -1),)))
+        if path is None:
+            return False
+        spare[path[-1][0]] -= 1
+        for source, t, step in path:
+            held[source][t] += step
+    return True
 
 
 def build_graph(corpus: Corpus) -> DominationGraph:

@@ -8,7 +8,9 @@ closures kept as oracles for the predecessor trees of
 (exponentially many in chain length) for checks on small graphs.
 `_scan_obstructions` and `_scan_rigidity`, the hand-written rule scans,
 are kept as the oracle for the rule table read by
-`knotdom.domination.scan`.
+`knotdom.domination.scan`; `certificate_search`, which decides one
+pair's certificate from both records alone, as the oracle for the
+certificates that `knotdom.poset.certify` builds from structure.
 
 The all-pairs `build_graph` evaluates every obstruction, rigidity and
 certificate rule on all N(N-1) ordered pairs, then re-scans for
@@ -22,10 +24,10 @@ from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from functools import lru_cache
 
-from knotdom.domination import Certificate, ObstructionReport, certificate_search
-from knotdom.knotbase import Corpus, CorpusError, KnotRecord, genus_interval
+from knotdom.domination import Certificate, ObstructionReport
+from knotdom.knotbase import Corpus, CorpusError, KnotRecord, _require_enriched, genus_interval
 from knotdom.laurent import exact_div, format_poly, is_prime_power
-from knotdom.poset import DominationGraph, Edge
+from knotdom.poset import DominationGraph, Edge, _summands_cover
 
 
 def _scan_obstructions(
@@ -167,6 +169,31 @@ def _scan_rigidity(k1: KnotRecord, k2: KnotRecord) -> list[ObstructionReport]:
         fire("R6_hyperbolic_volume", f"both hyperbolic with equal volume {k1.volume}")
 
     return fired
+
+
+def certificate_search(
+    k1: KnotRecord,
+    k2: KnotRecord,
+    certified: frozenset[tuple[str, str]] | set | None = None,
+) -> Certificate | None:
+    """First matching positive construction for distinct knots, in the
+    order unknot target, satellite pattern, winding-one companion,
+    connected sum.  `certified` optionally supplies known edges for
+    pairing the summands of composite knots."""
+    _require_enriched(k1, k2)
+    if k2.flags.unknot is True:
+        return Certificate("C0_unknot", (k1.name, k2.name))
+    if k1.satellite_of is not None:
+        pattern, companion, winding = k1.satellite_of
+        if pattern == k2.name:
+            return Certificate("C2_satellite_pattern", (k1.name, k2.name))
+        if companion == k2.name and winding == 1:
+            return Certificate("C3_winding_one_companion", (k1.name, k2.name))
+    if k1.connected_sum_of is not None and _summands_cover(
+        k1.summands(), k2.summands(), frozenset(certified or ())
+    ):
+        return Certificate("C1_connected_sum", (k1.name, k2.name))
+    return None
 
 
 def evaluate_full(k1, k2, certified=None):

@@ -464,9 +464,10 @@ class TestVerifyPaper:
         assert len(payload["checks"]) == 8
 
     def test_missing_fixture(self, capsys, tmp_path):
-        code, _, err = run(capsys, "verify-paper", "--corpus", str(tmp_path / "gone.json"))
+        gone = tmp_path / "gone.json"
+        code, _, err = run(capsys, "verify-paper", "--corpus", str(gone))
         assert code == EXIT_USAGE
-        assert "gone.json" in err
+        assert err == f"error: missing or invalid fixture: corpus file not found: {gone}\n"
 
     def test_corrupt_fixture_named_in_diagnostic(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"

@@ -12,16 +12,14 @@ from knotdom.domination import (
     RIGIDITY,
     Certificate,
     ObstructionReport,
-    _summands_cover,
-    certificate_search,
     scan,
 )
-from knotdom.knotbase import CorpusError, Flags, KnotRecord, enrich_record
+from knotdom.knotbase import Corpus, CorpusError, Flags, KnotRecord, enrich_record, load_corpus
 from knotdom.laurent import parse_poly
-from knotdom.poset import evaluate
+from knotdom.poset import _summands_cover, certify, evaluate
 
 from kernel_oracle import backtracking_summands_cover
-from poset_oracle import _scan_obstructions, _scan_rigidity, evaluate_full
+from poset_oracle import _scan_obstructions, _scan_rigidity, certificate_search, evaluate_full
 from test_poset import random_corpus, sibling_sums_corpus
 
 
@@ -264,17 +262,23 @@ class TestRigidityScan:
         assert "R3_nilpotent_degree" in fired
 
 
-class TestCertificateSearch:
+def certificate(corpus, src, dst, *records):
+    """The certificate of the edge src -> dst that `certify` builds out of
+    src on `corpus` with `records` added, or None without the edge."""
+    edge = certify(Corpus([*corpus, *records]), [src]).edge(src, dst)
+    return edge and edge.certificate
+
+
+class TestCertificates:
     def test_unknot_bottom(self, corpus):
-        cert = certificate_search(corpus.get("6_2"), corpus.get("unknot"))
-        assert cert.rule_id == "C0_unknot"
+        assert certificate(corpus, "6_2", "unknot").rule_id == "C0_unknot"
 
     def test_connected_sum_projection(self, corpus):
-        cert = certificate_search(corpus.get("granny"), corpus.get("3_1"))
+        cert = certificate(corpus, "granny", "3_1")
         assert cert == Certificate("C1_connected_sum", ("granny", "3_1"))
 
     def test_satellite_pattern(self, corpus):
-        cert = certificate_search(corpus.get("ks_cable23_of_4_1"), corpus.get("3_1"))
+        cert = certificate(corpus, "ks_cable23_of_4_1", "3_1")
         assert cert == Certificate("C2_satellite_pattern", ("ks_cable23_of_4_1", "3_1"))
 
     def test_ambient_satellite_of_example(self, corpus):
@@ -288,7 +292,7 @@ class TestCertificateSearch:
             flags=Flags(no_winding_zero_companion=False, free=False),
             siblings=siblings,
         )
-        cert = certificate_search(ambient, corpus.get("double_of_3_1"))
+        cert = certificate(corpus, "ambient_satellite", "double_of_3_1", ambient)
         assert cert.rule_id == "C2_satellite_pattern"
 
     def test_winding_one_companion(self, corpus):
@@ -299,11 +303,11 @@ class TestCertificateSearch:
             satellite_of=("unknot", "4_1", 1),
             siblings=siblings,
         )
-        cert = certificate_search(cable, corpus.get("4_1"))
+        cert = certificate(corpus, "winding_one_cable", "4_1", cable)
         assert cert.rule_id == "C3_winding_one_companion"
 
     def test_winding_two_companion_not_certified(self, corpus):
-        assert certificate_search(corpus.get("ks_cable23_of_4_1"), corpus.get("4_1")) is None
+        assert certificate(corpus, "ks_cable23_of_4_1", "4_1") is None
 
     def test_summand_pairing_through_certified_edges(self, corpus):
         siblings = {r.name: r for r in corpus}
@@ -316,18 +320,32 @@ class TestCertificateSearch:
             connected_sum_of=("3_1", "3_1"), siblings=siblings,
         )
         # identity pairing: {3_1, 3_1} inside {3_1, 3_1, 4_1}
-        assert certificate_search(sum_a, sum_b).rule_id == "C1_connected_sum"
+        assert certificate(corpus, "granny_sum_fig8", "square_sum", sum_a, sum_b).rule_id == "C1_connected_sum"
         # no pairing without an edge 4_1 >= 3_1
         sum_c = make_record(
             "triple_trefoil", "1 - 3t + 6t^2 - 7t^3 + 6t^4 - 3t^5 + t^6",
             connected_sum_of=("3_1", "3_1", "3_1"), siblings=siblings,
         )
-        assert certificate_search(sum_a, sum_c) is None
+        assert certificate(corpus, "granny_sum_fig8", "triple_trefoil", sum_a, sum_c) is None
         # with a (hypothetical) certified edge the pairing goes through
-        assert (
-            certificate_search(sum_a, sum_c, {("4_1", "3_1")}).rule_id
-            == "C1_connected_sum"
-        )
+        assert not _summands_cover(sum_a.summands(), sum_c.summands(), frozenset())
+        assert _summands_cover(sum_a.summands(), sum_c.summands(), frozenset({("4_1", "3_1")}))
+
+    def test_first_construction_that_applies(self, corpus_path, tmp_path):
+        # the unknot before the pattern, and the pattern before the companion
+        path = tmp_path / "satellites.json"
+        satellites = [{"name": "sq", "satellite_of": ["3_1", "3_1", 1]}, {"name": "u3", "satellite_of": ["unknot", "3_1", 1]}]
+        path.write_text(json.dumps([*json.loads(corpus_path.read_text()), *satellites]))
+        case = load_corpus(path)
+        edges = [e for e in certify(case, ["sq", "u3"]).edges if e.src in ("sq", "u3")]
+        assert [(e.src, e.dst, e.certificate.rule_id) for e in edges] == [
+            ("sq", "3_1", "C2_satellite_pattern"),
+            ("sq", "unknot", "C0_unknot"),
+            ("u3", "3_1", "C3_winding_one_companion"),
+            ("u3", "unknot", "C0_unknot"),
+        ]
+        for e in edges:
+            assert certificate_search(case.get(e.src), case.get(e.dst)) == e.certificate
 
 
 def first_fit_cover(sum1, sum2, certified):

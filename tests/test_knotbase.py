@@ -434,20 +434,21 @@ class TestEnrichOnFirstRead:
 
     @pytest.fixture
     def certify_reads(self, monkeypatch):
-        """The records `certify` certifies or tests, as it runs."""
+        """The records `certify` certifies and the targets `poset` scans, as
+        they run."""
         names = []
-        search, rooted = poset.certificate_search, poset.certify
+        scan, rooted = poset.scan, poset.certify
 
-        def recording_search(k1, k2, certified=None):
+        def recording_scan(k1, k2):
             names.append(k2.name)
-            return search(k1, k2, certified)
+            return scan(k1, k2)
 
         def recording_certify(corpus, roots=None):
             graph = rooted(corpus, roots)
             names.extend(graph.nodes)
             return graph
 
-        monkeypatch.setattr(poset, "certificate_search", recording_search)
+        monkeypatch.setattr(poset, "scan", recording_scan)
         monkeypatch.setattr(poset, "certify", recording_certify)
         return names
 
@@ -535,7 +536,7 @@ class TestEnrichOnFirstRead:
         capsys.readouterr()
 
     def test_rooted_certify_enriches_what_it_reads(self, enriched, certify_reads, cases):
-        # a tested candidate is enriched after the records it references
+        # a certified candidate is enriched after the records it references
         beyond = 0
         for records, _ in cases:
             for name in sorted(r.name for r in records):
@@ -562,6 +563,20 @@ class TestEnrichOnFirstRead:
             assert run(capsys, "--corpus", str(invalid_path), *form, "verify-paper") == (
                 EXIT_USAGE, "", f"error: missing or invalid fixture: {error}\n"
             )
+
+    def test_queries_skip_an_invalid_sum_they_do_not_certify(self, capsys, corpus_path, tmp_path):
+        # bad's summands lie among those of s, but no pairing certifies
+        # s >= bad, so only the whole-corpus command reads it
+        path = tmp_path / "sums.json"
+        sums = [{"name": "s", "connected_sum_of": ["3_1", "4_1"]}, {"name": "bad", "connected_sum_of": ["4_1", "4_1"], "delta": "1"}]
+        path.write_text(json.dumps([*json.loads(corpus_path.read_text()), *sums]))
+        code, out, _ = run(capsys, "--corpus", str(path), "check", "s", "3_1")
+        assert code == EXIT_OK and "C1_connected_sum" in out
+        code, out, _ = run(capsys, "--corpus", str(path), "chain-bound", "s")
+        assert code == EXIT_OK and out.startswith("longest certified chain from s: s > 3_1 > unknot ")
+        assert run(capsys, "--corpus", str(path), "poset") == (
+            EXIT_USAGE, "", "error: bad: declared delta (connected sum) 1 != computed 1 - 6t + 11t^2 - 6t^3 + t^4\n"
+        )
 
     def test_invariants_of_an_invalid_record_name_it(self, capsys, invalid):
         assert run(capsys, "--corpus", str(invalid[0]), "invariants", "z") == (

@@ -7,7 +7,7 @@ from graphlib import TopologicalSorter
 import pytest
 
 from knotdom import poset
-from knotdom.domination import Certificate, certificate_search, scan
+from knotdom.domination import Certificate, scan
 from knotdom.knotbase import Corpus, CorpusError, Flags, KnotRecord, _walk, build_corpus, enrich_record, record_from_json
 from knotdom.laurent import parse_poly
 from knotdom.poset import (
@@ -528,14 +528,14 @@ class TestCertify:
                 errors += isinstance(expected, str)
         assert longest == 61 and errors
 
-    def test_one_certificate_search_per_candidate(self, monkeypatch):
+    def test_one_scan_per_certified_candidate(self, monkeypatch):
         calls = []
 
-        def recording(k1, k2, certified=None):
+        def recording(k1, k2):
             calls.append((k1.name, k2.name))
-            return certificate_search(k1, k2, certified)
+            return scan(k1, k2)
 
-        monkeypatch.setattr(poset, "certificate_search", recording)
+        monkeypatch.setattr(poset, "scan", recording)
         for seed in range(40):
             calls.clear()
             certify(random_corpus(seed))
@@ -604,11 +604,11 @@ class TestCertify:
     def test_chain_query_searches_fewer_pairs(self, monkeypatch):
         calls = []
 
-        def recording(k1, k2, certified=None):
+        def recording(k1, k2):
             calls.append((k1.name, k2.name))
-            return certificate_search(k1, k2, certified)
+            return scan(k1, k2)
 
-        monkeypatch.setattr(poset, "certificate_search", recording)
+        monkeypatch.setattr(poset, "scan", recording)
         for seed in range(40):
             case = random_corpus(seed)
             calls.clear()
