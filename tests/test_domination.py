@@ -263,10 +263,17 @@ class TestRigidityScan:
 
 
 def certificate(corpus, src, dst, *records):
-    """The certificate of the edge src -> dst that `certify` builds out of
-    src on `corpus` with `records` added, or None without the edge."""
-    edge = certify(Corpus([*corpus, *records]), [src]).edge(src, dst)
-    return edge and edge.certificate
+    """The certificate that `certify` builds for src -> dst out of src on
+    `corpus` with `records` added, read from the edge or, when a rule
+    blocks the pair, from its audit line; None when it builds none."""
+    graph = certify(Corpus([*corpus, *records]), [src])
+    if edge := graph.edge(src, dst):
+        return edge.certificate
+    blocked = f"conflict: {src} -> {dst} certified by "
+    for line in graph.audit_log:
+        if line.startswith(blocked):
+            return Certificate(line[len(blocked):].split(" ", 1)[0], (src, dst))
+    return None
 
 
 class TestCertificates:
