@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 from . import alexander, poset
 from .diagram import DiagramError, parse_braid, parse_pd, seifert_circles
-from .knotbase import CorpusError, KnotRecord, check_jones, enrich_record, load_corpus
+from .knotbase import CorpusError, KnotRecord, enrich_record, load_corpus, record_jones
 from .laurent import LaurentPoly, exact_div, format_poly, parse_poly
 
 EXIT_OK = 0
@@ -167,10 +167,7 @@ def _cmd_invariants(source: str, corpus: str | None, as_json: bool) -> int:
         "flags": record.flags.as_dict(),
         "sum_of_simple": record.sum_of_simple,
     }
-    # A declared Jones was checked on enrichment; otherwise compute it here.
-    jones, diagram = record.jones, record.diagram
-    if jones is None and diagram is not None and diagram.crossing_count <= alexander.JONES_CROSSING_BUDGET:
-        jones = check_jones(record.name, alexander.jones_polynomial(diagram), record.determinant)
+    jones, diagram = record_jones(record), record.diagram
     if jones is not None:
         info["jones"] = format_poly(jones)
     if diagram is not None:
@@ -233,7 +230,7 @@ def _cmd_poset(corpus_path: Path, as_json: bool) -> int:
 def _cmd_chain_bound(name: str, corpus_path: Path, as_json: bool) -> int:
     corpus = load_corpus(corpus_path)
     bounds = poset.chain_length_bound(corpus.get(name))
-    chain = poset.longest_chain(poset.certify(corpus, [name]), name)
+    chain = poset.longest_chain(poset.build_graph(corpus, [name]), name)
     if as_json:
         _emit(
             {
@@ -337,9 +334,7 @@ def run_verification(corpus_path: Path | str) -> RunReport:
 
     ks = corpus.get("ks_cable23_of_4_1")
     ks_jones = need(ks, "jones")
-    jones_trefoil = trefoil.jones  # when declared, enrichment checked it against the diagram
-    if jones_trefoil is None:
-        jones_trefoil = alexander.jones_polynomial(trefoil.diagram)
+    jones_trefoil = record_jones(trefoil) or need(trefoil, "jones")
     add(
         "jones_non_divisibility",
         "Remark after Ex. 6.5",
@@ -374,7 +369,7 @@ def run_verification(corpus_path: Path | str) -> RunReport:
         f"(granny, 3_1)={v_granny.kind}, (KT, Conway)={v_mutants.kind}",
     )
 
-    chain = poset.longest_chain(poset.certify(corpus, ["3_1"]), "3_1")
+    chain = poset.longest_chain(poset.build_graph(corpus, ["3_1"]), "3_1")
     bounds_31 = poset.chain_length_bound(trefoil)
     bounds_52 = poset.chain_length_bound(five2)
     ok_31 = bounds_31 == [poset.ChainBound(1, "free_ghat", "total_length")] and len(chain) - 1 == 1

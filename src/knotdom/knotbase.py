@@ -67,8 +67,8 @@ class KnotRecord(NamedTuple):
     On an enriched record `jones` is the declared Jones polynomial, checked
     against V(1) = 1 and |V(-1)| = det and, when the diagram is within
     JONES_CROSSING_BUDGET, against the diagram's; it is None when none was
-    declared, since no rule reads it.  `jones_polynomial(record.diagram)`
-    computes it."""
+    declared, since no rule reads it.  `record_jones(record)` computes it
+    within the budget."""
 
     name: str
     diagram: PDCode | None = None
@@ -365,12 +365,20 @@ def check_jones(name: str, jones: LaurentPoly, determinant: int) -> LaurentPoly:
     return jones
 
 
+def record_jones(record: KnotRecord) -> LaurentPoly | None:
+    """The declared Jones polynomial of an enriched record, else its
+    diagram's within JONES_CROSSING_BUDGET (`check_jones` checks it)."""
+    diagram = record.diagram
+    if record.jones is not None or diagram is None or diagram.crossing_count > JONES_CROSSING_BUDGET:
+        return record.jones
+    return check_jones(record.name, jones_polynomial(diagram), record.determinant)
+
+
 def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = None) -> KnotRecord:
     """Fill computed invariants, cross-check declared data, and close the
     flag implications.  Composite records (connected sums, satellites)
-    need their referenced siblings already enriched.  No rule reads the
-    Jones polynomial, so it is computed only to cross-check a declared
-    one, and a record that declares none keeps jones=None."""
+    need their referenced siblings already enriched.  A declared Jones
+    polynomial is cross-checked; a record that declares none keeps None."""
     siblings = siblings or {}
     name = record.name
 

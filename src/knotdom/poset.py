@@ -5,9 +5,9 @@ Edges use certificates only; Unknown pairs never contribute, so every
 reported chain is a lower bound on the true partial order.  `certify`
 checks the candidate edges that record structure allows in one ordered
 pass, and `build_graph` closes them under transitivity, so output is
-byte-identical across runs.  Chain queries need only `certify`, and
-pair queries the closure out of their first name: both only from their
-start.
+byte-identical across runs.  Pair and chain queries read the closure
+out of their first name only, and fail on its audit as `poset` fails on
+the whole graph's.
 """
 from __future__ import annotations
 
@@ -33,12 +33,12 @@ class DominationGraph(_Frozen):
 
     `edges` come with their certificates.  The closure passes its
     `C5_transitive` edges apart, as the pairs `transitive`, with `trees`:
-    for each source it closes (every node for `build_graph`, the first
-    name for `evaluate`), every node it reaches mapped to its predecessor
-    on the canonical witness chain.  A witness chain is built
-    from its tree only when its edge is read, and iteration builds one
-    source's chains at a time, so the chains are never all held at once.
-    Edges iterate and serialize in (src, dst) order."""
+    for each source it closes (every node, or the roots given to
+    `build_graph`), every node it reaches mapped to its predecessor on the
+    canonical witness chain.  A witness chain is built from its tree only
+    when its edge is read, and iteration builds one source's chains at a
+    time, so they are never all held at once.  Edges iterate and
+    serialize in (src, dst) order."""
 
     __slots__ = ("nodes", "audit_log", "_out", "_trees", "_size")
 
@@ -136,10 +136,8 @@ class ChainBound(NamedTuple):
 
 def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGraph:
     """The certified direct edges out of every record that `roots` reach
-    (all records when roots is None), without the transitive closure; the
-    audit lists the certified pairs out of those records that an
-    obstruction or rigidity rule blocks.  Longest chains need no more than
-    this graph.
+    (all records when roots is None), for `build_graph` to close; the
+    audit lists their certified pairs that a rule blocks.
 
     Every certificate but reflexivity and transitivity comes from
     structure, by the first of four constructions that applies: an
@@ -253,50 +251,20 @@ def _summands_cover(sum1: tuple[str, ...], sum2: tuple[str, ...], certified: fro
     return True
 
 
-def build_graph(corpus: Corpus) -> DominationGraph:
-    """The edges of `certify` closed under transitivity: a pair reached in
-    two or more steps gets a `C5_transitive` certificate with its canonical
-    witness chain unless a rule blocks it.  The audit of `certify` gains
-    the blocked pairs and a cycle among the direct edges, if any.  It
-    reads every record first, so an invalid one fails in input order."""
-    corpus.records  # parses and enriches every record in input order
-    graph = certify(corpus)
-    return _close(corpus, graph, graph.nodes)
-
-
-def evaluate(corpus: Corpus, name1: str, name2: str) -> Verdict:
-    """Verdict for "does name1 1-dominate name2?", read off the closed
-    graph out of name1, so certified exactly when `build_graph` holds the
-    edge.  An audit finding of that graph is a contradiction in the
-    corpus: it raises CorpusError.
-
-    >>> from knotdom.cli import default_corpus_path, load_corpus
-    >>> evaluate(load_corpus(default_corpus_path()), "granny", "unknot").certificate
-    Certificate(rule_id='C0_unknot', witnesses=('granny', 'unknot'))
-    """
-    k1, k2 = corpus.get(name1), corpus.get(name2)
-    if name1 == name2:
-        return Verdict("equal")
-    graph = _close(corpus, certify(corpus, [name1]), [name1])
-    if graph.audit_log:
-        raise CorpusError("; ".join(graph.audit_log))
-    fired, passed = scan(k1, k2)
-    if fired:
-        return Verdict("obstructed", obstructions=tuple(fired))
-    edge = graph.edge(name1, name2)
-    if edge is not None:
-        return Verdict("certified", certificate=edge.certificate)
-    return Verdict("unknown", passed=tuple(passed))
-
-
-def _close(corpus: Corpus, graph: DominationGraph, sources: Iterable[str]) -> DominationGraph:
-    """`graph`, the direct edges of `certify`, closed under transitivity
-    out of `sources`: each pair two or more steps apart that no rule
-    blocks becomes a `C5_transitive` edge, and a blocked one an audit
-    line naming its witness chain and the rules.  The audit also gains a
-    cycle among the direct edges, if any."""
+def build_graph(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGraph:
+    """The edges of `certify(corpus, roots)` closed under transitivity out
+    of the roots, or out of every node when roots is None: a pair two or
+    more steps apart gets a `C5_transitive` certificate with its canonical
+    witness chain, unless a rule blocks it, and then it is an audit line
+    naming that chain and the rules.  The audit of `certify` also gains a
+    cycle among the direct edges, if any.  With roots None it reads every
+    record first, so an invalid one fails in input order."""
+    roots = None if roots is None else list(roots)
+    if roots is None:
+        corpus.records  # parses and enriches every record in input order
+    graph = certify(corpus, roots)
     succ = {name: graph.successors(name) for name in graph.nodes}
-    trees = {src: _canonical_tree(src, succ) for src in sources}
+    trees = {src: _canonical_tree(src, succ) for src in (graph.nodes if roots is None else roots)}
     audit = list(graph.audit_log)
     transitive = []
     for src, tree in trees.items():
@@ -316,6 +284,31 @@ def _close(corpus: Corpus, graph: DominationGraph, sources: Iterable[str]) -> Do
     if cycle is not None:
         audit.append(f"cycle among certified edges: {cycle}")
     return DominationGraph(graph.nodes, graph.edges, tuple(audit), trees, transitive)
+
+
+def evaluate(corpus: Corpus, name1: str, name2: str) -> Verdict:
+    """Verdict for "does name1 1-dominate name2?", read off the closed
+    graph out of name1, so certified exactly when `build_graph` holds the
+    edge.  An audit finding of that graph is a contradiction in the
+    corpus: it raises CorpusError, also when the names are equal.
+
+    >>> from knotdom.cli import default_corpus_path, load_corpus
+    >>> evaluate(load_corpus(default_corpus_path()), "granny", "unknot").certificate
+    Certificate(rule_id='C0_unknot', witnesses=('granny', 'unknot'))
+    """
+    k1, k2 = corpus.get(name1), corpus.get(name2)
+    graph = build_graph(corpus, [name1])
+    if graph.audit_log:
+        raise CorpusError("; ".join(graph.audit_log))
+    if name1 == name2:
+        return Verdict("equal")
+    fired, passed = scan(k1, k2)
+    if fired:
+        return Verdict("obstructed", obstructions=tuple(fired))
+    edge = graph.edge(name1, name2)
+    if edge is not None:
+        return Verdict("certified", certificate=edge.certificate)
+    return Verdict("unknown", passed=tuple(passed))
 
 
 def _canonical_tree(src: str, succ: dict[str, list[str]]) -> dict[str, str]:
@@ -351,9 +344,12 @@ def _chains(src: str, tree: dict[str, str]) -> dict[str, tuple[str, ...]]:
 
 def longest_chain(graph: DominationGraph, start: str) -> list[str]:
     """A maximum-length strict chain of certified edges from start; ties
-    broken by lexicographic order of the name sequence."""
+    broken by lexicographic order of the name sequence.  An audit finding
+    or a cycle raises CorpusError, the finding as `evaluate` raises it."""
     if start not in graph.nodes:
         raise CorpusError(f"unknown knot name {start!r}")
+    if graph.audit_log:
+        raise CorpusError("; ".join(graph.audit_log))
     nodes, cycle = _walk([start], graph.successors)  # successors first
     if cycle is not None:
         raise CorpusError("certified edges contain a cycle; no longest chain")

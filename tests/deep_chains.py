@@ -1,10 +1,12 @@
-"""Time, peak RSS and stdout of `knotdom poset` on deep satellite chains.
+"""Time, peak RSS and stdout of `knotdom poset` and `chain-bound` on deep
+satellite chains.
 
 For each depth, `test_poset.satellite_chain(depth)` is written to a
-corpus file, and `poset --json` and text `poset` each run on it in a
-fresh interpreter.  The report gives the wall time of the command, the
-peak RSS of its process (the interpreter and the test imports included),
-and the size and sha256 of what it printed, read from a pipe.  pytest
+corpus file, and `poset --json`, text `poset` and `chain-bound a0000`
+(the root of the chain) each run on it in a fresh interpreter.  The
+report gives the wall time of the command, the peak RSS of its process
+(the interpreter and the test imports included), and the size and
+sha256 of what it printed, read from a pipe.  pytest
 does not collect this file.  From the repository root:
 
     python tests/deep_chains.py            # depths 150, 300 and 450
@@ -22,7 +24,7 @@ from pathlib import Path
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
 DEPTHS = (150, 300, 450)
-FORMS = (["poset", "--json"], ["poset"])
+FORMS = (["poset", "--json"], ["poset"], ["chain-bound", "a0000"])
 
 # Runs one command; its timing goes to stderr, its output to stdout.
 CHILD = """
@@ -65,7 +67,7 @@ def main(argv: list[str]) -> int:
             path = Path(tmp) / f"chain-{depth}.json"
             path.write_text(json.dumps(satellite_chain(depth)), encoding="utf-8")
             for form in FORMS:
-                result = run([*form, str(path)])
+                result = run([*form, "--corpus", str(path)])
                 print(
                     f"| {depth} | `{' '.join(form)}` | {result['seconds']:.2f} s | {result['peak_mb']:.0f} MB "
                     f"| {result['bytes'] / 1e6:.1f} MB | {result['sha256'][:12]} |",

@@ -35,7 +35,7 @@ from knotdom.poset import build_graph, chain_length_bound, longest_chain
 from kernel_oracle import eager_enrich_record
 from test_kernels import random_closures, random_knot_braid
 from poset_oracle import serialized
-from test_poset import random_corpus, satellite_chain, sibling_sums_corpus
+from test_poset import contradiction_corpus, random_corpus, satellite_chain, sibling_sums_corpus
 
 
 def run(capsys, *argv):
@@ -413,9 +413,26 @@ class TestChainBound:
         assert code == EXIT_USAGE and out == ""
         assert "unknown knot name 'nosuch'" in err
 
+    @pytest.mark.parametrize("transitive", [False, True], ids=["direct", "transitive"])
+    def test_contradiction_fails_the_queries_out_of_it(self, capsys, tmp_path, transitive):
+        # O10_orderability blocks a >= c, which the chain a > b > c claims
+        path = tmp_path / "contradiction.json"
+        path.write_text(json.dumps(contradiction_corpus(transitive)))
+        code, out, _ = run(capsys, "--corpus", str(path), "poset")
+        lines = out.splitlines()
+        audit = [line.strip() for line in lines[lines.index("audit findings:") + 1:]]
+        assert code == EXIT_USAGE and len(audit) == 1 and audit[0].startswith("conflict: a -> c certified by ")
+        error = f"error: {'; '.join(audit)}\n"
+        for argv in (["chain-bound", "a"], ["--json", "chain-bound", "a"], ["check", "a", "a"], ["check", "a", "unknot"]):
+            assert run(capsys, "--corpus", str(path), *argv) == (EXIT_USAGE, "", error), argv
+        for chain in (["c", "unknot"], ["b", "c", "unknot"])[: 1 + transitive]:
+            code, out, _ = run(capsys, "--corpus", str(path), "chain-bound", chain[0])
+            assert code == EXIT_OK, chain
+            assert out.startswith(f"longest certified chain from {chain[0]}: {' > '.join(chain)} "), chain
+
     def test_deep_satellite_chain(self, capsys, tmp_path):
-        # the closure of this chain would hold about 600,000 edges and
-        # 2.2e8 witness names; chain-bound reads the direct edges only
+        # the whole closure of this chain would hold about 600,000 edges
+        # and 2.2e8 witness names; chain-bound closes it out of a0000 only
         path = tmp_path / "chain.json"
         path.write_text(json.dumps(satellite_chain(1100)))
         code, out, _ = run(capsys, "--corpus", str(path), "--json", "chain-bound", "a0000")

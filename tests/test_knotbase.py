@@ -22,8 +22,9 @@ from knotdom.knotbase import (
     load_corpus,
     normalize_volume,
     record_from_json,
+    record_jones,
 )
-from knotdom.laurent import format_poly, parse_poly
+from knotdom.laurent import LaurentPoly, format_poly, parse_poly
 from knotdom.poset import build_graph, certify
 
 from kernel_oracle import eager_build_corpus, eager_load_corpus
@@ -245,6 +246,22 @@ class TestJonesAtLoad:
         corpus = load_corpus(corpus_path)
         declared = ("3_1", "4_1", "trefoil_alt_diagram")
         assert sorted(map(str, calls)) == sorted(str(corpus.get(name).diagram) for name in declared)
+
+    def test_record_jones(self, monkeypatch, corpus_path):
+        # declared, else computed within the budget and checked, else None
+        corpus = load_corpus(corpus_path)
+        trefoil, five2 = corpus.get("3_1"), corpus.get("5_2")
+        assert record_jones(trefoil) is trefoil.jones
+        assert record_jones(trefoil._replace(jones=None)) == trefoil.jones
+        assert record_jones(five2) == alexander.jones_polynomial(five2.diagram)
+        assert record_jones(enrich_record(KnotRecord(name="m", delta=parse_poly("1 - t + t^2")))) is None
+        monkeypatch.setattr(knotbase, "JONES_CROSSING_BUDGET", five2.diagram.crossing_count - 1)
+        assert record_jones(five2) is None
+        monkeypatch.undo()
+        bracket = alexander.kauffman_bracket
+        monkeypatch.setattr(alexander, "kauffman_bracket", lambda pd: LaurentPoly.const(2) * bracket(pd))
+        with pytest.raises(CorpusError, match=r"^5_2: jones\(1\) = 2, expected 1$"):
+            record_jones(five2)
 
     def test_braid_records_declaring_only_delta_need_no_bracket(self, brackets):
         records = [
@@ -520,7 +537,7 @@ class TestEnrichOnFirstRead:
             certify_reads.clear()
             main(["check", a, b])
             assert sorted(enriched) == sorted(reach(corpus, [a, b, *certify_reads])), (a, b)
-            assert bool(certify_reads) is (a != b), (a, b)
+            assert a in certify_reads, (a, b)  # `check A A` reads the graph out of A too
         capsys.readouterr()
 
     def test_chain_bound_enriches_what_certify_reads(self, capsys, enriched, certify_reads, corpus_path, tmp_path):

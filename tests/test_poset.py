@@ -283,6 +283,21 @@ def sibling_sums_corpus():
     return Corpus((a, b, s1, s2))
 
 
+def contradiction_corpus(transitive):
+    """Corpus entries in which O10_orderability blocks a >= c: a has
+    pattern c, or, when transitive, pattern b, which has pattern c, so that
+    only the closure out of a holds the blocked pair."""
+    entries = [
+        {"name": "unknot", "delta": "1", "flags": {"unknot": True}},
+        {"name": "k", "delta": "1 - t + t^2"},
+        {"name": "c", "delta": "1 - 3t + t^2", "flags": {"lo_double_cover": True}},
+    ]
+    if transitive:
+        entries.append({"name": "b", "satellite_of": ["c", "k", 0]})
+    entries.append({"name": "a", "satellite_of": ["b" if transitive else "c", "k", 0], "flags": {"lo_double_cover": False}})
+    return entries
+
+
 def satellite_chain(depth):
     """Corpus entries for a chain of satellites: a_i has pattern a_{i+1}
     and winding 0 about a trefoil companion, so the longest chain from
@@ -467,15 +482,18 @@ class TestOracle:
         graph = build_graph(corpus)
         assert graph.audit_log == ("cycle among certified edges: ['s1', 's2', 's1']",)
         assert serialized(graph) == serialized(oracle_build_graph(corpus))
-        with pytest.raises(CorpusError, match="contain a cycle"):
+        with pytest.raises(CorpusError, match=r"^cycle among certified edges: \['s1', 's2', 's1'\]$"):
             longest_chain(graph, "s1")
+        with pytest.raises(CorpusError, match="contain a cycle"):
+            longest_chain(certify(corpus), "s1")  # no audit line names it
 
 
 class TestCertify:
     @pytest.fixture(scope="class")
     def cases(self, corpus):
         chain = build_corpus([record_from_json(entry) for entry in satellite_chain(60)])
-        return [corpus, *(random_corpus(seed) for seed in range(40)), chain, sibling_sums_corpus()]
+        blocked = build_corpus([record_from_json(entry) for entry in contradiction_corpus(True)])
+        return [corpus, *(random_corpus(seed) for seed in range(40)), chain, sibling_sums_corpus(), blocked]
 
     def test_direct_edges_and_certification_audit(self, cases):
         transitive = certification_conflicts = closure_conflicts = 0
@@ -516,17 +534,23 @@ class TestCertify:
         assert transitive > 1700 and blocked
 
     def test_longest_chain_agrees_with_closure(self, cases):
-        # a closure shortcut is never longer than its witness path, and a
-        # closure cycle is a cycle of direct edges
-        longest = errors = 0
+        # a closure shortcut is never longer than its witness path, so the
+        # chains agree where both audits are empty; the closed graph fails
+        # on its audit, also on a closure conflict or cycle that the
+        # direct edges' audit does not hold
+        longest = errors = closure_only = 0
         for case in cases:
             direct, full = certify(case), build_graph(case)
             for start in case.names():
                 expected = chain_or_error(longest_chain, full, start)
-                assert chain_or_error(longest_chain, direct, start) == expected, start
-                longest = max(longest, len(expected)) if isinstance(expected, list) else longest
-                errors += isinstance(expected, str)
-        assert longest == 61 and errors
+                if full.audit_log:
+                    assert expected == "; ".join(full.audit_log), start
+                    errors += 1
+                    closure_only += not direct.audit_log
+                else:
+                    assert chain_or_error(longest_chain, direct, start) == expected, start
+                    longest = max(longest, len(expected))
+        assert longest == 61 and errors and closure_only
 
     def test_one_scan_per_certified_candidate(self, monkeypatch):
         calls = []
@@ -542,24 +566,33 @@ class TestCertify:
             assert calls and len(calls) == len(set(calls)), seed
 
     def test_rooted_certify_matches_full_graph(self, cases):
-        fewer = cycles = 0
+        fewer = cycles = closure_only = 0
         for case in cases:
             full = certify(case)
             assert certify(case, None) == full  # nodes, edges and audit
-            closed = build_graph(case)
+            whole = build_graph(case)
             for start in case.names():
                 rooted = certify(case, [start])
+                closed = build_graph(case, [start])
                 nodes = set(rooted.nodes)
                 assert start in nodes and rooted.nodes == tuple(sorted(nodes))
                 assert all(e.dst in nodes for e in rooted.edges)
                 assert all(set(case.get(name).summands()) <= nodes | {name} for name in nodes)
                 assert tuple(rooted.edges) == tuple(e for e in full.edges if e.src in nodes), start
                 assert rooted.audit_log == tuple(line for line in full.audit_log if line.split()[1] in nodes)
+                assert closed.nodes == rooted.nodes and closed.audit_log[: len(rooted.audit_log)] == rooted.audit_log
+                assert [e for e in closed.edges if e.src == start] == [e for e in whole.edges if e.src == start], start
                 expected = chain_or_error(longest_chain, closed, start)
-                assert chain_or_error(longest_chain, rooted, start) == expected, start
+                if closed.audit_log:
+                    assert expected == "; ".join(closed.audit_log), start
+                    closure_only += not rooted.audit_log
+                else:
+                    assert chain_or_error(longest_chain, rooted, start) == expected, start
+                    if not whole.audit_log:
+                        assert longest_chain(whole, start) == expected, start
                 fewer += len(nodes) < len(full.nodes)
-                cycles += isinstance(expected, str)
-        assert fewer and cycles
+                cycles += any(line.startswith("cycle among ") for line in closed.audit_log)
+        assert fewer and cycles and closure_only
 
     def test_roots_in_any_order_and_unknown_root(self, corpus):
         full = certify(corpus)
