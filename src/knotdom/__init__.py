@@ -3,6 +3,7 @@
 
 from .alexander import (
     alexander_polynomial,
+    braid_alexander_polynomial,
     connected_sum_delta,
     determinant_invariant,
     jones_polynomial,
@@ -30,6 +31,7 @@ __all__ = [
     "PDCode",
     "Verdict",
     "alexander_polynomial",
+    "braid_alexander_polynomial",
     "braid_to_pd",
     "build_graph",
     "certify",

@@ -1,13 +1,19 @@
 """Alexander and Jones polynomials from diagram data.
 
-The Alexander polynomial is computed classically: Fox derivatives of the
-Wirtinger relations with every meridian abelianized to t, one relation row
-and one generator column deleted.  Every entry of that minor is linear in
-t, so its determinant is taken without polynomial arithmetic: evaluated
-once, at t = 2^b over Z, by one sparse fraction-free elimination
-(Bareiss), with b chosen from Hadamard's bound so that every coefficient
-is below 2^(b-1) in absolute value, and read off the value as balanced
-base-2^b digits (`linear_determinant`).  The Jones polynomial comes from the
+The Alexander polynomial of a PD code is computed classically: Fox
+derivatives of the Wirtinger relations with every meridian abelianized to
+t, one relation row and one generator column deleted.  Every entry of that
+minor is linear in t, so its determinant is taken without polynomial
+arithmetic: evaluated once, at t = 2^b over Z, by one sparse fraction-free
+elimination (Bareiss), with b chosen from Hadamard's bound so that every
+coefficient is below 2^(b-1) in absolute value, and read off the value as
+balanced base-2^b digits (`linear_determinant`).  A braid word takes the
+reduced Burau representation instead, det(I - psi(beta)) = (1 + t + ... +
+t^(m-1)) delta(t) up to a unit: its (m-1) x (m-1) matrix is kept at the
+same kind of evaluation point, each letter rewrites one column by shifts
+and adds, and the same elimination and digit reading finish it
+(`braid_alexander_polynomial`); the input kind alone picks the kernel.
+The Jones polynomial comes from the
 Kauffman bracket with the writhe correction (-A^3)^-w and the
 substitution t = A^-4, applied in one pass over the bracket's terms.  The
 bracket is computed by a frontier sweep: crossings are contracted one at
@@ -21,7 +27,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .diagram import DiagramError, PDCode, WirtingerPresentation, wirtinger
+from .diagram import BraidWord, DiagramError, PDCode, WirtingerPresentation, check_knot_closure, wirtinger
 from .laurent import LaurentPoly
 
 # Diagrams above this many crossings get no computed Jones polynomial.
@@ -167,6 +173,72 @@ def alexander_polynomial(pd: PDCode) -> LaurentPoly:
     """Normalized Alexander polynomial of the diagram.  Satisfies
     delta(1) = +-1 and has palindromic coefficients."""
     return linear_determinant(alexander_rows(wirtinger(pd))).normalize()
+
+
+def braid_alexander_polynomial(braid: BraidWord) -> LaurentPoly:
+    """Normalized Alexander polynomial of the braid's closure, which must
+    be a knot, from the reduced Burau representation psi of the m-strand
+    braid group: det(I - psi(beta)) = (1 + t + ... + t^(m-1)) delta(t) up
+    to a unit +-t^s (Burau 1936; Birman, *Braids, Links, and Mapping
+    Class Groups*, Thm. 3.11).
+
+    The (m-1) x (m-1) matrix S = X^k psi(beta)(X) is kept as integers,
+    column by column, at X = 2^b, k the word's count of negative letters.
+    psi(sigma_i^(+-1)) differs from the identity in column i only, so a
+    letter rewrites column c = i - 1 from its neighbours (zero past the
+    ends):
+
+    - sigma_i sets col_c <- X (col_(c-1) - col_c) + col_(c+1), a shift left;
+    - sigma_i^-1 sets col_c <- col_(c-1) + (col_(c+1) - col_c) / X, a shift
+      right that is exact: before the j-th negative letter every entry of
+      psi of the letters read so far is a Laurent polynomial of lowest
+      degree >= 1 - j >= 1 - k, so X^k times its value at X is a multiple
+      of X.
+
+    Then det(X^k I - S) = X^(k(m-1)) det(I - psi(X)) is an integer multiple
+    U(X) of (X^m - 1) / (X - 1), U = +-t^s delta with every exponent >= 0
+    (the cofactor 1 + t + ... has constant term 1).  Before the
+    determinant each column of X^k I - S is divided by the highest power
+    of X that divides all of it, which divides det and U(X) by the same
+    X^v (the cofactor is odd) and keeps the elimination's integers small.
+    The determinant is one sparse fraction-free elimination (`_bareiss`)
+    of the columns taken as rows, whose work stays polynomial in the
+    strand count, unlike a cofactor expansion.  U(X) / X^v is read off as
+    balanced base-X digits, which are exact because:
+
+    - delta is also the determinant of the Fox minor of the closure's
+      n-crossing diagram (`alexander_rows`): n - 1 rows, each of L1 norm at
+      most 4 in its coefficients, so |delta(t)| <= 4^(n-1) on |t| = 1 by
+      Hadamard's inequality, and every coefficient, a Fourier coefficient
+      of delta on the unit circle, is at most 2^(2n-2);
+    - with b = 2n that is below X / 2, so U(X) = sum c_e X^e is the
+      balanced digit expansion, and since X^v divides it, its digits below
+      X^v vanish (a lowest nonzero digit d X^e has 2-adic valuation below
+      (e + 1) b), and U(X) / X^v has the same digits, shifted.
+    """
+    check_knot_closure(braid)
+    m, letters = braid.strand_count, braid.letters
+    size = m - 1
+    if not size:
+        return LaurentPoly.const(1)
+    b = 2 * len(letters)
+    one = 1 << b * sum(letter < 0 for letter in letters)
+    zero = [0] * size
+    cols = [zero] + [[one if r == c else 0 for r in range(size)] for c in range(size)] + [zero]
+    for letter in letters:  # sigma_i rewrites column i of the padded list
+        i = abs(letter)
+        left, col, right = cols[i - 1 : i + 2]
+        if letter > 0:
+            cols[i] = [((u - v) << b) + w for u, v, w in zip(left, col, right)]
+        else:
+            cols[i] = [u + ((w - v) >> b) for u, v, w in zip(left, col, right)]
+    rows = []
+    for c, col in enumerate(cols[1:-1]):
+        col = [-v for v in col]
+        col[c] += one
+        low = min(((v & -v).bit_length() - 1) // b for v in col if v) * b
+        rows.append({r: v >> low for r, v in enumerate(col) if v})
+    return _balanced_digits(_bareiss(rows) // (((1 << m * b) - 1) // ((1 << b) - 1)), b).normalize()
 
 
 def determinant_invariant(delta: LaurentPoly) -> int:

@@ -167,13 +167,9 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(strand_count, letters)
 
 
-def braid_to_pd(braid: BraidWord) -> PDCode:
-    """PD code of the trace closure (strand i top joined to strand i
-    bottom).  The closure must be a knot: one permutation cycle.
-
-    >>> str(braid_to_pd(parse_braid("B2: 1 1 1")))
-    'X(1,5,2,4) X(5,3,6,2) X(3,1,4,6)'
-    """
+def check_knot_closure(braid: BraidWord) -> None:
+    """Raise DiagramError unless the trace closure (strand i top joined to
+    strand i bottom) is a knot: one cycle of the strand permutation."""
     m, letters = braid.strand_count, braid.letters
     n = len(letters)
     # Each crossing joins at most two cycles of the permutation, so more
@@ -193,6 +189,18 @@ def braid_to_pd(braid: BraidWord) -> PDCode:
             j = perm[j]
     if cycles != 1:
         raise DiagramError(f"braid closure has {cycles} components, expected a knot")
+
+
+def braid_to_pd(braid: BraidWord) -> PDCode:
+    """PD code of the trace closure, which must be a knot
+    (`check_knot_closure`).
+
+    >>> str(braid_to_pd(parse_braid("B2: 1 1 1")))
+    'X(1,5,2,4) X(5,3,6,2) X(3,1,4,6)'
+    """
+    check_knot_closure(braid)
+    m, letters = braid.strand_count, braid.letters
+    n = len(letters)
     if n == 0:
         return PDCode.from_tuples([])
 

@@ -26,6 +26,7 @@ from typing import Callable, Iterable, NamedTuple
 from .alexander import (
     JONES_CROSSING_BUDGET,
     alexander_polynomial,
+    braid_alexander_polynomial,
     connected_sum_delta,
     determinant_invariant,
     jones_polynomial,
@@ -382,16 +383,15 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
     siblings = siblings or {}
     name = record.name
 
-    diagram = record.diagram
-    if diagram is None and record.braid is not None:
+    diagram, delta = record.diagram, record.delta
+    if diagram is not None:
+        delta = _merge(name, "delta", delta, alexander_polynomial(diagram))
+    elif record.braid is not None:
         try:
             diagram = braid_to_pd(record.braid)
         except DiagramError as exc:
             raise CorpusError(f"{name}: {exc}") from exc
-
-    delta = record.delta
-    if diagram is not None:
-        delta = _merge(name, "delta", delta, alexander_polynomial(diagram))
+        delta = _merge(name, "delta", delta, braid_alexander_polynomial(record.braid))
     if record.connected_sum_of is not None:
         summands = [_sibling(siblings, name, summand).delta for summand in record.connected_sum_of]
         delta = _merge(name, "delta (connected sum)", delta, connected_sum_delta(*summands))

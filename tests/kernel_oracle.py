@@ -27,6 +27,14 @@ integer division, integer evaluation, normalization, Miller-Rabin test,
 augmenting-path matching, Jones computed only where it is read, records
 parsed and enriched on first read and its walks along the diagram must
 agree with them.
+
+The braid oracle is the library's own Fox kernel on the closure's PD
+code, `alexander_polynomial(braid_to_pd(braid))`, which PD input still
+takes: braid input takes the reduced Burau kernel
+(`braid_alexander_polynomial`), and the two must agree on every braid
+(`test_kernels.TestBurauKernel`, `test_alexander.TestBurauKernel`, and
+the braid moves of `test_alexander`); `node_determinant` checks both on
+closures too large for the dense oracles.
 """
 from __future__ import annotations
 

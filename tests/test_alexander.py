@@ -1,5 +1,6 @@
 """Alexander and Jones computations against independent oracles and the
 printed worked examples."""
+import json
 import math
 import random
 
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from knotdom.alexander import (
     alexander_polynomial,
     alexander_rows,
+    braid_alexander_polynomial,
     connected_sum_delta,
     determinant_invariant,
     jones_polynomial,
@@ -42,6 +44,14 @@ BUNDLED = {
 
 def P(text):
     return parse_poly(text)
+
+
+def fox_delta(braid):
+    return alexander_polynomial(braid_to_pd(braid))
+
+
+# Fox on the closure's PD code, and the reduced Burau kernel.
+BRAID_KERNELS = (fox_delta, braid_alexander_polynomial)
 
 
 def cofactor_determinant(rows):
@@ -134,11 +144,18 @@ class TestAlexanderPolynomial:
         assert alexander_polynomial(pd) == P(expected)
 
     def test_braid_closure_downstream_values(self):
-        from knotdom.diagram import BraidWord
-
-        assert alexander_polynomial(braid_to_pd(BraidWord(2, (1,)))) == P("1")
-        assert alexander_polynomial(braid_to_pd(BraidWord(2, (1, 1, 1)))) == P("1 - t + t^2")
-        assert alexander_polynomial(braid_to_pd(BraidWord(2, (1, -1, 1)))) == P("1")
+        values = {
+            "B1: ": "1",
+            "B2: 1": "1",
+            "B2: 1 1 1": "1 - t + t^2",
+            "B2: 1 -1 1": "1",
+            "B2: -1 -1 -1": "1 - t + t^2",
+            "B3: 1 -2 1 -2": "1 - 3t + t^2",
+            "B3: 1 1 1 2 2 2": "1 - 2t + 3t^2 - 2t^3 + t^4",
+        }
+        for kernel in BRAID_KERNELS:
+            for text, expected in values.items():
+                assert kernel(parse_braid(text)) == P(expected), (kernel, text)
 
     def test_all_bundled_against_cofactor_oracle(self):
         for name, pd in BUNDLED.items():
@@ -212,8 +229,8 @@ def knot_braids(draw, max_strands=5, max_letters=12):
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
 
 
-def braid_delta(strands, letters):
-    return alexander_polynomial(braid_to_pd(BraidWord(strands, tuple(letters))))
+def braid_delta(strands, letters, kernel=fox_delta):
+    return kernel(BraidWord(strands, tuple(letters)))
 
 
 class TestAlexanderBraidMoves:
@@ -224,13 +241,19 @@ class TestAlexanderBraidMoves:
         at = data.draw(st.integers(0, len(braid.letters)))
         sign = data.draw(st.sampled_from((1, -1)))
         letters = braid.letters[:at] + (sign * i, -sign * i) + braid.letters[at:]
-        assert braid_delta(braid.strand_count, letters) == braid_delta(braid.strand_count, braid.letters)
+        for kernel in BRAID_KERNELS:
+            assert braid_delta(braid.strand_count, letters, kernel) == braid_delta(
+                braid.strand_count, braid.letters, kernel
+            ), kernel
 
     @settings(max_examples=60, deadline=None)
     @given(knot_braids(), st.sampled_from((1, -1)))
     def test_stabilisation(self, braid, sign):
         m = braid.strand_count
-        assert braid_delta(m + 1, braid.letters + (sign * m,)) == braid_delta(m, braid.letters)
+        for kernel in BRAID_KERNELS:
+            assert braid_delta(m + 1, braid.letters + (sign * m,), kernel) == braid_delta(
+                m, braid.letters, kernel
+            ), kernel
 
     @settings(max_examples=60, deadline=None)
     @given(knot_braids(), st.data())
@@ -245,6 +268,15 @@ class TestAlexanderBraidMoves:
         delta = braid_delta(braid.strand_count, braid.letters)
         assert braid_delta(braid.strand_count, [-x for x in braid.letters]) == delta
         assert alexander_polynomial(braid_to_pd(braid).mirror()) == delta
+
+
+class TestBurauKernel:
+    def test_bundled_braid_records_against_fox(self, corpus_path):
+        entries = json.loads(corpus_path.read_text(encoding="utf-8"))
+        braids = {entry["name"]: parse_braid(entry["braid"]) for entry in entries if "braid" in entry}
+        assert sorted(braids) == ["6_2", "granny", "trefoil_alt_diagram"]
+        for name, braid in braids.items():
+            assert braid_alexander_polynomial(braid) == fox_delta(braid), name
 
 
 class TestFoxMatrix:

@@ -29,7 +29,7 @@ from knotdom.alexander import kauffman_bracket
 from knotdom.diagram import braid_to_pd
 from knotdom.domination import ANCHORS
 from knotdom.knotbase import load_corpus
-from knotdom.laurent import LaurentPoly
+from knotdom.laurent import LaurentPoly, parse_poly
 from knotdom.poset import build_graph, chain_length_bound, longest_chain
 
 from kernel_oracle import eager_enrich_record
@@ -230,6 +230,23 @@ class TestInvariants:
         payload = json.loads(out)
         assert payload["delta"] == "1 - 2t + 3t^2 - 2t^3 + t^4"
         assert payload["crossings"] == 6
+
+    def test_four_hundred_letter_braid(self):
+        """A 401-letter 4-braid through `invariants` in a fresh interpreter.
+        Fox on its closure took 63-72 s; the braid kernel takes well under
+        a second, and the budget leaves room for a slow host."""
+        braid = random_knot_braid(random.Random(401), 4, 401)
+        src = str(Path(cli.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "knotdom.cli", "--json", "invariants", "B4: " + " ".join(map(str, braid.letters))],
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}, timeout=20,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        payload = json.loads(proc.stdout)
+        delta = parse_poly(payload["delta"])
+        coeffs = delta.coefficients()
+        assert payload["crossings"] == 401 and abs(delta.eval_int(1)) == 1
+        assert all(coeffs.get(delta.max_degree - e) == c for e, c in delta.terms)
 
     def test_diagram_sources_resolve_no_corpus(self, capsys, monkeypatch):
         def refuse():

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from knotdom.alexander import braid_alexander_polynomial
 from knotdom.diagram import (
     BraidWord,
     DiagramError,
@@ -148,15 +149,17 @@ class TestBraid:
         assert pd.crossing_count == 1
 
     def test_two_component_closure_rejected(self):
-        with pytest.raises(DiagramError, match="2 components"):
-            braid_to_pd(BraidWord(2, (1, -1)))
-        with pytest.raises(DiagramError, match="components"):
-            braid_to_pd(BraidWord(3, ()))
+        for closure in (braid_to_pd, braid_alexander_polynomial):
+            with pytest.raises(DiagramError, match="2 components"):
+                closure(BraidWord(2, (1, -1)))
+            with pytest.raises(DiagramError, match="components"):
+                closure(BraidWord(3, ()))
 
     def test_idle_strands_rejected_before_any_work(self):
         # a closure has at least strands - letters components
-        with pytest.raises(DiagramError, match="at least 999999 components"):
-            braid_to_pd(parse_braid("B1000000: 1"))
+        for closure in (braid_to_pd, braid_alexander_polynomial):
+            with pytest.raises(DiagramError, match="at least 999999 components"):
+                closure(parse_braid("B1000000: 1"))
 
     def test_trefoil_closure(self):
         pd = braid_to_pd(BraidWord(2, (1, 1, 1)))

@@ -1,7 +1,9 @@
 """The integer frontier-sweep Kauffman bracket and its contraction
 order, the Kronecker Alexander
 determinant, integer exact division and the diagram walks against the
-kernels they replaced (`kernel_oracle`), on seeded random input."""
+kernels they replaced (`kernel_oracle`), and the reduced Burau kernel of
+braid input against Fox on the closure's PD code, on seeded random
+input."""
 import os
 import random
 import subprocess
@@ -16,7 +18,9 @@ from hypothesis import strategies as st
 import knotdom
 from knotdom.alexander import (
     _sweep_order,
+    alexander_polynomial,
     alexander_rows,
+    braid_alexander_polynomial,
     jones_polynomial,
     kauffman_bracket,
     linear_determinant,
@@ -155,6 +159,63 @@ class TestJonesBraidMoves:
             letters = braid.letters + (rng.choice((1, -1)) * m,)
             stabilised = braid_to_pd(BraidWord(m + 1, letters))
             assert jones_polynomial(stabilised) == jones_polynomial(pd), (braid, letters)
+
+
+class TestBurauKernel:
+    def test_random_closures_against_fox(self):
+        count = 0
+        for _, braid, pd in random_closures(20261026, 2000, 16, min_strands=2):
+            assert braid_alexander_polynomial(braid) == alexander_polynomial(pd), braid
+            count += 1
+        assert count == 2000
+
+    @pytest.mark.parametrize(
+        "strands, runs",
+        [
+            (2, [(-1, 61)]),
+            (2, [(1, 61)]),
+            (3, [(-1, 15), (-2, 9)]),
+            (3, [(1, 21), (-2, 3), (1, 2), (2, 4)]),
+            (4, [(-1, 13), (-2, 11), (-3, 9)]),
+            (4, [(3, 7), (-1, 5), (2, 9), (-3, 4)]),
+            (5, [(-1, 9), (-2, 7), (-3, 5), (-4, 3), (-1, 2)]),
+        ],
+    )
+    def test_long_single_letter_runs(self, strands, runs):
+        """Runs of one letter, many of them negative: each negative letter
+        is an exact shift right, and long runs push the coefficients up."""
+        letters = tuple(letter for letter, length in runs for _ in range(length))
+        braid = BraidWord(strands, letters)
+        assert braid_alexander_polynomial(braid) == alexander_polynomial(braid_to_pd(braid)), runs
+
+    def test_all_negative_words(self):
+        rng = random.Random(2026)
+        for _ in range(200):
+            strands = rng.randint(2, 6)
+            braid = random_knot_braid(rng, strands, rng.randrange(strands + 1, 24, 2))
+            negative = BraidWord(strands, tuple(-abs(letter) for letter in braid.letters))
+            try:
+                pd = braid_to_pd(negative)
+            except DiagramError:
+                continue
+            assert braid_alexander_polynomial(negative) == alexander_polynomial(pd), negative
+
+    def test_digits_stay_below_half_the_base(self):
+        """The docstring's bound on the densest closures here: every
+        coefficient of delta for an n-crossing closure is at most 4^(n-1),
+        below X / 2 = 2^(2n-1) for the kernel's base X = 2^(2n)."""
+        braids = [braid for _, braid, _ in random_closures(20261027, 40, 40, min_strands=2)]
+        braids += [BraidWord(max(map(abs, letters)) + 1, letters) for letters in ((1, -2) * 11, (1, -2, 3) * 9)]
+        for braid in braids:
+            n = len(braid.letters)
+            delta = braid_alexander_polynomial(braid)
+            assert delta == alexander_polynomial(braid_to_pd(braid)), braid
+            assert max(abs(c) for _, c in delta.terms) <= 4 ** (n - 1) < 2 ** (2 * n - 1), braid
+
+    def test_two_hundred_crossing_closure_against_the_node_oracle(self):
+        braid = random_knot_braid(random.Random(201), 4, 201)
+        rows = alexander_rows(wirtinger(braid_to_pd(braid)))
+        assert braid_alexander_polynomial(braid) == node_determinant(rows).normalize(), braid
 
 
 def determinant_bound(rows):

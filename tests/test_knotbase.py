@@ -9,7 +9,7 @@ import pytest
 from knotdom import alexander, knotbase, poset
 from knotdom.alexander import alexander_polynomial
 from knotdom.cli import EXIT_OK, EXIT_USAGE, main, run_verification
-from knotdom.diagram import parse_pd
+from knotdom.diagram import parse_braid, parse_pd
 from knotdom.knotbase import (
     Corpus,
     CorpusError,
@@ -121,6 +121,26 @@ class TestEnrichment:
         )
         with pytest.raises(CorpusError, match="declared delta"):
             enrich_record(record)
+
+    def test_braid_records_take_the_burau_kernel(self, monkeypatch):
+        """A braid's delta comes from the reduced Burau kernel and is still
+        cross-checked against a declared one; a PD code's comes from Fox."""
+        fox = alexander.alexander_polynomial
+
+        def refuse(pd):
+            raise AssertionError("Fox kernel on a braid record")
+
+        monkeypatch.setattr(knotbase, "alexander_polynomial", refuse)
+        record = enrich_record(KnotRecord(name="fig8", braid=parse_braid("B3: 1 -2 1 -2")))
+        assert record.delta == parse_poly("1 - 3t + t^2") and record.diagram.crossing_count == 4
+        lying = KnotRecord(name="lying", braid=parse_braid("B3: 1 -2 1 -2"), delta=parse_poly("1 - t + t^2"))
+        with pytest.raises(CorpusError, match=r"^lying: declared delta 1 - t \+ t\^2 != computed 1 - 3t \+ t\^2$"):
+            enrich_record(lying)
+        with pytest.raises(AssertionError, match="Fox kernel"):
+            enrich_record(KnotRecord(name="pd", diagram=parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")))
+        monkeypatch.setattr(knotbase, "alexander_polynomial", fox)
+        with pytest.raises(CorpusError, match=r"^link: braid closure has 2 components, expected a knot$"):
+            enrich_record(KnotRecord(name="link", braid=parse_braid("B2: 1 1")))
 
     @pytest.mark.parametrize(
         "jones, message",
