@@ -9,7 +9,7 @@ from .alexander import (
     jones_polynomial,
     satellite_delta,
 )
-from .diagram import BraidWord, PDCode, braid_to_pd, parse_braid, parse_pd, seifert_circles, wirtinger
+from .diagram import BraidWord, PDCode, braid_to_pd, parse_braid, parse_pd, seifert_circles
 from .domination import Certificate, ObstructionReport, Verdict, scan
 from .knotbase import Corpus, CorpusError, Flags, KnotRecord, enrich_record, genus_interval, load_corpus
 from .laurent import LaurentPoly, exact_div, format_poly, is_prime_power, parse_poly
@@ -53,5 +53,4 @@ __all__ = [
     "satellite_delta",
     "scan",
     "seifert_circles",
-    "wirtinger",
 ]

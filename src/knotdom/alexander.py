@@ -2,7 +2,8 @@
 
 The Alexander polynomial of a PD code is computed classically: Fox
 derivatives of the Wirtinger relations with every meridian abelianized to
-t, one relation row and one generator column deleted.  Every entry of that
+t, one relation row and one generator column deleted, written row by row
+in one walk along the diagram (`alexander_rows`).  Every entry of that
 minor is linear in t, so its determinant is taken without polynomial
 arithmetic: evaluated once, at t = 2^b over Z, by one sparse fraction-free
 elimination (Bareiss), with b chosen from Hadamard's bound so that every
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .diagram import BraidWord, DiagramError, PDCode, WirtingerPresentation, check_knot_closure, wirtinger
+from .diagram import BraidWord, DiagramError, PDCode, _succ, check_knot_closure
 from .laurent import LaurentPoly
 
 # Diagrams above this many crossings get no computed Jones polynomial.
@@ -39,25 +40,51 @@ from .laurent import LaurentPoly
 JONES_CROSSING_BUDGET = 24
 
 
-def alexander_rows(pres: WirtingerPresentation) -> list[dict[int, tuple[int, int]]]:
-    """Square presentation matrix of the Alexander module as sparse rows
-    {column: (c0, c1)}, meaning c0 + c1 t: Fox derivatives of the relations
-    with each generator abelianized to t, without the last relation row
-    and the last generator column (the normalized determinant is
-    independent of the choice).  Rows for negative crossings are scaled
-    by the unit -t so every entry lies in Z[t]."""
-    last = pres.generator_count - 1
+def alexander_rows(pd: PDCode) -> list[dict[int, tuple[int, int]]]:
+    """Square presentation matrix of the Alexander module, written in one
+    walk along the diagram, as sparse rows {column: (c0, c1)} meaning
+    c0 + c1 t.
+
+    Arcs (maximal overpasses) are numbered along the orientation: arc 0
+    starts at label c of crossing 0, and a new arc starts after each label
+    that enters a crossing as its under-strand a.  Each crossing's
+    Wirtinger relation says that the meridian of the arc leaving at c is
+    that of the arc entering at a, conjugated by the over-arc's (d on a
+    positive crossing, b on a negative one).  Its row holds the relation's
+    Fox derivatives with every meridian abelianized to t, at the in, over
+    and out arcs: t, 1 - t and -1 on a positive crossing, and t^-1,
+    1 - t^-1 and -1 times the unit -t on a negative one, so that every
+    entry lies in Z[t].  The last crossing's row and the last arc's column
+    are left out (the normalized determinant does not depend on the
+    choice).  Below, the arcs are {2, 3}, {4, 5} and {6, 1}:
+
+    >>> from knotdom.diagram import parse_pd
+    >>> alexander_rows(parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"))
+    [{1: (1, -1), 0: (0, 1)}, {0: (-1, 0), 1: (0, 1)}]
+    """
+    n = pd.crossing_count
+    if n == 0:
+        return []
+    under_in = {a for a, _, _, _ in pd.crossings}
+    arc_of = [0] * (2 * n + 1)  # labels 1..2n; 0 unused
+    arc, label = 0, pd.crossings[0][2]
+    for _ in range(2 * n):
+        arc_of[label] = arc
+        arc += label in under_in
+        label = _succ(label, n)
+    last = n - 1
     rows = []
-    for out, over, inp, sign in pres.relations[:-1]:
+    for (a, b, c, d), sign in zip(pd.crossings[:-1], pd.signs):
+        inp, out = arc_of[a], arc_of[c]
         if sign > 0:
-            contributions = ((inp, 0, 1), (over, 1, -1), (out, -1, 0))
+            contributions = ((inp, 0, 1), (arc_of[d], 1, -1), (out, -1, 0))
         else:
-            contributions = ((inp, -1, 0), (over, 1, -1), (out, 0, 1))
+            contributions = ((inp, -1, 0), (arc_of[b], 1, -1), (out, 0, 1))
         row: dict[int, tuple[int, int]] = {}
         for col, c0, c1 in contributions:
             if col != last:
-                a, b = row.get(col, (0, 0))
-                row[col] = (a + c0, b + c1)
+                e0, e1 = row.get(col, (0, 0))
+                row[col] = (e0 + c0, e1 + c1)
         rows.append({col: entry for col, entry in row.items() if entry != (0, 0)})
     return rows
 
@@ -172,7 +199,7 @@ def _permutation_sign(pivots: list[tuple[int, int]]) -> int:
 def alexander_polynomial(pd: PDCode) -> LaurentPoly:
     """Normalized Alexander polynomial of the diagram.  Satisfies
     delta(1) = +-1 and has palindromic coefficients."""
-    return linear_determinant(alexander_rows(wirtinger(pd))).normalize()
+    return linear_determinant(alexander_rows(pd)).normalize()
 
 
 def braid_alexander_polynomial(braid: BraidWord) -> LaurentPoly:

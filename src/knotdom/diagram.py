@@ -1,4 +1,4 @@
-"""Knot diagram input: PD codes, braid words, Wirtinger data, Seifert circles.
+"""Knot diagram input: PD codes, braid words, Seifert circles.
 
 A planar diagram (PD) code lists one 4-tuple of arc labels per crossing.
 Labels run 1..2n consecutively along the knot's orientation (wrapping
@@ -23,20 +23,17 @@ class DiagramError(ValueError):
 class PDCode(NamedTuple):
     """A validated planar diagram code.
 
-    crossings holds the raw tuples; signs[i] is +1/-1 per the b/d
-    convention and over_in[i] is the arc entering crossing i on the
-    over-strand.  The empty code is the 0-crossing unknot diagram.
+    crossings holds the raw tuples and signs[i] is +1/-1 per the b/d
+    convention.  The empty code is the 0-crossing unknot diagram.
     """
 
     crossings: tuple[tuple[int, int, int, int], ...]
     signs: tuple[int, ...]
-    over_in: tuple[int, ...]
 
     @staticmethod
     def from_tuples(crossings: list[tuple[int, int, int, int]] | tuple) -> PDCode:
         crossings = tuple(tuple(c) for c in crossings)
-        signs, over_in = _validate(crossings)
-        return PDCode(crossings, signs, over_in)
+        return PDCode(crossings, _validate(crossings))
 
     @property
     def crossing_count(self) -> int:
@@ -72,15 +69,6 @@ class BraidWord(_Frozen):
         return self.strand_count, self.letters
 
 
-class WirtingerPresentation(NamedTuple):
-    """Meridian generators, one per arc of the diagram, with one
-    conjugation relation x_out = x_over^sign * x_in * x_over^-sign per
-    crossing."""
-
-    generator_count: int
-    relations: tuple[tuple[int, int, int, int], ...]  # (out, over, in, sign)
-
-
 _PD_TOKEN = re.compile(r"X\(\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*,\s*(\d+)\s*\)")
 
 
@@ -106,10 +94,10 @@ def _succ(label: int, n: int) -> int:
     return label % (2 * n) + 1
 
 
-def _validate(crossings: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+def _validate(crossings: tuple[tuple[int, int, int, int], ...]) -> tuple[int, ...]:
     n = len(crossings)
     if n == 0:
-        return (), ()
+        return ()
     counts: dict[int, int] = {}
     for tup in crossings:
         if len(tup) != 4:
@@ -147,7 +135,7 @@ def _validate(crossings: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[i
     tails = sorted([tup[2] for tup in crossings] + over_out)
     if not heads == list(range(1, 2 * n + 1)) == tails:
         raise DiagramError("arc labeling is not a consistent single-knot traversal")
-    return tuple(signs), tuple(over_in)
+    return tuple(signs)
 
 
 _BRAID_RE = re.compile(r"B(\d+)\s*:\s*(.*)$", re.DOTALL)
@@ -231,34 +219,6 @@ def braid_to_pd(braid: BraidWord) -> PDCode:
             for k, letter in enumerate(letters)
         ]
     )
-
-
-def wirtinger(pd: PDCode) -> WirtingerPresentation:
-    """One meridian generator per arc (maximal overpass), one conjugation
-    relation per crossing.  The 0-crossing unknot gives one free generator.
-
-    Arcs are numbered along the orientation: arc 0 starts at label c of
-    crossing 0, and each arc ends at a label that enters a crossing as
-    its under-strand a.  Below, arc 0 is {2, 3}, arc 1 {4, 5}, arc 2 {6, 1}.
-
-    >>> wirtinger(parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"))
-    WirtingerPresentation(generator_count=3, relations=((0, 1, 2, -1), (1, 2, 0, -1), (2, 0, 1, -1)))
-    """
-    n = pd.crossing_count
-    if n == 0:
-        return WirtingerPresentation(1, ())
-    under_in = {a for a, _, _, _ in pd.crossings}
-    arc_of = [0] * (2 * n + 1)  # labels 1..2n; 0 unused
-    arc, label = 0, pd.crossings[0][2]
-    for _ in range(2 * n):
-        arc_of[label] = arc
-        arc += label in under_in
-        label = _succ(label, n)
-    relations = tuple(
-        (arc_of[c], arc_of[o_in], arc_of[a], sign)
-        for (a, _, c, _), sign, o_in in zip(pd.crossings, pd.signs, pd.over_in)
-    )
-    return WirtingerPresentation(n, relations)
 
 
 def seifert_circles(pd: PDCode) -> tuple[int, int]:

@@ -10,15 +10,15 @@ For an ordered pair of enriched records (k1, k2) the engine reports:
   - rigidity rules: invariant equalities under which any domination
     collapses to equality, so distinct names cannot strictly dominate.
 
-The obstruction and rigidity rules are the ordered `(rule_id, test)`
-entries of `OBSTRUCTIONS` and `RIGIDITY`, read by one loop, `scan`.
+The obstruction and rigidity rules are the ordered `(rule_id, anchor,
+test)` entries of `OBSTRUCTIONS` and `RIGIDITY`, read by one loop, `scan`.
 `test(k1, k2)` returns the detail when the rule fires, "" when it passes
 (a rigidity rule never passes) and None when an input is unknown, so
 every rule is sound under unknown metadata.  Every report carries a
 provenance anchor naming the result it implements; the anchors are
-stable strings used in serialized output, those of the certificates
-too: `knotdom.poset.certify` builds each certificate from the record
-structure it reads.
+stable strings used in serialized output.  `ANCHORS` maps each rule id
+to its anchor: the tables' in order, then the certificates', which
+`knotdom.poset.certify` builds from the record structure it reads.
 """
 from __future__ import annotations
 
@@ -28,31 +28,6 @@ from typing import NamedTuple
 
 from .knotbase import Flags, KnotRecord, _require_enriched, genus_interval
 from .laurent import exact_div, format_poly, is_prime_power
-
-ANCHORS = {
-    "O1_alexander": "Prop. 6.1",
-    "O2_genus": "Prop. 1.4",
-    "O3_determinant": "Thm. 3.1(1)",
-    "O4_volume": "Prop. 1.5",
-    "O5_two_bridge": "Prop. 3.6(1)",
-    "O6_montesinos": "Prop. 3.6(2)",
-    "O7_ap_class": "Cor. 4.2",
-    "O8_free": "Prop. 5.6(1)",
-    "O9_ghat": "Prop. 5.6(3)",
-    "O10_orderability": "Cor. 3.5",
-    "O11_mutation": "Cor. 3.2",
-    "R1_genus_volume": "Thm. 2.4",
-    "R2_fibred_genus": "Sec. 2, rigidity (2)",
-    "R3_nilpotent_degree": "Prop. 6.8",
-    "R4_free_ghat": "Prop. 5.6(3)",
-    "R5_mutant_double_cover": "Thm. 3.1(2)",
-    "R6_hyperbolic_volume": "Sec. 2, rigidity (1)",
-    "C0_unknot": "Prop. 1.1",
-    "C1_connected_sum": "Prop. 1.2",
-    "C2_satellite_pattern": "Prop. 2.1",
-    "C3_winding_one_companion": "Sec. 6, winding-one cabling",
-    "C5_transitive": "Sec. 1, partial order (transitivity)",
-}
 
 
 class ObstructionReport(NamedTuple):
@@ -207,26 +182,33 @@ def _r6_hyperbolic_volume(k1: KnotRecord, k2: KnotRecord) -> str | None:
 
 
 OBSTRUCTIONS = (
-    ("O1_alexander", _o1_alexander),
-    ("O2_genus", _o2_genus),
-    ("O3_determinant", _o3_determinant),
-    ("O4_volume", _o4_volume),
-    ("O5_two_bridge", _closure("two_bridge", "two_bridge", True, unknot_exempt=True)),
-    ("O6_montesinos", _closure("montesinos", "montesinos", True, unknot_exempt=True)),
-    ("O7_ap_class", _closure("toroidally_alternating", "sum_of_simple", True)),
-    ("O8_free", _closure("free", "free", True)),
-    ("O9_ghat", _o9_ghat),
-    ("O10_orderability", _closure("lo_double_cover", "lo_double_cover", False)),
-    ("O11_mutation", _o11_mutation),
+    ("O1_alexander", "Prop. 6.1", _o1_alexander),
+    ("O2_genus", "Prop. 1.4", _o2_genus),
+    ("O3_determinant", "Thm. 3.1(1)", _o3_determinant),
+    ("O4_volume", "Prop. 1.5", _o4_volume),
+    ("O5_two_bridge", "Prop. 3.6(1)", _closure("two_bridge", "two_bridge", True, unknot_exempt=True)),
+    ("O6_montesinos", "Prop. 3.6(2)", _closure("montesinos", "montesinos", True, unknot_exempt=True)),
+    ("O7_ap_class", "Cor. 4.2", _closure("toroidally_alternating", "sum_of_simple", True)),
+    ("O8_free", "Prop. 5.6(1)", _closure("free", "free", True)),
+    ("O9_ghat", "Prop. 5.6(3)", _o9_ghat),
+    ("O10_orderability", "Cor. 3.5", _closure("lo_double_cover", "lo_double_cover", False)),
+    ("O11_mutation", "Cor. 3.2", _o11_mutation),
 )
 RIGIDITY = (
-    ("R1_genus_volume", _r1_genus_volume),
-    ("R2_fibred_genus", _r2_fibred_genus),
-    ("R3_nilpotent_degree", _r3_nilpotent_degree),
-    ("R4_free_ghat", _r4_free_ghat),
-    ("R5_mutant_double_cover", _r5_mutant_double_cover),
-    ("R6_hyperbolic_volume", _r6_hyperbolic_volume),
+    ("R1_genus_volume", "Thm. 2.4", _r1_genus_volume),
+    ("R2_fibred_genus", "Sec. 2, rigidity (2)", _r2_fibred_genus),
+    ("R3_nilpotent_degree", "Prop. 6.8", _r3_nilpotent_degree),
+    ("R4_free_ghat", "Prop. 5.6(3)", _r4_free_ghat),
+    ("R5_mutant_double_cover", "Thm. 3.1(2)", _r5_mutant_double_cover),
+    ("R6_hyperbolic_volume", "Sec. 2, rigidity (1)", _r6_hyperbolic_volume),
 )
+ANCHORS = {rule_id: anchor for rule_id, anchor, _ in OBSTRUCTIONS + RIGIDITY} | {
+    "C0_unknot": "Prop. 1.1",
+    "C1_connected_sum": "Prop. 1.2",
+    "C2_satellite_pattern": "Prop. 2.1",
+    "C3_winding_one_companion": "Sec. 6, winding-one cabling",
+    "C5_transitive": "Sec. 1, partial order (transitivity)",
+}
 
 
 def scan(k1: KnotRecord, k2: KnotRecord) -> tuple[list[ObstructionReport], list[str]]:
@@ -235,7 +217,7 @@ def scan(k1: KnotRecord, k2: KnotRecord) -> tuple[list[ObstructionReport], list[
     _require_enriched(k1, k2)
     fired: list[ObstructionReport] = []
     passed: list[str] = []
-    for rule_id, test in OBSTRUCTIONS + RIGIDITY:
+    for rule_id, _, test in OBSTRUCTIONS + RIGIDITY:
         detail = test(k1, k2)
         if detail:
             fired.append(ObstructionReport(rule_id, detail))

@@ -255,16 +255,19 @@ def record_shape(obj: dict) -> KnotRecord:
 
 def record_from_json(obj: dict, shape: KnotRecord | None = None) -> KnotRecord:
     """A corpus entry checked and parsed: its shape (`record_shape`), the
-    field names, the PD, braid and polynomial text, the flags,
-    `sum_of_simple` and the integer fields.  The volume is kept as
-    written; enrichment normalizes it.  A `shape` that `record_shape`
-    already gave for obj is taken as it is."""
+    field names, that it gives at most one of a diagram and a braid, the
+    PD, braid and polynomial text, the flags, `sum_of_simple` and the
+    integer fields.  The volume is kept as written; enrichment normalizes
+    it.  A `shape` that `record_shape` already gave for obj is taken as
+    it is."""
     if shape is None:
         shape = record_shape(obj)
     name = shape.name
     unknown = set(obj) - _RECORD_KEYS
     if unknown:
         raise CorpusError(f"unknown record fields {sorted(unknown)} in {name!r}")
+    if obj.get("diagram") is not None and obj.get("braid") is not None:
+        raise CorpusError(f"{name}: gives both a diagram and a braid, expected at most one")
 
     diagram = None
     if (pd_text := _field(obj, name, "diagram", str)) is not None:

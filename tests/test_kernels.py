@@ -25,7 +25,7 @@ from knotdom.alexander import (
     kauffman_bracket,
     linear_determinant,
 )
-from knotdom.diagram import BraidWord, DiagramError, PDCode, braid_to_pd, parse_pd, seifert_circles, wirtinger
+from knotdom.diagram import BraidWord, DiagramError, PDCode, braid_to_pd, parse_pd, seifert_circles
 from knotdom.laurent import LaurentPoly, exact_div, is_prime, parse_poly
 import kernel_oracle
 from kernel_oracle import (
@@ -36,6 +36,7 @@ from kernel_oracle import (
     bareiss_determinant,
     dict_sweep_bracket,
     fraction_divided_by,
+    in_walk_order,
     linear_rows,
     node_determinant,
     quadratic_sweep_order,
@@ -214,7 +215,7 @@ class TestBurauKernel:
 
     def test_two_hundred_crossing_closure_against_the_node_oracle(self):
         braid = random_knot_braid(random.Random(201), 4, 201)
-        rows = alexander_rows(wirtinger(braid_to_pd(braid)))
+        rows = alexander_rows(braid_to_pd(braid))
         assert braid_alexander_polynomial(braid) == node_determinant(rows).normalize(), braid
 
 
@@ -294,9 +295,9 @@ class TestLinearDeterminant:
         long_braids = [random_knot_braid(rng, strands, length) for strands, length in ((3, 50), (3, 52))]
         two_primes = 0
         for braid in [braid for _, braid, _ in random_closures(45, 16, 45)] + long_braids:
-            pres = wirtinger(braid_to_pd(braid))
-            rows = alexander_rows(pres)
-            expected = bareiss_determinant(alexander_matrix(pres))
+            pd = braid_to_pd(braid)
+            rows = alexander_rows(pd)
+            expected = bareiss_determinant(alexander_matrix(in_walk_order(pd)))
             assert linear_determinant(rows) == expected == node_determinant(rows), braid
             two_primes += determinant_bound(rows) >= P61**2
         assert two_primes >= 2
@@ -305,17 +306,16 @@ class TestLinearDeterminant:
         rng = random.Random(2540)
         for length in range(26, 41, 2):
             braid = random_knot_braid(rng, 3, length)
-            pres = wirtinger(braid_to_pd(braid))
-            assert linear_determinant(alexander_rows(pres)) == bareiss_determinant(alexander_matrix(pres)), braid
+            pd = braid_to_pd(braid)
+            assert linear_determinant(alexander_rows(pd)) == bareiss_determinant(alexander_matrix(in_walk_order(pd))), braid
 
     def test_shuffled_and_relabelled_codes(self):
         for rng, braid, pd in random_closures(46, 12, 30):
-            expected = linear_determinant(alexander_rows(wirtinger(pd))).normalize()
+            expected = linear_determinant(alexander_rows(pd)).normalize()
             shuffled = PDCode.from_tuples(rng.sample(pd.crossings, len(pd.crossings)))
             moved = rotated(shuffled, rng.randrange(1, 2 * pd.crossing_count))
-            pres = wirtinger(moved)
-            got = linear_determinant(alexander_rows(pres))
-            assert got == bareiss_determinant(alexander_matrix(pres)), braid
+            got = linear_determinant(alexander_rows(moved))
+            assert got == bareiss_determinant(alexander_matrix(in_walk_order(moved))), braid
             assert got.normalize() == expected, braid
 
     def test_wide_coefficients_take_several_primes(self):
@@ -355,12 +355,11 @@ class TestLinearDeterminant:
         # 6_1: the minor's determinant 2t - 5t^2 + 2t^3 vanishes at t = 2,
         # one of the node oracle's evaluation points 2..7.
         pd = parse_pd("X(1,4,2,5) X(7,10,8,11) X(3,9,4,8) X(9,3,10,2) X(5,12,6,1) X(11,6,12,7)")
-        pres = wirtinger(pd)
-        rows = alexander_rows(pres)
+        rows = alexander_rows(pd)
         expected = parse_poly("2t - 5t^2 + 2t^3")
         assert degree_bound(rows) == 5
         assert linear_determinant(rows) == expected == node_determinant(rows)
-        assert bareiss_determinant(alexander_matrix(pres)) == expected
+        assert bareiss_determinant(alexander_matrix(in_walk_order(pd))) == expected
         # (t - 2)(t - 3), singular at two of the oracle's points 2..5
         rows = [{0: (-2, 1), 2: (-2, 1)}, {0: (1, 1), 1: (-1, 0), 2: (1, 0)}, {0: (-2, 1), 2: (1, 0)}]
         assert degree_bound(rows) == 3
@@ -415,8 +414,8 @@ class TestLinearDeterminant:
             "import knotdom, knotdom.alexander as a, kernel_oracle as o\n"
             "assert not hasattr(a, '_PRIMES')\n"
             "assert o._PRIMES == [], o._PRIMES\n"
-            "pres = knotdom.wirtinger(knotdom.parse_pd('X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)'))\n"
-            "o.node_determinant(a.alexander_rows(pres))\n"
+            "pd = knotdom.parse_pd('X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)')\n"
+            "o.node_determinant(a.alexander_rows(pd))\n"
             "assert o._PRIMES == [2**61 - 1], o._PRIMES\n"
         )
         paths = [str(Path(knotdom.__file__).parents[1]), str(Path(kernel_oracle.__file__).parent)]
@@ -469,7 +468,7 @@ class TestLinearDeterminant:
         rng = random.Random(80)
         for strands in (3, 4, 5, 6):
             braid = random_knot_braid(rng, strands, 80 + (strands % 2 == 0))
-            rows = alexander_rows(wirtinger(braid_to_pd(braid)))
+            rows = alexander_rows(braid_to_pd(braid))
             assert linear_determinant(rows) == node_determinant(rows), braid
 
 
@@ -597,17 +596,16 @@ class TestIntegerDivision:
 
 class TestDiagramWalks:
     def test_walks_match_the_union_find_oracles(self):
-        # The walk numbers Wirtinger arcs in its own order, so presentations
-        # are compared up to renaming generators: by count, relation signs
-        # and the Alexander determinant.
+        # The walk numbers Wirtinger arcs in its own order: its rows are the
+        # union-find presentation's minor once generators are renamed in
+        # that order, and without renaming the determinants agree up to a
+        # unit.
         def same_invariants(pd):
             assert seifert_circles(pd) == union_find_seifert_circles(pd), pd
-            pres, old = wirtinger(pd), union_find_wirtinger(pd)
-            assert pres.generator_count == old.generator_count, pd
-            assert [r[3] for r in pres.relations] == [r[3] for r in old.relations], pd
-            if pd.crossing_count:
-                got = linear_determinant(alexander_rows(pres)).normalize()
-                assert got == linear_determinant(alexander_rows(old)).normalize(), pd
+            rows = alexander_rows(pd)
+            assert rows == linear_rows(alexander_matrix(in_walk_order(pd))), pd
+            old = linear_rows(alexander_matrix(union_find_wirtinger(pd)))
+            assert linear_determinant(rows).normalize() == linear_determinant(old).normalize(), pd
 
         for text in ("X(1,1,2,2)", "X(1,2,2,1)", "X(2,1,3,2) X(4,4,1,3)"):
             same_invariants(parse_pd(text))

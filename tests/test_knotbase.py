@@ -740,6 +740,8 @@ class TestParseOnFirstRead:
         "flag": {"flags": {"fibred": "yes"}},
         "determinant": {"determinant": -3},
         "field": {"colour": "red"},
+        # the braid closes into a 2-component link: it must not go unread
+        "diagram and braid": {"diagram": "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "braid": "B2: 1 1"},
     }
 
     @pytest.fixture(params=SYNTAX_ERRORS, ids=str)

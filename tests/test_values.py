@@ -9,7 +9,7 @@ import pytest
 
 import knotdom
 from knotdom.cli import CheckResult, RunReport
-from knotdom.diagram import BraidWord, PDCode, WirtingerPresentation, parse_braid, parse_pd, wirtinger
+from knotdom.diagram import BraidWord, PDCode, parse_braid, parse_pd
 from knotdom.domination import Certificate, ObstructionReport, Verdict
 from knotdom.knotbase import Corpus, Flags, KnotRecord, build_corpus
 from knotdom.laurent import LaurentPoly, parse_poly
@@ -36,7 +36,6 @@ VALUES = {
     LaurentPoly: (lambda: parse_poly("1 - t + t^2"), "terms"),
     PDCode: (lambda: parse_pd(TREFOIL), "crossings"),
     BraidWord: (lambda: parse_braid("B3: 1 -2 1 -2"), "letters"),
-    WirtingerPresentation: (lambda: wirtinger(parse_pd(TREFOIL)), "relations"),
     Flags: (lambda: Flags(fibred=True, small=False), "fibred"),
     KnotRecord: (lambda: build_corpus(_records()).get("3_1"), "delta"),
     Corpus: (lambda: build_corpus(_records()), "records"),
@@ -67,7 +66,7 @@ def test_value_semantics(kind):
 def test_every_public_type_is_covered():
     public_types = {getattr(knotdom, name) for name in knotdom.__all__ if isinstance(getattr(knotdom, name), type)}
     assert public_types - {knotdom.CorpusError} <= set(VALUES)
-    assert len(VALUES) == 15
+    assert len(VALUES) == 14
 
 
 def test_a_polynomial_is_not_a_tuple():
