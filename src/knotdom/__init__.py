@@ -13,7 +13,7 @@ from .diagram import BraidWord, PDCode, braid_to_pd, parse_braid, parse_pd, seif
 from .domination import Certificate, ObstructionReport, Verdict, scan
 from .knotbase import Corpus, CorpusError, Flags, KnotRecord, enrich_record, genus_interval, load_corpus
 from .laurent import LaurentPoly, exact_div, format_poly, is_prime_power, parse_poly
-from .poset import ChainBound, DominationGraph, build_graph, certify, chain_length_bound, evaluate, longest_chain
+from .poset import ChainBound, DominationGraph, build_graph, chain_length_bound, evaluate, longest_chain
 
 __version__ = "0.1.0"
 
@@ -34,7 +34,6 @@ __all__ = [
     "braid_alexander_polynomial",
     "braid_to_pd",
     "build_graph",
-    "certify",
     "chain_length_bound",
     "connected_sum_delta",
     "determinant_invariant",

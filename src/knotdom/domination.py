@@ -18,7 +18,7 @@ every rule is sound under unknown metadata.  Every report carries a
 provenance anchor naming the result it implements; the anchors are
 stable strings used in serialized output.  `ANCHORS` maps each rule id
 to its anchor: the tables' in order, then the certificates', which
-`knotdom.poset.certify` builds from the record structure it reads.
+`knotdom.poset.build_graph` builds from the record structure it reads.
 """
 from __future__ import annotations
 

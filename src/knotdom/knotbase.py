@@ -217,7 +217,7 @@ def _field(obj: dict, name: str, key: str, kind: type):
 def record_shape(obj: dict) -> KnotRecord:
     """What loading checks of a corpus entry: that it is an object with a
     name, and its references, mutant class and `flags.unknot`, which the
-    corpus-wide checks and `poset.certify` read.  The record holds only
+    corpus-wide checks and `poset.build_graph` read.  The record holds only
     these; `record_from_json` checks and parses the rest."""
     if not isinstance(obj, dict):
         raise CorpusError(f"corpus entry is not an object: {obj!r}")
@@ -255,19 +255,16 @@ def record_shape(obj: dict) -> KnotRecord:
 
 def record_from_json(obj: dict, shape: KnotRecord | None = None) -> KnotRecord:
     """A corpus entry checked and parsed: its shape (`record_shape`), the
-    field names, that it gives at most one of a diagram and a braid, the
-    PD, braid and polynomial text, the flags, `sum_of_simple` and the
-    integer fields.  The volume is kept as written; enrichment normalizes
-    it.  A `shape` that `record_shape` already gave for obj is taken as
-    it is."""
+    field names, the PD, braid and polynomial text, the flags,
+    `sum_of_simple` and the integer fields.  The volume is kept as
+    written; enrichment normalizes it.  A `shape` that `record_shape`
+    already gave for obj is taken as it is."""
     if shape is None:
         shape = record_shape(obj)
     name = shape.name
     unknown = set(obj) - _RECORD_KEYS
     if unknown:
         raise CorpusError(f"unknown record fields {sorted(unknown)} in {name!r}")
-    if obj.get("diagram") is not None and obj.get("braid") is not None:
-        raise CorpusError(f"{name}: gives both a diagram and a braid, expected at most one")
 
     diagram = None
     if (pd_text := _field(obj, name, "diagram", str)) is not None:
@@ -380,13 +377,17 @@ def record_jones(record: KnotRecord) -> LaurentPoly | None:
 
 def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = None) -> KnotRecord:
     """Fill computed invariants, cross-check declared data, and close the
-    flag implications.  Composite records (connected sums, satellites)
-    need their referenced siblings already enriched.  A declared Jones
-    polynomial is cross-checked; a record that declares none keeps None."""
+    flag implications.  A record gives at most one of a diagram and a
+    braid; enrichment adds a braid's diagram.  Composite records
+    (connected sums, satellites) need their referenced siblings already
+    enriched.  A declared Jones polynomial is cross-checked; a record
+    that declares none keeps None."""
     siblings = siblings or {}
     name = record.name
 
     diagram, delta = record.diagram, record.delta
+    if diagram is not None and record.braid is not None and not record.enriched:
+        raise CorpusError(f"{name}: gives both a diagram and a braid, expected at most one")
     if diagram is not None:
         delta = _merge(name, "delta", delta, alexander_polynomial(diagram))
     elif record.braid is not None:

@@ -343,7 +343,7 @@ def parse_poly(text: str) -> LaurentPoly:
     Accepts an optional "*" between coefficient and t, so both
     "2 - 3t + 2t^2" and "2 - 3*t + 2*t^2" round-trip.
     """
-    s = text.strip()
+    s = text.strip()  # so every run of whitespace below ends at a token
     if not s:
         raise ValueError("empty polynomial string")
     if s == "0":
@@ -355,8 +355,6 @@ def parse_poly(text: str) -> LaurentPoly:
     while pos < len(s):
         while pos < len(s) and s[pos].isspace():
             pos += 1
-        if pos >= len(s):
-            break
         if not first or s[pos] in "+-":
             if s[pos] == "+":
                 sign = 1

@@ -2,9 +2,9 @@
 closure, audit, pair verdicts, longest chains, and chain-length bounds.
 
 Edges use certificates only; Unknown pairs never contribute, so every
-reported chain is a lower bound on the true partial order.  `certify`
-checks the candidate edges that record structure allows in one ordered
-pass, and `build_graph` closes them under transitivity, so output is
+reported chain is a lower bound on the true partial order.
+`build_graph` checks the candidate edges that record structure allows
+in one ordered pass and closes them under transitivity, so output is
 byte-identical across runs.  Pair and chain queries read the closure
 out of their first name only, and fail on its audit as `poset` fails on
 the whole graph's.
@@ -134,37 +134,78 @@ class ChainBound(NamedTuple):
     scope: str  # "total_length" | "alternating_count"
 
 
-def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGraph:
-    """The certified direct edges out of every record that `roots` reach
-    (all records when roots is None), for `build_graph` to close; the
-    audit lists their certified pairs that a rule blocks.
+def _summands_cover(sum1: tuple[str, ...], sum2: tuple[str, ...], certified: frozenset[tuple[str, str]]) -> bool:
+    """Can every summand of k2 be matched injectively to a summand of k1
+    that equals it or certifiably dominates it?  Plain sub-multiset
+    inclusion is the identity matching.  Copies are matched one at a time
+    along augmenting paths over the distinct names, without recursion."""
+    spare = Counter(sum1)  # unmatched copies of each k1 summand
+    held: dict[str, Counter] = {source: Counter() for source in spare}  # source -> target -> copies
+    for target in sorted(sum2):
+        # Search for moves that give target one more copy: a target takes
+        # a copy from a source (+1), and may hand back one it holds (-1).
+        seen, queued, stack, path = set(), {target}, [(target, ())], None
+        while stack and path is None:
+            t, moves = stack.pop()
+            for source in spare:
+                if source in seen or (source != t and (source, t) not in certified):
+                    continue
+                seen.add(source)
+                taken = moves + ((source, t, 1),)
+                if spare[source]:
+                    path = taken
+                for other, copies in held[source].items():
+                    if copies and other not in queued:
+                        queued.add(other)
+                        stack.append((other, taken + ((source, other, -1),)))
+        if path is None:
+            return False
+        spare[path[-1][0]] -= 1
+        for source, t, step in path:
+            held[source][t] += step
+    return True
 
-    Every certificate but reflexivity and transitivity comes from
-    structure, by the first of four constructions that applies: an
-    unknot is below every knot (C0, `flags.unknot`), a satellite
-    dominates its pattern (C2) and, at winding 1, its companion (C3), and
-    a composite dominates a knot whose summands pair injectively with its
-    own, each equal or below through an earlier edge (C1,
-    `connected_sum_of`).  So the candidates out of a composite are the
-    records whose summands all lie among its own summands and their
-    direct successors.  A record's edges therefore depend only on it and
-    on its summands' edges: the walk certifies each summand before its
-    sums, and each certified target in turn, so the edges out of a record
-    are the same whichever roots reach it.
+
+def build_graph(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGraph:
+    """The certified edges out of every record that `roots` reach (all
+    records when roots is None), closed under transitivity out of the
+    roots.  The audit lists the certified pairs that a rule blocks, and
+    a cycle among the direct edges, if any.  With roots None it reads
+    every record first, so an invalid one fails in input order.
+
+    Every direct certificate comes from structure, by the first of four
+    constructions that applies: an unknot is below every knot (C0,
+    `flags.unknot`), a satellite dominates its pattern (C2) and, at
+    winding 1, its companion (C3), and a composite dominates a knot
+    whose summands pair injectively with its own, each equal or below
+    through an earlier edge (C1, `connected_sum_of`).  So the candidates
+    out of a composite are the records whose summands all lie among its
+    own summands and their direct successors.  A record's direct edges
+    therefore depend only on it and on its summands' edges: the walk
+    certifies each summand before its sums, and each certified target in
+    turn, so the edges out of a record are the same whichever roots
+    reach it.  A pair two or more direct steps apart gets a
+    `C5_transitive` certificate with its canonical witness chain, unless
+    a rule blocks it, and then it is an audit line naming that chain and
+    the rules.
 
     >>> from knotdom.cli import default_corpus_path, load_corpus
-    >>> graph = certify(load_corpus(default_corpus_path()), ["granny"])
+    >>> graph = build_graph(load_corpus(default_corpus_path()), ["granny"])
     >>> graph.nodes
     ('3_1', 'granny', 'unknot')
     >>> [(e.src, e.dst, e.certificate.rule_id) for e in graph.edges]
     [('3_1', 'unknot', 'C0_unknot'), ('granny', '3_1', 'C1_connected_sum'), ('granny', 'unknot', 'C0_unknot')]
     """
+    names = corpus.names()
+    if roots is None:
+        corpus.records  # parses and enriches every record in input order
+    # an unknown root raises CorpusError; the first root is certified first
+    roots = names if roots is None else [corpus.declared(name).name for name in roots]
     # Candidates come from structure as declared, so only the records
     # certified and the targets of their certificates are enriched:
     # enrichment keeps the references and only ever sets `unknot` to
     # False.  The walk reads each record enriched, which rejects a
     # dangling or circular summand before the walk follows it.
-    names = corpus.names()
     declared = {name: corpus.declared(name) for name in names}
     unknots = [name for name in names if declared[name].flags.unknot is True]
     holders: dict[str, list[str]] = {}  # summand -> records having it
@@ -175,8 +216,7 @@ def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGra
     edges: list[Edge] = []
     succ: dict[str, list[str]] = {}  # certified record -> its direct successors
     conflicts: list[tuple[str, str, str, list[str]]] = []
-    # an unknown root raises CorpusError; the first root is certified first
-    stack = (names if roots is None else [corpus.declared(name).name for name in roots])[::-1]
+    stack = roots[::-1]
     while stack:
         root = stack.pop()
         if root in succ:
@@ -212,60 +252,11 @@ def certify(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGra
                     if dst not in succ:
                         stack.append(dst)
 
-    audit = tuple(
+    audit = [
         f"conflict: {src} -> {dst} certified by {rule_id} but obstructed by {negatives}"
         for src, dst, rule_id, negatives in sorted(conflicts)
-    )
-    return DominationGraph(tuple(sorted(succ)), tuple(sorted(edges, key=lambda e: (e.src, e.dst))), audit)
-
-
-def _summands_cover(sum1: tuple[str, ...], sum2: tuple[str, ...], certified: frozenset[tuple[str, str]]) -> bool:
-    """Can every summand of k2 be matched injectively to a summand of k1
-    that equals it or certifiably dominates it?  Plain sub-multiset
-    inclusion is the identity matching.  Copies are matched one at a time
-    along augmenting paths over the distinct names, without recursion."""
-    spare = Counter(sum1)  # unmatched copies of each k1 summand
-    held: dict[str, Counter] = {source: Counter() for source in spare}  # source -> target -> copies
-    for target in sorted(sum2):
-        # Search for moves that give target one more copy: a target takes
-        # a copy from a source (+1), and may hand back one it holds (-1).
-        seen, queued, stack, path = set(), {target}, [(target, ())], None
-        while stack and path is None:
-            t, moves = stack.pop()
-            for source in spare:
-                if source in seen or (source != t and (source, t) not in certified):
-                    continue
-                seen.add(source)
-                taken = moves + ((source, t, 1),)
-                if spare[source]:
-                    path = taken
-                for other, copies in held[source].items():
-                    if copies and other not in queued:
-                        queued.add(other)
-                        stack.append((other, taken + ((source, other, -1),)))
-        if path is None:
-            return False
-        spare[path[-1][0]] -= 1
-        for source, t, step in path:
-            held[source][t] += step
-    return True
-
-
-def build_graph(corpus: Corpus, roots: Iterable[str] | None = None) -> DominationGraph:
-    """The edges of `certify(corpus, roots)` closed under transitivity out
-    of the roots, or out of every node when roots is None: a pair two or
-    more steps apart gets a `C5_transitive` certificate with its canonical
-    witness chain, unless a rule blocks it, and then it is an audit line
-    naming that chain and the rules.  The audit of `certify` also gains a
-    cycle among the direct edges, if any.  With roots None it reads every
-    record first, so an invalid one fails in input order."""
-    roots = None if roots is None else list(roots)
-    if roots is None:
-        corpus.records  # parses and enriches every record in input order
-    graph = certify(corpus, roots)
-    succ = {name: graph.successors(name) for name in graph.nodes}
-    trees = {src: _canonical_tree(src, succ) for src in (graph.nodes if roots is None else roots)}
-    audit = list(graph.audit_log)
+    ]
+    trees = {src: _canonical_tree(src, succ) for src in roots}
     transitive = []
     for src, tree in trees.items():
         blocked = []
@@ -280,10 +271,11 @@ def build_graph(corpus: Corpus, roots: Iterable[str] | None = None) -> Dominatio
             audit += (f"conflict: {src} -> {dst} certified by C5_transitive through {list(chains[dst])} "
                       f"but obstructed by {negatives}" for dst, negatives in blocked)
 
-    cycle = _walk(graph.nodes, succ.__getitem__)[1]
+    nodes = tuple(sorted(succ))
+    cycle = _walk(nodes, succ.__getitem__)[1]
     if cycle is not None:
         audit.append(f"cycle among certified edges: {cycle}")
-    return DominationGraph(graph.nodes, graph.edges, tuple(audit), trees, transitive)
+    return DominationGraph(nodes, edges, tuple(audit), trees, transitive)
 
 
 def evaluate(corpus: Corpus, name1: str, name2: str) -> Verdict:

@@ -10,7 +10,7 @@ closures kept as oracles for the predecessor trees of
 are kept as the oracle for the rule table read by
 `knotdom.domination.scan`; `certificate_search`, which decides one
 pair's certificate from both records alone, as the oracle for the
-certificates that `knotdom.poset.certify` builds from structure.
+certificates that `knotdom.poset.build_graph` builds from structure.
 
 The all-pairs `build_graph` evaluates every obstruction, rigidity and
 certificate rule on all N(N-1) ordered pairs, then re-scans for

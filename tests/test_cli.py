@@ -248,6 +248,9 @@ class TestInvariants:
         assert payload["crossings"] == 401 and abs(delta.eval_int(1)) == 1
         assert all(coeffs.get(delta.max_degree - e) == c for e, c in delta.terms)
 
+    def test_braid_of_no_strands_rejected(self, capsys):
+        assert run(capsys, "invariants", "B0: ") == (EXIT_USAGE, "", "error: strand count must be >= 1, got 0\n")
+
     def test_diagram_sources_resolve_no_corpus(self, capsys, monkeypatch):
         def refuse():
             raise AssertionError("resolved the bundled corpus path")
@@ -391,6 +394,15 @@ class TestPoset:
         child.stdout.close()
         stderr = child.stderr.read()
         assert (child.wait(timeout=60), stderr) == (EXIT_USAGE, b"")
+
+    def test_closed_pipe_in_process(self, capsys):
+        # the same branch in this process: stdout is a line-buffered pipe
+        # whose read end is already closed, so the first line meets it
+        read, write = os.pipe()
+        os.close(read)
+        with open(write, "w", buffering=1) as stdout, contextlib.redirect_stdout(stdout):
+            code = main(["--json", "poset"])
+        assert (code, *capsys.readouterr()) == (EXIT_USAGE, "", "")
 
 
 class TestChainBound:

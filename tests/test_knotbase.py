@@ -25,7 +25,7 @@ from knotdom.knotbase import (
     record_jones,
 )
 from knotdom.laurent import LaurentPoly, format_poly, parse_poly
-from knotdom.poset import build_graph, certify
+from knotdom.poset import build_graph
 
 from kernel_oracle import eager_build_corpus, eager_load_corpus
 from test_cli import run
@@ -58,6 +58,17 @@ class TestLoadCorpus:
     def test_missing_file(self, tmp_path):
         with pytest.raises(CorpusError, match="not found"):
             load_corpus(tmp_path / "nope.json")
+
+    @pytest.mark.parametrize("text, message", [
+        ("[{", "is not valid JSON: "),
+        ('{"name": "k"}', "must hold a top-level array"),
+    ])
+    def test_file_must_hold_a_json_array(self, tmp_path, text, message):
+        path = tmp_path / "corpus.json"
+        path.write_text(text)
+        with pytest.raises(CorpusError) as error:
+            load_corpus(path)
+        assert str(error.value).startswith(f"corpus file {path} {message}")
 
     def test_duplicate_names_rejected(self, tmp_path):
         payload = [
@@ -141,6 +152,15 @@ class TestEnrichment:
         monkeypatch.setattr(knotbase, "alexander_polynomial", fox)
         with pytest.raises(CorpusError, match=r"^link: braid closure has 2 components, expected a knot$"):
             enrich_record(KnotRecord(name="link", braid=parse_braid("B2: 1 1")))
+
+    def test_diagram_and_braid_rejected(self):
+        # built in code, as a corpus entry is checked: the braid closes
+        # into a 2-component link, so it must not go unread
+        record = KnotRecord(
+            name="k", diagram=parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"), braid=parse_braid("B2: 1 1")
+        )
+        with pytest.raises(CorpusError, match=r"^k: gives both a diagram and a braid, expected at most one$"):
+            enrich_record(record)
 
     @pytest.mark.parametrize(
         "jones, message",
@@ -234,6 +254,20 @@ class TestEnrichment:
         )
         with pytest.raises(CorpusError, match="monic"):
             enrich_record(record)
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"sum_of_simple": 1}, "k: sum_of_simple must be true or false"),
+        ({"braid": "3: 1 2"}, "k: malformed braid word '3: 1 2', expected 'B<n>: i1 i2 ...'"),
+        ({"delta": "-1 + t - t^2"}, "k: declared delta must be normalized"),
+        ({"genus_exact": 0}, "k: genus_lower 1 > genus_exact 0"),
+        ({"genus_upper": 1, "genus_exact": 2}, "k: genus_exact 2 > genus_upper 1"),
+        ({"genus_upper": 0}, "k: genus_lower 1 > genus_upper 0"),
+    ])
+    def test_invalid_values_rejected(self, fields, message):
+        # a trefoil's delta, so the genus is at least 1
+        with pytest.raises(CorpusError) as error:
+            enrich_record(record_from_json({"name": "k", "delta": "1 - t + t^2", **fields}))
+        assert str(error.value) == message
 
     def test_ghat_below_genus_rejected(self):
         record = KnotRecord(
@@ -471,22 +505,22 @@ class TestEnrichOnFirstRead:
 
     @pytest.fixture
     def certify_reads(self, monkeypatch):
-        """The records `certify` certifies and the targets `poset` scans, as
-        they run."""
+        """The records `build_graph` certifies and the targets `poset` scans,
+        as they run."""
         names = []
-        scan, rooted = poset.scan, poset.certify
+        scan, rooted = poset.scan, poset.build_graph
 
         def recording_scan(k1, k2):
             names.append(k2.name)
             return scan(k1, k2)
 
-        def recording_certify(corpus, roots=None):
+        def recording_build_graph(corpus, roots=None):
             graph = rooted(corpus, roots)
             names.extend(graph.nodes)
             return graph
 
         monkeypatch.setattr(poset, "scan", recording_scan)
-        monkeypatch.setattr(poset, "certify", recording_certify)
+        monkeypatch.setattr(poset, "build_graph", recording_build_graph)
         return names
 
     INVALID_RECORDS = {
@@ -501,6 +535,11 @@ class TestEnrichOnFirstRead:
         "circular": (
             [{"name": "x", "satellite_of": ["y", "3_1", 1]}, {"name": "y", "satellite_of": ["x", "3_1", 1]}],
             "circular composite references among ['x', 'y']",
+        ),
+        # the braid closes into a 2-component link: it must not go unread
+        "diagram and braid": (
+            [{"name": "x", "diagram": "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "braid": "B2: 1 1"}],
+            "x: gives both a diagram and a braid, expected at most one",
         ),
     }
 
@@ -531,10 +570,10 @@ class TestEnrichOnFirstRead:
                 assert corpus.get(name) == eager.get(name), name
             assert corpus == eager
 
-    def test_rooted_certify_matches_eager_load(self, cases):
+    def test_rooted_build_graph_matches_eager_load(self, cases):
         for records, eager in cases:
             for name in eager.names():
-                assert certify(build_corpus(records), [name]) == certify(eager, [name]), name
+                assert build_graph(build_corpus(records), [name]) == build_graph(eager, [name]), name
 
     def test_build_graph_matches_eager_load(self, cases):
         for records, eager in cases:
@@ -572,7 +611,7 @@ class TestEnrichOnFirstRead:
                 assert sorted(enriched) == sorted(reach(corpus, certify_reads)), name
         capsys.readouterr()
 
-    def test_rooted_certify_enriches_what_it_reads(self, enriched, certify_reads, cases):
+    def test_rooted_build_graph_enriches_what_it_reads(self, enriched, certify_reads, cases):
         # a certified candidate is enriched after the records it references
         beyond = 0
         for records, _ in cases:
@@ -580,7 +619,7 @@ class TestEnrichOnFirstRead:
                 enriched.clear()
                 certify_reads.clear()
                 corpus = build_corpus(records)
-                poset.certify(corpus, [name])
+                poset.build_graph(corpus, [name])
                 assert sorted(enriched) == sorted(reach(corpus, certify_reads)), name
                 beyond += len(enriched) > len(set(certify_reads))
         assert beyond
@@ -740,8 +779,6 @@ class TestParseOnFirstRead:
         "flag": {"flags": {"fibred": "yes"}},
         "determinant": {"determinant": -3},
         "field": {"colour": "red"},
-        # the braid closes into a 2-component link: it must not go unread
-        "diagram and braid": {"diagram": "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "braid": "B2: 1 1"},
     }
 
     @pytest.fixture(params=SYNTAX_ERRORS, ids=str)

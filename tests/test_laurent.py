@@ -55,6 +55,10 @@ class TestConstruction:
         with pytest.raises(ValueError, match="zero at exponent 1"):
             LaurentPoly(((0, 1), (1, 0)))
 
+    def test_zero_polynomial_leading_coefficient(self):
+        assert LaurentPoly().leading_coefficient == 0
+        assert P("2 - 3t").leading_coefficient == -3
+
     @pytest.mark.parametrize(
         "combine", [lambda: T + 1.5, lambda: T * 0.5, lambda: 0.5 * T], ids=["add", "mul", "rmul"]
     )
@@ -327,6 +331,10 @@ class TestTextForm:
         for bad in ["", "t +", "1 ++ t", "q^2", "2 - - t"]:
             with pytest.raises(ValueError):
                 parse_poly(bad)
+
+    def test_terms_need_a_sign_between_them(self):
+        with pytest.raises(ValueError, match=r"^expected '\+' or '-' at offset 2 in '1 2'$"):
+            parse_poly("1 2")
 
     
     @settings(max_examples=150)

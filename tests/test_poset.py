@@ -17,7 +17,6 @@ from knotdom.poset import (
     _canonical_tree,
     _chains,
     build_graph,
-    certify,
     chain_length_bound,
     longest_chain,
 )
@@ -32,6 +31,27 @@ CLOSURE = " certified by C5_transitive through "  # in a closure conflict line o
 
 def edge_set(graph):
     return {(e.src, e.dst) for e in graph.edges}
+
+
+def direct_edges(graph):
+    """The edges of `graph` certified directly, not by transitivity."""
+    return tuple(e for e in graph.edges if e.certificate.rule_id != "C5_transitive")
+
+
+def certification_audit(graph):
+    """The certification conflicts of `graph`: the audit lines before
+    the first closure conflict or cycle."""
+    lines = []
+    for line in graph.audit_log:
+        if " certified by " not in line or CLOSURE in line:
+            break
+        lines.append(line)
+    return tuple(lines)
+
+
+def direct_graph(graph):
+    """`graph` without its transitive edges, closure conflicts and cycle."""
+    return DominationGraph(graph.nodes, direct_edges(graph), certification_audit(graph))
 
 
 class TestBuildGraph:
@@ -484,8 +504,6 @@ class TestOracle:
         assert serialized(graph) == serialized(oracle_build_graph(corpus))
         with pytest.raises(CorpusError, match=r"^cycle among certified edges: \['s1', 's2', 's1'\]$"):
             longest_chain(graph, "s1")
-        with pytest.raises(CorpusError, match="contain a cycle"):
-            longest_chain(certify(corpus), "s1")  # no audit line names it
 
 
 class TestCertify:
@@ -496,16 +514,18 @@ class TestCertify:
         return [corpus, *(random_corpus(seed) for seed in range(40)), chain, sibling_sums_corpus(), blocked]
 
     def test_direct_edges_and_certification_audit(self, cases):
+        # a direct edge's witnesses are its two ends, a transitive one's a
+        # longer chain; the audit lists every certification conflict, in
+        # order, before the closure conflicts and the cycle
         transitive = certification_conflicts = closure_conflicts = 0
         for case in cases:
-            direct, full = certify(case), build_graph(case)
-            assert direct.nodes == full.nodes
-            assert tuple(direct.edges) == tuple(e for e in full.edges if e.certificate.rule_id != "C5_transitive")
-            prefix = full.audit_log[: len(direct.audit_log)]
-            assert direct.audit_log == prefix
-            assert all(" certified by " in line and CLOSURE not in line for line in prefix)
+            full = build_graph(case)
+            direct, prefix = direct_edges(full), certification_audit(full)
+            assert all(e.certificate.witnesses == (e.src, e.dst) for e in direct)
+            assert all(len(e.certificate.witnesses) > 2 for e in full.edges if e.certificate.rule_id == "C5_transitive")
+            assert list(prefix) == sorted(prefix)
             assert not any(" certified by " in line and CLOSURE not in line for line in full.audit_log[len(prefix):])
-            transitive += len(full.edges) - len(direct.edges)
+            transitive += len(full.edges) - len(direct)
             certification_conflicts += len(prefix)
             closure_conflicts += any(CLOSURE in line for line in full.audit_log)
         assert transitive and certification_conflicts and closure_conflicts
@@ -516,7 +536,8 @@ class TestCertify:
         # or an audit line that quotes that chain
         transitive = blocked = 0
         for case in cases:
-            direct, full = certify(case), build_graph(case)
+            full = build_graph(case)
+            direct = direct_graph(full)
             succ = {name: direct.successors(name) for name in direct.nodes}
             read = {(e.src, e.dst): e.certificate for e in full.edges if e.certificate.rule_id == "C5_transitive"}
             for src in direct.nodes:
@@ -540,7 +561,8 @@ class TestCertify:
         # direct edges' audit does not hold
         longest = errors = closure_only = 0
         for case in cases:
-            direct, full = certify(case), build_graph(case)
+            full = build_graph(case)
+            direct = direct_graph(full)
             for start in case.names():
                 expected = chain_or_error(longest_chain, full, start)
                 if full.audit_log:
@@ -553,6 +575,9 @@ class TestCertify:
         assert longest == 61 and errors and closure_only
 
     def test_one_scan_per_certified_candidate(self, monkeypatch):
+        # each direct candidate and each pair of the closure is scanned
+        # once; a certification conflict that the closure reaches again
+        # is scanned twice, and is a closure conflict as well
         calls = []
 
         def recording(k1, k2):
@@ -560,27 +585,32 @@ class TestCertify:
             return scan(k1, k2)
 
         monkeypatch.setattr(poset, "scan", recording)
+        rescanned = 0
         for seed in range(40):
             calls.clear()
-            certify(random_corpus(seed))
-            assert calls and len(calls) == len(set(calls)), seed
+            graph = build_graph(random_corpus(seed))
+            counts = Counter(calls)
+            conflicts = {tuple(line.split()[1:4:2]) for line in certification_audit(graph)}
+            reached = {tuple(line.split()[1:4:2]) for line in graph.audit_log if CLOSURE in line}
+            assert calls and max(counts.values()) <= 2, seed
+            assert {pair for pair, n in counts.items() if n == 2} == conflicts & reached, seed
+            rescanned += len(conflicts & reached)
+        assert rescanned
 
-    def test_rooted_certify_matches_full_graph(self, cases):
+    def test_rooted_graph_matches_full_graph(self, cases):
         fewer = cycles = closure_only = 0
         for case in cases:
-            full = certify(case)
-            assert certify(case, None) == full  # nodes, edges and audit
             whole = build_graph(case)
+            full = direct_graph(whole)
             for start in case.names():
-                rooted = certify(case, [start])
                 closed = build_graph(case, [start])
+                rooted = direct_graph(closed)
                 nodes = set(rooted.nodes)
                 assert start in nodes and rooted.nodes == tuple(sorted(nodes))
                 assert all(e.dst in nodes for e in rooted.edges)
                 assert all(set(case.get(name).summands()) <= nodes | {name} for name in nodes)
                 assert tuple(rooted.edges) == tuple(e for e in full.edges if e.src in nodes), start
                 assert rooted.audit_log == tuple(line for line in full.audit_log if line.split()[1] in nodes)
-                assert closed.nodes == rooted.nodes and closed.audit_log[: len(rooted.audit_log)] == rooted.audit_log
                 assert [e for e in closed.edges if e.src == start] == [e for e in whole.edges if e.src == start], start
                 expected = chain_or_error(longest_chain, closed, start)
                 if closed.audit_log:
@@ -595,12 +625,12 @@ class TestCertify:
         assert fewer and cycles and closure_only
 
     def test_roots_in_any_order_and_unknown_root(self, corpus):
-        full = certify(corpus)
-        assert certify(corpus, corpus.names()[::-1]) == full
-        assert certify(corpus, []).nodes == ()
-        assert certify(corpus, ["granny", "3_1", "granny"]) == certify(corpus, ["granny"])
+        full = build_graph(corpus)
+        assert build_graph(corpus, corpus.names()[::-1]) == full
+        assert build_graph(corpus, []).nodes == ()
+        assert build_graph(corpus, ["granny", "3_1", "granny"]) == build_graph(corpus, ["granny", "3_1"])
         with pytest.raises(CorpusError, match="unknown knot name"):
-            certify(corpus, ["granny", "no_such_knot"])
+            build_graph(corpus, ["granny", "no_such_knot"])
 
     def test_circular_summands_fail_cleanly(self):
         # enrichment rejects these before the summands-first walk follows
@@ -611,7 +641,7 @@ class TestCertify:
             KnotRecord(name="c"),
         )
         with pytest.raises(CorpusError, match="circular composite references"):
-            certify(Corpus(records), ["a"])
+            build_graph(Corpus(records), ["a"])
 
     def test_circular_summands_error_names_only_the_cycle(self):
         # r -> x -> a -> b -> a: r and x lead to the cycle but are not on it
@@ -623,7 +653,7 @@ class TestCertify:
             KnotRecord(name="c"),
         )
         with pytest.raises(CorpusError, match=r"^circular composite references among \['a', 'b'\]$"):
-            certify(Corpus(records), ["r"])
+            build_graph(Corpus(records), ["r"])
 
     def test_dangling_summand_fails_cleanly(self):
         # enrichment rejects it before the summands-first walk follows it
@@ -632,7 +662,7 @@ class TestCertify:
             KnotRecord(name="a", delta=parse_poly("1 - t + t^2")),
         )
         with pytest.raises(CorpusError, match="^s: dangling cross-reference to 'ghost'$"):
-            certify(Corpus(records), ["s"])
+            build_graph(Corpus(records), ["s"])
 
     def test_chain_query_searches_fewer_pairs(self, monkeypatch):
         calls = []
@@ -645,12 +675,12 @@ class TestCertify:
         for seed in range(40):
             case = random_corpus(seed)
             calls.clear()
-            certify(case)
+            build_graph(case)
             everything = set(calls)
             fewer = 0
             for start in case.names():
                 calls.clear()
-                certify(case, [start])
+                build_graph(case, [start])
                 assert set(calls) <= everything, (seed, start)
                 fewer += len(set(calls)) < len(everything)
             assert fewer, seed
