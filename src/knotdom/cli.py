@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import alexander, poset
-from .diagram import DiagramError, parse_braid, parse_pd, seifert_circles
+from .diagram import parse_braid, parse_pd, seifert_circles
 from .knotbase import CorpusError, KnotRecord, enrich_record, load_corpus, record_jones
 from .laurent import LaurentPoly, exact_div, format_poly, parse_poly
 
@@ -94,18 +94,27 @@ def _build_parser() -> argparse.ArgumentParser:
         help="invariants of a corpus knot, PD code, or braid word",
     )
     p_inv.add_argument("source", help="knot name, 'X(a,b,c,d) ...' PD text, or 'B<n>: i1 i2 ...' braid text")
+    p_inv.set_defaults(run=lambda args: _cmd_invariants(args.source, args.corpus, args.json))
 
     p_check = sub.add_parser("check", parents=[common], help="evaluate an ordered domination query")
     p_check.add_argument("dominator")
     p_check.add_argument("dominated")
+    p_check.set_defaults(
+        run=lambda args: _cmd_check(args.dominator, args.dominated, _corpus_path(args.corpus), args.json)
+    )
 
     p_poset = sub.add_parser("poset", parents=[common], help="build the certified domination graph")
     p_poset.add_argument("corpus_path", nargs="?", help="corpus file (overrides --corpus)")
+    p_poset.set_defaults(run=lambda args: _cmd_poset(_corpus_path(args.corpus_path or args.corpus), args.json))
 
     p_bound = sub.add_parser("chain-bound", parents=[common], help="chain-length bounds for a corpus knot")
     p_bound.add_argument("name")
+    p_bound.set_defaults(run=lambda args: _cmd_chain_bound(args.name, _corpus_path(args.corpus), args.json))
 
-    sub.add_parser("verify-paper", parents=[common], help="run the bundled worked-example verification suite")
+    p_verify = sub.add_parser(
+        "verify-paper", parents=[common], help="run the bundled worked-example verification suite"
+    )
+    p_verify.set_defaults(run=lambda args: _cmd_verify_paper(_corpus_path(args.corpus), args.json))
     return parser
 
 
@@ -115,17 +124,8 @@ def main(argv: list[str] | None = None) -> int:
     parser is built on the first call and shared by the later ones."""
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "invariants":
-            return _cmd_invariants(args.source, args.corpus, args.json)
-        if args.command == "check":
-            return _cmd_check(args.dominator, args.dominated, _corpus_path(args.corpus), args.json)
-        if args.command == "poset":
-            return _cmd_poset(_corpus_path(args.corpus_path or args.corpus), args.json)
-        if args.command == "chain-bound":
-            return _cmd_chain_bound(args.name, _corpus_path(args.corpus), args.json)
-        if args.command == "verify-paper":
-            return _cmd_verify_paper(_corpus_path(args.corpus), args.json)
-    except (CorpusError, DiagramError, ValueError) as exc:
+        return args.run(args)
+    except ValueError as exc:  # CorpusError and DiagramError among them
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except BrokenPipeError:
@@ -135,7 +135,6 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_USAGE
-    raise AssertionError("unreachable")
 
 
 def _corpus_path(arg: str | None) -> Path:
@@ -271,7 +270,7 @@ def run_verification(corpus_path: Path | str) -> RunReport:
     """The eight worked-example checks, in a fixed order, against the
     bundled corpus and the exact computational kernel."""
     corpus = load_corpus(corpus_path)
-    corpus.records  # checks every record, in input order, before any output
+    corpus.records  # checks every record before any output
     checks: list[CheckResult] = []
 
     def add(check_id: str, anchor: str, passed: bool, detail: str) -> None:

@@ -171,7 +171,7 @@ def build_graph(corpus: Corpus, roots: Iterable[str] | None = None) -> Dominatio
     records when roots is None), closed under transitivity out of the
     roots.  The audit lists the certified pairs that a rule blocks, and
     a cycle among the direct edges, if any.  With roots None it reads
-    every record first, so an invalid one fails in input order.
+    every record first, so an invalid one fails before any is certified.
 
     Every direct certificate comes from structure, by the first of four
     constructions that applies: an unknot is below every knot (C0,
@@ -198,7 +198,7 @@ def build_graph(corpus: Corpus, roots: Iterable[str] | None = None) -> Dominatio
     """
     names = corpus.names()
     if roots is None:
-        corpus.records  # parses and enriches every record in input order
+        corpus.records  # parses, then enriches, every record
     # an unknown root raises CorpusError; the first root is certified first
     roots = names if roots is None else [corpus.declared(name).name for name in roots]
     # Candidates come from structure as declared, so only the records

@@ -20,7 +20,6 @@ connected-sum certificates until nothing changes.  `knotdom.poset`'s
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from decimal import Decimal
 from functools import lru_cache
 
@@ -206,21 +205,14 @@ def evaluate_full(k1, k2, certified=None):
     return fired, rigidity, passed, certificate
 
 
-def build_graph(corpus: Corpus, workers: int = 1) -> DominationGraph:
+def build_graph(corpus: Corpus) -> DominationGraph:
     """Evaluate all ordered pairs, keep certified edges, close under
     transitivity, and audit certificates against obstructions."""
     names = corpus.names()
     records = {name: corpus.get(name) for name in names}
     pairs = [(a, b) for a in names for b in names if a != b]
 
-    def scan(pair: tuple[str, str]):
-        return evaluate_full(records[pair[0]], records[pair[1]])
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = dict(zip(pairs, pool.map(scan, pairs)))
-    else:
-        results = {pair: scan(pair) for pair in pairs}
+    results = {(a, b): evaluate_full(records[a], records[b]) for a, b in pairs}
 
     conflicts: dict[tuple[str, str], str] = {}
     direct: dict[tuple[str, str], Certificate] = {}
