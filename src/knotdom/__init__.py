@@ -12,7 +12,7 @@ from .alexander import (
 from .diagram import BraidWord, PDCode, braid_to_pd, parse_braid, parse_pd, seifert_circles
 from .domination import Certificate, ObstructionReport, Verdict, scan
 from .knotbase import Corpus, CorpusError, Flags, KnotRecord, enrich_record, genus_interval, load_corpus
-from .laurent import LaurentPoly, exact_div, format_poly, is_prime_power, parse_poly
+from .laurent import LaurentPoly, divides, format_poly, is_prime_power, parse_poly
 from .poset import ChainBound, DominationGraph, build_graph, chain_length_bound, evaluate, longest_chain
 
 __version__ = "0.1.0"
@@ -37,9 +37,9 @@ __all__ = [
     "chain_length_bound",
     "connected_sum_delta",
     "determinant_invariant",
+    "divides",
     "enrich_record",
     "evaluate",
-    "exact_div",
     "format_poly",
     "genus_interval",
     "is_prime_power",

@@ -27,7 +27,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .knotbase import Flags, KnotRecord, _require_enriched, genus_interval
-from .laurent import exact_div, format_poly, is_prime_power
+from .laurent import divides, format_poly, is_prime_power
 
 
 class ObstructionReport(NamedTuple):
@@ -75,8 +75,12 @@ class Verdict(NamedTuple):
 
 
 def _o1_alexander(k1: KnotRecord, k2: KnotRecord) -> str:
-    divides = exact_div(k1.delta, k2.delta) is not None
-    return "" if divides else f"{format_poly(k2.delta)} does not divide {format_poly(k1.delta)}"
+    """Prop. 6.1: k1 >= k2 forces Delta(k2) | Delta(k1) up to units.
+    `divides` decides it by one integer remainder, or for a dividend long
+    for its divisor by a remainder mod p and then long division."""
+    if divides(k2.delta, k1.delta):
+        return ""
+    return f"{format_poly(k2.delta)} does not divide {format_poly(k1.delta)}"
 
 
 def _o2_genus(k1: KnotRecord, k2: KnotRecord) -> str | None:

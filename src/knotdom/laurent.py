@@ -5,12 +5,18 @@ A Laurent polynomial over Z is stored sparsely as a sorted tuple of
 polynomial is the empty tuple.  Exponents may be negative, coefficients
 are arbitrary-precision Python ints.  Values are immutable and hashable,
 so they can be shared freely between threads.
+
+`divides` decides divisibility up to units, the test of the Alexander
+obstruction, by one integer remainder at a power of two; a dividend too
+long for that is divided by `LaurentPoly.divided_by`, after a remainder
+mod a prime that refutes a sparse one without walking its degree gap.
 """
 from __future__ import annotations
 
 import heapq
 import math
 import re
+from operator import itemgetter
 from typing import Mapping
 
 
@@ -238,17 +244,107 @@ def _coerce(value: LaurentPoly | int) -> LaurentPoly:
     raise TypeError(f"cannot combine a Laurent polynomial with {type(value).__name__}")
 
 
-def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
-    """Division up to units: both arguments are normalized first.
+_coefficient = itemgetter(1)
 
-    Returns the (normalized) quotient, or None when the normalized
-    divisor is not a factor.  Raises ZeroDivisionError when b = 0.  A
-    unit divisor returns the normalized dividend without dividing.
+
+def divides(b: LaurentPoly, a: LaurentPoly) -> bool:
+    """True when b divides a up to units in Z[t, t^-1].
+
+    Raises ZeroDivisionError when b = 0.  Both are normalized, so t
+    divides neither and b | a forces deg a >= deg b.  Write b = c * b'
+    with c the content of b.  b' is primitive, so by Gauss's lemma b | a
+    exactly when c divides every coefficient of a and b' | a over Q.
+
+    b' | a over Q is decided by one integer remainder, a(X) % b'(X) at
+    X = 2^bits.  Let d = deg a - deg b' and m = deg b'.  Pseudo-division
+    gives lc(b')^(d+1) * a = q * b' + r with deg r < m and
+    |r|_inf <= |a|_inf * (|lc b'| + |b'|_inf)^(d+1), one factor per step,
+    and b' | a over Q exactly when r = 0.  If b' | a over Q it does over
+    Z, so b'(X) | a(X).  Conversely b'(X) | a(X) gives b'(X) | r(X).
+    `bits` makes X >= 2|r|_inf + 2|b'|_inf, read off bit lengths.  Then
+    |r(X)| + |b'(X) - lc(b') X^m| <= (X/2)(X^m - 1)/(X - 1) < X^m, so
+    |r(X)| < |b'(X)|, and r(X) = 0 only if r = 0 (the top term of a
+    nonzero r outweighs the rest).  So b'(X) | a(X) forces r = 0.
+
+    a(X) has about (deg a + 1) * bits bits, which grows with the degree
+    gap.  When it needs more 64-bit words than long division takes steps
+    ((d + 1) * the terms of b), `divided_by` decides instead.  Before it
+    runs, a sparse dividend is reduced mod b' in F_p[t] for a word-size
+    prime p not dividing lc(b'): b | a over Z survives the reduction, so a
+    nonzero remainder proves that b does not divide a.  The route is read
+    from bit lengths before any power is formed.
     """
     if b.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    divisor = b.normalize()
-    return a.normalize() if divisor.is_one() else a.normalize().divided_by(divisor)
+    a, b = a.normalize(), b.normalize()
+    if b.is_one() or a.is_zero():
+        return True
+    a_deg, b_deg = a.terms[-1][0], b.terms[-1][0]
+    gap = a_deg - b_deg
+    if gap < 0:
+        return False
+    content = math.gcd(*map(_coefficient, b.terms))
+    if content > 1 and any(c % content for _, c in a.terms):
+        return False
+    primitive = b.terms if content == 1 else tuple((e, c // content) for e, c in b.terms)
+    lead, b_norm = primitive[-1][1], max(map(abs, map(_coefficient, primitive)))
+    a_norm = max(map(abs, map(_coefficient, a.terms)))
+    bits = a_norm.bit_length() + (gap + 1) * (abs(lead) + b_norm).bit_length() + 2
+    steps = (gap + 1) * len(b.terms)
+    if (a_deg + 1) * bits <= 64 * steps:
+        return _at_power_of_two(a.terms, bits) % _at_power_of_two(primitive, bits) == 0
+    # The reduction mod p costs about this much; a constant b' has nothing
+    # to reduce by.
+    reduction = len(a.terms) * a_deg.bit_length() * b_deg**2
+    if 0 < reduction < steps and _remainder_mod_prime(a.terms, primitive):
+        return False
+    return a.divided_by(b) is not None
+
+
+def _at_power_of_two(terms: tuple[tuple[int, int], ...], bits: int) -> int:
+    """The value at 2^bits, by Horner's rule, of the polynomial with these
+    terms and min degree 0."""
+    value, previous = 0, terms[-1][0]
+    for e, c in reversed(terms):
+        value = (value << (previous - e) * bits) + c
+        previous = e
+    return value
+
+
+def _remainder_mod_prime(a: tuple[tuple[int, int], ...], b: tuple[tuple[int, int], ...]) -> bool:
+    """Whether a mod b is nonzero in F_p[t], for the first prime p below
+    2^61 that does not divide lc(b); a and b are terms with min degree 0,
+    and deg b >= 1.  Each t^e of a is reduced by square-and-multiply, so
+    the work is terms(a) * log(deg a) * deg(b)^2."""
+    lead, m = b[-1][1], b[-1][0]
+    p = next(q for q in range(2**61 - 1, 0, -2) if lead % q and is_prime(q))
+    scale = pow(lead, -1, p)
+    low = [0] * m  # t^m = low(t) mod b
+    for e, c in b[:-1]:
+        low[e] = -c * scale % p
+
+    def times(x: list[int], y: list[int]) -> list[int]:
+        product = [0] * (2 * m - 1)
+        for i, xi in enumerate(x):
+            for j, yj in enumerate(y):
+                product[i + j] += xi * yj
+        for k in range(2 * m - 2, m - 1, -1):
+            top = product[k] % p
+            for i, li in enumerate(low):
+                product[k - m + i] += top * li
+        return [c % p for c in product[:m]]
+
+    t = [0, 1] + [0] * (m - 2) if m > 1 else low
+    total = [0] * m
+    for e, c in a:
+        power, base = [1] + [0] * (m - 1), t
+        while e:
+            if e & 1:
+                power = times(power, base)
+            e >>= 1
+            base = times(base, base) if e else base
+        total = [(v + c * w) % p for v, w in zip(total, power)]
+    return any(total)
 
 
 _MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)

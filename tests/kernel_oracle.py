@@ -12,6 +12,8 @@ minor at t = 2..D+2 modulo 61-bit primes, replaying one pivot sequence
 across the nodes, then interpolates and recombines by CRT (it is also the
 fast oracle for large closures); `fraction_divided_by` is long division
 of Laurent polynomials over Q, accepting only an integral quotient;
+`exact_div` is division up to units by `LaurentPoly.divided_by`, the
+quotient that `divides` only tests for;
 `fraction_eval_int` sums the value at an integer term by term in `Fraction`;
 `shift_normalize` rebuilds every polynomial it normalizes, normalized or not;
 `trial_division_is_prime_power` factors by trial division up to the
@@ -26,10 +28,10 @@ presentation (`Presentation`) that the dense Fox oracles read, and
 `in_walk_order` renumbers its generators the way `alexander_rows` numbers
 arcs, so that rows can be compared entry for entry.  The library's
 integer frontier sweep and its incremental order, Kronecker determinant,
-integer division, integer evaluation, normalization, Miller-Rabin test,
-augmenting-path matching, Jones computed only where it is read, records
-parsed and enriched on first read and its walks along the diagram must
-agree with them.
+integer division, divisibility test, integer evaluation, normalization,
+Miller-Rabin test, augmenting-path matching, Jones computed only where it
+is read, records parsed and enriched on first read and its walks along
+the diagram must agree with them.
 
 The braid oracle is the library's own Fox kernel on the closure's PD
 code, `alexander_polynomial(braid_to_pd(braid))`, which PD input still
@@ -466,6 +468,19 @@ def fraction_divided_by(self: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly 
     if any(rem) or any(q.denominator != 1 for q in quot):
         return None
     return LaurentPoly.from_dict({i: int(q) for i, q in enumerate(quot)}).shift(shift)
+
+
+def exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly | None:
+    """Division up to units: both arguments are normalized first.
+
+    Returns the (normalized) quotient, or None when the normalized
+    divisor is not a factor.  Raises ZeroDivisionError when b = 0.  A
+    unit divisor returns the normalized dividend without dividing.
+    """
+    if b.is_zero():
+        raise ZeroDivisionError("division by the zero polynomial")
+    divisor = b.normalize()
+    return a.normalize() if divisor.is_one() else a.normalize().divided_by(divisor)
 
 
 def fraction_eval_int(p: LaurentPoly, x: int) -> int | Fraction:

@@ -25,8 +25,10 @@ from functools import lru_cache
 
 from knotdom.domination import Certificate, ObstructionReport
 from knotdom.knotbase import Corpus, CorpusError, KnotRecord, _require_enriched, genus_interval
-from knotdom.laurent import exact_div, format_poly, is_prime_power
+from knotdom.laurent import format_poly, is_prime_power
 from knotdom.poset import DominationGraph, Edge, _summands_cover
+
+from kernel_oracle import exact_div
 
 
 def _scan_obstructions(

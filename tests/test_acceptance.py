@@ -15,10 +15,10 @@ from knotdom.alexander import (
 )
 from knotdom.cli import main
 from knotdom.knotbase import Flags, KnotRecord, build_corpus
-from knotdom.laurent import LaurentPoly, exact_div, parse_poly
+from knotdom.laurent import LaurentPoly, parse_poly
 from knotdom.poset import ChainBound, chain_length_bound, evaluate, longest_chain
 
-from kernel_oracle import bareiss_determinant, linear_rows
+from kernel_oracle import bareiss_determinant, exact_div, linear_rows
 from poset_oracle import evaluate_full, iter_chains
 from test_alexander import cofactor_determinant, minor_delta
 from test_domination import obstructions, rigidities

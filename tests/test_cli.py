@@ -212,6 +212,20 @@ class TestCheck:
         assert sum(rules.values()) == len(graph.edges)
         assert rules["C5_transitive"] == (0 if depth is None else depth * (depth - 1) // 2), rules
 
+    @pytest.mark.parametrize("n", [10**7, 10**12])
+    def test_huge_alexander_degree_gap(self, capsys, tmp_path, corpus_path, n):
+        # O1 reduces Delta(big) mod Delta(3_1) in F_p[t] instead of dividing
+        # through a degree gap of 2n
+        path = tmp_path / "corpus.json"
+        records = json.loads(Path(corpus_path).read_text())
+        path.write_text(json.dumps(records + [{"name": "big", "delta": f"1 - t^{n} + t^{2 * n}"}]))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "--corpus", str(path), "check", "big", "3_1")
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_OBSTRUCTED
+        assert out.startswith("big >= 3_1: obstructed\n")
+        assert f"O1_alexander [Prop. 6.1]: 1 - t + t^2 does not divide 1 - t^{n} + t^{2 * n}\n" in out
+
 
 class TestInvariants:
     def test_by_name(self, capsys):

@@ -26,7 +26,7 @@ from knotdom.alexander import (
     linear_determinant,
 )
 from knotdom.diagram import BraidWord, DiagramError, PDCode, braid_to_pd, parse_pd, seifert_circles
-from knotdom.laurent import LaurentPoly, exact_div, is_prime, parse_poly
+from knotdom.laurent import LaurentPoly, is_prime, parse_poly
 import kernel_oracle
 from kernel_oracle import (
     _determinant_mod,
@@ -35,6 +35,7 @@ from kernel_oracle import (
     alexander_matrix,
     bareiss_determinant,
     dict_sweep_bracket,
+    exact_div,
     fraction_divided_by,
     in_walk_order,
     linear_rows,

@@ -10,14 +10,14 @@ from hypothesis import strategies as st
 
 from knotdom.laurent import (
     LaurentPoly,
-    exact_div,
+    divides,
     format_poly,
     is_prime,
     is_prime_power,
     parse_poly,
 )
 
-from kernel_oracle import fraction_eval_int, trial_division_is_prime_power
+from kernel_oracle import exact_div, fraction_eval_int, trial_division_is_prime_power
 
 T = LaurentPoly.t()
 ONE = LaurentPoly.const(1)
@@ -137,6 +137,94 @@ class TestExactDiv:
     @given(polys, nonzero_polys, units, units)
     def test_unit_invariance(self, a, b, u, v):
         assert (exact_div(a, b) is None) == (exact_div(u * a, v * b) is None)
+
+
+class TestDivides:
+    """`divides(b, a)` against the long-division oracle `exact_div`."""
+
+    def agrees(self, b, a):
+        answer = divides(b, a)
+        assert answer == (exact_div(a, b) is not None), (b, a)
+        return answer
+
+    @pytest.fixture
+    def divisions(self, monkeypatch):
+        """The number of `divided_by` calls made so far."""
+        count = []
+        original = LaurentPoly.divided_by
+        monkeypatch.setattr(LaurentPoly, "divided_by", lambda self, d: count.append(1) or original(self, d))
+        return count
+
+    @settings(max_examples=200)
+    @given(polys, nonzero_polys, units, units)
+    def test_products(self, a, b, u, v):
+        assert self.agrees(v * b, u * a * b)
+
+    @settings(max_examples=200)
+    @given(polys, nonzero_polys, nonzero_polys)
+    def test_non_products(self, a, b, r):
+        self.agrees(b, a * b + r)
+        self.agrees(b, a)
+
+    @pytest.mark.parametrize("unit", ["1", "-1", "t^3", "-t^-2"])
+    def test_units(self, unit, divisions):
+        a = P("3t^-1 - 4 + 2t^5")
+        assert divides(P(unit), a) and divides(P(unit), LaurentPoly())
+        assert not divisions
+        assert self.agrees(a, P(unit) * a) and not self.agrees(a, P(unit))
+
+    def test_content_above_one(self):
+        b = P("2 + 2t")
+        assert self.agrees(b, P("2 + 4t + 2t^2"))
+        assert not self.agrees(b, P("1 + 2t + t^2"))  # divides over Q, not over Z
+        assert not self.agrees(b, P("2 + 3t + t^2"))
+        assert self.agrees(P("6"), P("6 - 12t^5")) and not self.agrees(P("6"), P("3 - 12t^5"))
+
+    def test_zero(self):
+        assert self.agrees(P("1 - t + t^2"), LaurentPoly())
+        with pytest.raises(ZeroDivisionError):
+            divides(LaurentPoly(), ONE)
+
+    def test_lower_degree_dividend(self):
+        assert not self.agrees(P("1 - t + t^2"), P("1 + t"))
+        assert not self.agrees(P("2 - 3t + 2t^2"), P("t^-4"))
+
+    def test_jones_polynomials(self):
+        trefoil = P("-t^-4 + t^-3 + t^-1")
+        assert self.agrees(trefoil, trefoil * P("t^-2 - t^-1 + 1 - t + t^2"))
+        assert not self.agrees(trefoil, P("t^-2 - t^-1 + 1 - t + t^2"))
+        assert not self.agrees(trefoil, trefoil * P("t^-1 + t") + ONE)
+
+    @pytest.mark.parametrize("copies, divided", [(10, False), (200, True)])
+    def test_both_routes(self, copies, divided, divisions):
+        # Delta of a sum of trefoils; a long dense dividend would pack into
+        # more words than long division takes steps, so it is divided.
+        a = math.prod([P("1 - t + t^2")] * copies, start=ONE)
+        assert divides(P("1 - t + t^2"), a) and not divides(P("1 - 3t + t^2"), a)
+        assert divides(P("1 - t + t^2"), a + ONE) is False
+        assert bool(divisions) is divided
+        assert self.agrees(P("1 - t + t^2"), a) and not self.agrees(P("1 - 3t + t^2"), a)
+
+    @pytest.mark.parametrize("n", [10**7, 10**12])
+    def test_huge_sparse_dividend_refuted_mod_p(self, n, divisions):
+        # a nonzero remainder mod p answers without walking the gap of 2n
+        b = P("1 - t + t^2")
+        a = LaurentPoly.from_dict({0: 1, n: -1, 2 * n: 1})
+        start = time.perf_counter()
+        assert not divides(b, a) and not divides(b * P("2 - 3t + 2t^2"), a)
+        assert time.perf_counter() - start < 0.5
+        assert not divisions
+
+    def test_sparse_dividend_that_divides_is_divided(self, divisions):
+        # 1 - t + t^2 divides t^6 - 1, so 1 - t^600, but not 1 - t^601
+        assert self.agrees(P("1 - t + t^2"), LaurentPoly.from_dict({0: 1, 600: -1}))
+        assert len(divisions) == 2  # divides, then the oracle
+        assert not self.agrees(P("1 - t + t^2"), LaurentPoly.from_dict({0: 1, 601: -1}))
+
+    def test_leading_coefficient_a_multiple_of_the_first_prime(self):
+        # p = 2^61 - 1 divides lc(b), so the reduction takes the next prime
+        b = ONE + LaurentPoly.t(1, 2**61 - 1)
+        assert self.agrees(b, b * P("1 + t^300")) and not self.agrees(b, P("1 + t^300"))
 
 
 class TestNormalize:

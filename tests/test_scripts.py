@@ -12,7 +12,9 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 
 
-@pytest.mark.parametrize("argv", [("braid_agreement.py", "0"), ("deep_chains.py", "20")], ids=" ".join)
+@pytest.mark.parametrize(
+    "argv", [("braid_agreement.py", "0"), ("deep_chains.py", "20"), ("o1_agreement.py", "0")], ids=" ".join
+)
 def test_script_runs(argv):
     script, *args = argv
     proc = subprocess.run(
