@@ -28,15 +28,14 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .diagram import BraidWord, DiagramError, PDCode, _succ, check_knot_closure
+from .diagram import BraidWord, PDCode, _succ, check_knot_closure
 from .laurent import LaurentPoly
 
-# Diagrams above this many crossings get no computed Jones polynomial.
+# `jones_polynomial` returns None above this many crossings, which keeps
+# the `invariants` output of larger diagrams unchanged (no `jones` field).
 # The sweep would be fast there too: its work follows the widest frontier,
-# not the crossing count, and closures of 2- and 3-braids of 25 to 41
-# crossings (4 or 6 open ends at most) take under 1 ms per bracket in
-# CPython 3.11.  The budget keeps the `invariants` output of larger
-# diagrams unchanged (no `jones` field).
+# not the crossing count (under 1 ms per bracket on closures of 2- and
+# 3-braids of 25 to 41 crossings, 4 or 6 open ends, in CPython 3.11).
 JONES_CROSSING_BUDGET = 24
 
 
@@ -416,17 +415,15 @@ def _sweep_order(crossings):
     return order
 
 
-def jones_polynomial(pd: PDCode) -> LaurentPoly:
-    """Jones polynomial via the normalized Kauffman bracket.
+def jones_polynomial(pd: PDCode) -> LaurentPoly | None:
+    """Jones polynomial via the normalized Kauffman bracket, or None for a
+    diagram over the crossing budget at the top of this module.
 
     The value depends on diagram chirality (mirroring swaps t and t^-1);
     it is reported exactly as computed, without normalization.
     """
-    n = pd.crossing_count
-    if n > JONES_CROSSING_BUDGET:
-        raise DiagramError(
-            f"diagram has {n} crossings, over the {JONES_CROSSING_BUDGET}-crossing Jones budget"
-        )
+    if pd.crossing_count > JONES_CROSSING_BUDGET:
+        return None
     w = pd.writhe()
     sign = -1 if w % 2 else 1
     terms = []

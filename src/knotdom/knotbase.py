@@ -25,7 +25,6 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 from .alexander import (
-    JONES_CROSSING_BUDGET,
     alexander_polynomial,
     braid_alexander_polynomial,
     connected_sum_delta,
@@ -67,10 +66,9 @@ class KnotRecord(NamedTuple):
     """One knot: input data, declared metadata, and computed invariants.
 
     On an enriched record `jones` is the declared Jones polynomial, checked
-    against V(1) = 1 and |V(-1)| = det and, when the diagram is within
-    JONES_CROSSING_BUDGET, against the diagram's; it is None when none was
-    declared, since no rule reads it.  `record_jones(record)` computes it
-    within the budget."""
+    against V(1) = 1 and |V(-1)| = det and against the diagram's, when
+    `jones_polynomial` computes one; it is None when none was declared,
+    since no rule reads it.  `record_jones(record)` computes it."""
 
     name: str
     diagram: PDCode | None = None
@@ -361,12 +359,12 @@ def check_jones(jones: LaurentPoly, determinant: int) -> LaurentPoly:
 
 def record_jones(record: KnotRecord) -> LaurentPoly | None:
     """The declared Jones polynomial of an enriched record, else its
-    diagram's within JONES_CROSSING_BUDGET (`check_jones` checks it)."""
-    diagram = record.diagram
-    if record.jones is not None or diagram is None or diagram.crossing_count > JONES_CROSSING_BUDGET:
+    diagram's as `jones_polynomial` computes it and `check_jones` checks
+    it, else None."""
+    if record.jones is not None or record.diagram is None or (jones := jones_polynomial(record.diagram)) is None:
         return record.jones
     try:
-        return check_jones(jones_polynomial(diagram), record.determinant)
+        return check_jones(jones, record.determinant)
     except ValueError as exc:
         raise CorpusError(f"{record.name}: {exc}") from exc
 
@@ -416,7 +414,7 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
 
         jones = record.jones
         if jones is not None:
-            if diagram is not None and diagram.crossing_count <= JONES_CROSSING_BUDGET:
+            if diagram is not None:
                 jones = _merge("jones", jones, jones_polynomial(diagram))
             check_jones(jones, determinant)
 

@@ -211,21 +211,13 @@ class LaurentPoly(_Frozen):
     # -- evaluation ---------------------------------------------------------
 
     def eval_int(self, x: int) -> int:
-        """Exact value at a nonzero integer, summed in ints as
-        x^e_min * sum c x^(e - e_min).  When e_min < 0 and |x| > 1 the
-        sum must be divisible by x^-e_min; otherwise the value is not an
-        integer and ValueError is raised.  At x = +-1, and for normalized
-        knot polynomials anywhere, the value is an int."""
-        if x == 0:
-            raise ValueError("cannot evaluate at 0: negative exponents")
-        low = self.terms[0][0] if self.terms else 0
-        total = sum(c * x ** (e - low) for e, c in self.terms)
-        if low >= 0 or x in (1, -1):
-            return total * x ** abs(low)  # x^low = x^-low at +-1
-        value, rest = divmod(total, x**-low)
-        if rest:
-            raise ValueError(f"{format_poly(self)} at {x} is not an integer")
-        return value
+        """The value at x = 1 or x = -1, the only points where a knot
+        invariant reads a polynomial: one integer sum of the coefficients,
+        at -1 each negated when its exponent is odd, negative ones included.
+        Raises ValueError at any other x."""
+        if x not in (1, -1):
+            raise ValueError(f"eval_int evaluates at 1 and -1 only, not at {x}")
+        return sum(-c if x < 0 and e & 1 else c for e, c in self.terms)
 
     # -- text form ----------------------------------------------------------
 

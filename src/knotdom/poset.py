@@ -76,7 +76,7 @@ class DominationGraph(_Frozen):
         out = self._out.get(src, {})
         if dst not in out:
             return None
-        return Edge(src, dst, out[dst] or Certificate("C5_transitive", _chains(src, self._trees[src])[dst]))
+        return Edge(src, dst, out[dst] or Certificate("C5_transitive", _chain(dst, self._trees[src])))
 
     def write_json(self, out: TextIO) -> None:
         """Write the graph to `out` edge by edge, as the bytes of
@@ -332,6 +332,14 @@ def _chains(src: str, tree: dict[str, str]) -> dict[str, tuple[str, ...]]:
     for node, pred in tree.items():
         chains[node] = chains[pred] + (node,)
     return chains
+
+
+def _chain(dst: str, tree: dict[str, str]) -> tuple[str, ...]:
+    """The chain of `_chains` to dst alone, walked back up the tree."""
+    chain = [dst]
+    while chain[-1] in tree:
+        chain.append(tree[chain[-1]])
+    return tuple(reversed(chain))
 
 
 def longest_chain(graph: DominationGraph, start: str) -> list[str]:

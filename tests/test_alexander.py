@@ -19,7 +19,7 @@ from knotdom.alexander import (
     linear_determinant,
     satellite_delta,
 )
-from knotdom.diagram import BraidWord, DiagramError, braid_to_pd, parse_braid, parse_pd, seifert_circles
+from knotdom.diagram import BraidWord, braid_to_pd, parse_braid, parse_pd, seifert_circles
 from knotdom.laurent import LaurentPoly, parse_poly
 from kernel_oracle import alexander_matrix, bareiss_determinant, fox_matrix, in_walk_order, linear_rows, union_find_wirtinger
 
@@ -403,6 +403,14 @@ class TestJones:
         assert jones_polynomial(FIG8.mirror()) == jones_polynomial(FIG8)
 
     def test_crossing_budget(self):
+        # None above the budget, a polynomial within it
         big = braid_to_pd(parse_braid("B2: " + " ".join(["1"] * 25)))
-        with pytest.raises(DiagramError, match="budget"):
-            jones_polynomial(big)
+        assert jones_polynomial(big) is None
+        jones = jones_polynomial(braid_to_pd(parse_braid("B2: " + " ".join(["1"] * 23))))
+        assert jones.eval_int(1) == 1 and abs(jones.eval_int(-1)) == 23  # det T(2, 23) = 23
+
+    def test_bracket_exponent_checked(self, monkeypatch):
+        # the trefoil's writhe -3 takes A^1 to A^10, which no t^k gives
+        monkeypatch.setattr("knotdom.alexander.kauffman_bracket", lambda pd: LaurentPoly.t(1))
+        with pytest.raises(ArithmeticError, match="^corrected bracket exponent not a multiple of 4$"):
+            jones_polynomial(TREFOIL)

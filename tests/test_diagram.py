@@ -67,6 +67,10 @@ class TestParsePD:
         with pytest.raises(DiagramError, match="appears 3 times"):
             parse_pd("X(1,1,1,2)")
 
+    def test_crossing_of_three_labels_rejected(self):
+        with pytest.raises(DiagramError, match=r"^crossing \(1, 2, 2\) does not have 4 arc labels$"):
+            PDCode.from_tuples([(1, 2, 2)])
+
     def test_under_strand_exit_rejected(self):
         with pytest.raises(DiagramError, match="must exit at"):
             parse_pd("X(1,4,5,2) X(3,6,4,1) X(5,2,6,3)")
@@ -248,3 +252,9 @@ class TestSeifert:
             n = pd.crossing_count
             s, g = seifert_circles(pd)
             assert (n - s + 1) % 2 == 0 and g == (n - s + 1) // 2
+
+    def test_odd_parity_rejected(self):
+        # X(1,2,2,1) with the sign of X(1,1,2,2): only a code built without
+        # `from_tuples`, which derives the signs, gets this far
+        with pytest.raises(DiagramError, match="odd n - s \\+ 1"):
+            seifert_circles(PDCode(((1, 2, 2, 1),), (1,)))

@@ -9,7 +9,7 @@ import pytest
 from knotdom import alexander, knotbase, poset
 from knotdom.alexander import alexander_polynomial
 from knotdom.cli import EXIT_OK, EXIT_USAGE, main, run_verification
-from knotdom.diagram import parse_braid, parse_pd
+from knotdom.diagram import braid_to_pd, parse_braid, parse_pd
 from knotdom.knotbase import (
     Corpus,
     CorpusError,
@@ -132,6 +132,12 @@ class TestEnrichment:
         )
         with pytest.raises(CorpusError, match="declared delta"):
             enrich_record(record)
+
+    def test_unenriched_sibling_rejected(self):
+        record = KnotRecord(name="s", satellite_of=("p", "p", 1))
+        siblings = {"p": KnotRecord(name="p", delta=parse_poly("1 - t + t^2"))}
+        with pytest.raises(CorpusError, match="^s: referenced record 'p' is not enriched$"):
+            enrich_record(record, siblings)
 
     def test_braid_records_take_the_burau_kernel(self, monkeypatch):
         """A braid's delta comes from the reduced Burau kernel and is still
@@ -311,13 +317,23 @@ class TestJonesAtLoad:
         assert record_jones(trefoil._replace(jones=None)) == trefoil.jones
         assert record_jones(five2) == alexander.jones_polynomial(five2.diagram)
         assert record_jones(enrich_record(KnotRecord(name="m", delta=parse_poly("1 - t + t^2")))) is None
-        monkeypatch.setattr(knotbase, "JONES_CROSSING_BUDGET", five2.diagram.crossing_count - 1)
+        monkeypatch.setattr(alexander, "JONES_CROSSING_BUDGET", five2.diagram.crossing_count - 1)
         assert record_jones(five2) is None
         monkeypatch.undo()
         bracket = alexander.kauffman_bracket
         monkeypatch.setattr(alexander, "kauffman_bracket", lambda pd: LaurentPoly.const(2) * bracket(pd))
         with pytest.raises(CorpusError, match=r"^5_2: jones\(1\) = 2, expected 1$"):
             record_jones(five2)
+
+    def test_declared_jones_over_the_budget_needs_no_bracket(self, brackets, monkeypatch):
+        pd = braid_to_pd(parse_braid("B2: " + " ".join(["1"] * 25)))
+        with monkeypatch.context() as patch:
+            patch.setattr(alexander, "JONES_CROSSING_BUDGET", pd.crossing_count)
+            jones = alexander.jones_polynomial(pd)
+        brackets.clear()
+        corpus = build_corpus([record_from_json({"name": "t2_25", "diagram": str(pd), "jones": format_poly(jones)})])
+        assert corpus.get("t2_25").jones == jones
+        assert brackets == []
 
     def test_braid_records_declaring_only_delta_need_no_bracket(self, brackets):
         records = [

@@ -59,6 +59,11 @@ class TestConstruction:
         assert LaurentPoly().leading_coefficient == 0
         assert P("2 - 3t").leading_coefficient == -3
 
+    def test_zero_polynomial_has_no_degree(self):
+        for degree in ("min_degree", "max_degree"):
+            with pytest.raises(ValueError, match="^zero polynomial has no degree$"):
+                getattr(LaurentPoly(), degree)
+
     @pytest.mark.parametrize(
         "combine", [lambda: T + 1.5, lambda: T * 0.5, lambda: 0.5 * T], ids=["add", "mul", "rmul"]
     )
@@ -122,6 +127,8 @@ class TestExactDiv:
     def test_zero_divisor_raises(self):
         with pytest.raises(ZeroDivisionError):
             exact_div(ONE, LaurentPoly())
+        with pytest.raises(ZeroDivisionError, match="zero polynomial"):
+            P("1 + t").divided_by(LaurentPoly())
 
     def test_zero_dividend(self):
         assert exact_div(LaurentPoly(), ONE + T) == LaurentPoly()
@@ -281,9 +288,13 @@ class TestEvalInt:
         assert P("2 - 3t + 2t^2").eval_int(1) == 1
 
     def test_negative_exponents_exact(self):
-        assert P("2t^-1 + 4").eval_int(2) == 5
-        with pytest.raises(ValueError, match="not an integer"):
-            P("t^-2 + t").eval_int(2)  # 9/4
+        # at -1 each term's sign follows its exponent's parity, t^-e as t^e
+        assert P("2t^-1 + 4").eval_int(-1) == 2
+        assert P("t^-3 + t^-2 + 3t").eval_int(-1) == -3
+        assert P("t^-2 + t").eval_int(1) == 2
+        for x in (0, 2, -2, 3, -3, 5):
+            with pytest.raises(ValueError, match=f"^eval_int evaluates at 1 and -1 only, not at {x}$"):
+                P("2t^-1 + 4").eval_int(x)
 
     def test_zero_rejected(self):
         for p in (T, P("t^-2 + 3"), LaurentPoly()):
@@ -291,19 +302,16 @@ class TestEvalInt:
                 p.eval_int(0)
 
     @settings(max_examples=600)
-    @given(polys, st.sampled_from([0, -7]), st.sampled_from([1, -1, 2, -2, 3, -3, 5]))
+    @given(polys, st.sampled_from([0, -7]), st.sampled_from([1, -1, 0, 2, -2, 3, -3, 5]))
     def test_matches_fraction_oracle(self, p, shift, x):
-        # shifted by -7 every exponent is negative: fractional values at
-        # |x| > 1 raise, and ints where x^-e_min divides the sum
+        # shifted by -7 every exponent is negative; only +-1 has a value
         p = p.shift(shift)
-        expected = fraction_eval_int(p, x)
-        if type(expected) is not int:
-            assert x not in (1, -1)
-            with pytest.raises(ValueError, match="not an integer"):
-                p.eval_int(x)
-        else:
+        if x in (1, -1):
             value = p.eval_int(x)
-            assert value == expected and type(value) is int
+            assert value == fraction_eval_int(p, x) and type(value) is int
+        else:
+            with pytest.raises(ValueError, match=f"not at {x}$"):
+                p.eval_int(x)
 
     def test_corpus_and_adhoc_invariants_build_no_fraction(self, capsys, corpus_path):
         import knotdom.laurent
