@@ -5,13 +5,12 @@ Labels run 1..2n consecutively along the knot's orientation (wrapping
 2n -> 1), each label appearing exactly twice.  A tuple (a, b, c, d) reads
 counterclockwise starting at the incoming under-strand a; the under-strand
 exits at c = a+1.  The over-strand occupies b and d: the crossing is
-positive when b = d+1 and negative when d = b+1.  Only single-component
-diagrams (knots) are accepted.
+positive when b = d+1 and negative when d = b+1.  `PDCode(crossings)`
+checks all of this and accepts only knots (single-component diagrams).
 """
 from __future__ import annotations
 
 import re
-from typing import NamedTuple
 
 from .laurent import _Frozen
 
@@ -20,20 +19,21 @@ class DiagramError(ValueError):
     """Raised for malformed or non-knot diagram input."""
 
 
-class PDCode(NamedTuple):
-    """A validated planar diagram code.
+class PDCode(_Frozen):
+    """A validated planar diagram code: crossings holds one tuple of int
+    labels per crossing, and the constructor derives signs[i], +1/-1 per
+    the b/d convention.  Two codes are equal when their crossings are.
+    The empty code is the 0-crossing unknot diagram."""
 
-    crossings holds the raw tuples and signs[i] is +1/-1 per the b/d
-    convention.  The empty code is the 0-crossing unknot diagram.
-    """
+    __slots__ = ("crossings", "signs")
 
-    crossings: tuple[tuple[int, int, int, int], ...]
-    signs: tuple[int, ...]
-
-    @staticmethod
-    def from_tuples(crossings: list[tuple[int, int, int, int]] | tuple) -> PDCode:
+    def __init__(self, crossings: list[tuple[int, int, int, int]] | tuple) -> None:
         crossings = tuple(tuple(c) for c in crossings)
-        return PDCode(crossings, _validate(crossings))
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "signs", _validate(crossings))
+
+    def _key(self) -> tuple:
+        return self.crossings
 
     @property
     def crossing_count(self) -> int:
@@ -44,7 +44,7 @@ class PDCode(NamedTuple):
 
     def mirror(self) -> PDCode:
         """Swap over and under strands at every crossing."""
-        return PDCode.from_tuples([(a, d, c, b) for a, b, c, d in self.crossings])
+        return PDCode([(a, d, c, b) for a, b, c, d in self.crossings])
 
     def __str__(self) -> str:
         return " ".join(f"X({a},{b},{c},{d})" for a, b, c, d in self.crossings)
@@ -86,7 +86,7 @@ def parse_pd(text: str) -> PDCode:
             raise DiagramError(f"malformed PD token at offset {pos} in {text!r}")
         crossings.append(tuple(int(g) for g in m.groups()))
         pos = m.end()
-    return PDCode.from_tuples(crossings)
+    return PDCode(crossings)
 
 
 def _succ(label: int, n: int) -> int:
@@ -96,13 +96,13 @@ def _succ(label: int, n: int) -> int:
 
 def _validate(crossings: tuple[tuple[int, int, int, int], ...]) -> tuple[int, ...]:
     n = len(crossings)
-    if n == 0:
-        return ()
     counts: dict[int, int] = {}
     for tup in crossings:
         if len(tup) != 4:
             raise DiagramError(f"crossing {tup} does not have 4 arc labels")
         for label in tup:
+            if not isinstance(label, int) or isinstance(label, bool):
+                raise DiagramError(f"arc label {label!r} in crossing {tup} is not an int")
             counts[label] = counts.get(label, 0) + 1
     for label in range(1, 2 * n + 1):
         if counts.get(label, 0) != 2:
@@ -190,7 +190,7 @@ def braid_to_pd(braid: BraidWord) -> PDCode:
     m, letters = braid.strand_count, braid.letters
     n = len(letters)
     if n == 0:
-        return PDCode.from_tuples([])
+        return PDCode([])
 
     # Strands run downward and cross NW -> SE or NE -> SW.  below[k, p] is
     # the next crossing under crossing k at position p, wrapping to the top
@@ -213,7 +213,7 @@ def braid_to_pd(braid: BraidWord) -> PDCode:
     # A positive letter puts the NE->SW strand on top, which is a positive
     # crossing in the PD sign convention; negative letters mirror it.  The
     # tuple reads counterclockwise from the under-strand's entry, NW or NE.
-    return PDCode.from_tuples(
+    return PDCode(
         [
             (nw[k], sw[k], se[k], ne[k]) if letter > 0 else (ne[k], nw[k], sw[k], se[k])
             for k, letter in enumerate(letters)
@@ -223,7 +223,9 @@ def braid_to_pd(braid: BraidWord) -> PDCode:
 
 def seifert_circles(pd: PDCode) -> tuple[int, int]:
     """Count the circles of the orientation-respecting resolution and the
-    genus upper bound (n - s + 1) / 2 of the resulting Seifert surface."""
+    genus upper bound (n - s + 1) / 2 of the resulting Seifert surface.
+    Every PDCode is a knot diagram, so that surface is connected with one
+    boundary circle: s - n = 1 - 2g, and n - s + 1 = 2g is even."""
     n = pd.crossing_count
     if n == 0:
         return 1, 0
@@ -242,6 +244,4 @@ def seifert_circles(pd: PDCode) -> tuple[int, int]:
         label = next(iter(turn))
         while label in turn:
             label = turn.pop(label)
-    if (n - circles + 1) % 2 != 0:
-        raise DiagramError("Seifert resolution gave an odd n - s + 1")
     return circles, (n - circles + 1) // 2

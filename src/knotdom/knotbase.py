@@ -109,17 +109,22 @@ class Corpus(_Frozen):
     """Name-indexed knot records, each enriched on its first read
     (`_enrich`).  A record given as its shape (`record_shape`), with its
     JSON object in `raw` under its name, is parsed in that read.  What is
-    given is kept as given.  `records` and iteration read every record
-    and list them in input order; equality compares them.  Records given
-    already enriched are kept as they are."""
+    given is kept as given, but a duplicate name raises CorpusError.
+    `records` and iteration read every record and list them in input
+    order; equality compares them.  Records given already enriched are
+    kept as they are."""
 
     __slots__ = ("_declared", "_raw", "_enriched")
 
     def __init__(self, records: Iterable[KnotRecord], raw: dict[str, dict] | None = None) -> None:
-        records = tuple(records)
-        object.__setattr__(self, "_declared", {r.name: r for r in records})
+        declared: dict[str, KnotRecord] = {}
+        for record in records:
+            if record.name in declared:
+                raise CorpusError(f"duplicate record name {record.name!r}")
+            declared[record.name] = record
+        object.__setattr__(self, "_declared", declared)
         object.__setattr__(self, "_raw", dict(raw or {}))
-        object.__setattr__(self, "_enriched", {r.name: r for r in records if r.enriched})
+        object.__setattr__(self, "_enriched", {r.name: r for r in declared.values() if r.enriched})
 
     @property
     def records(self) -> tuple[KnotRecord, ...]:
@@ -496,13 +501,16 @@ def genus_interval(record: KnotRecord) -> tuple[int, int | None]:
 def load_corpus(path: str | Path) -> Corpus:
     """Load a corpus file and check its structure (`record_shape` and
     `build_corpus`); each record is parsed, its references checked and
-    itself enriched on first read."""
+    itself enriched on first read.  A file that cannot be read or
+    decoded as JSON raises CorpusError naming the file."""
     path = Path(path)
-    if not path.exists():
-        raise CorpusError(f"corpus file not found: {path}")
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except FileNotFoundError as exc:
+        raise CorpusError(f"corpus file not found: {path}") from exc
+    except OSError as exc:
+        raise CorpusError(f"corpus file {path} cannot be read: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, too many digits, too deep
         raise CorpusError(f"corpus file {path} is not valid JSON: {exc}") from exc
     if not isinstance(data, list):
         raise CorpusError(f"corpus file {path} must hold a top-level array")
@@ -511,20 +519,16 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def build_corpus(records: list[KnotRecord], raw: dict[str, dict] | None = None) -> Corpus:
-    """Check what no first read can: no duplicate names, no two names for
-    one connected sum, no mutant class of one record.  The references,
-    enrichment, and the parse of the records given as shapes with their
-    JSON objects in `raw` (see `Corpus`) wait for the first read of each
-    record."""
-    names: set[str] = set()
-    for record in records:
-        if record.name in names:
-            raise CorpusError(f"duplicate record name {record.name!r}")
-        names.add(record.name)
-
+    """Build the `Corpus`, which rejects duplicate names, then check what
+    no first read can: no two names for one connected sum, no mutant
+    class of one record.  The references, enrichment, and the parse of
+    the records given as shapes with their JSON objects in `raw` (see
+    `Corpus`) wait for the first read of each record."""
+    corpus = Corpus(records, raw)
     # Two names for one summand multiset are one knot, and each would
     # certify the other by connected-sum projection.
     sums: dict[tuple[str, ...], str] = {}
+    mutant_members: dict[str, int] = {}
     for record in records:
         if record.connected_sum_of is not None:
             key = tuple(sorted(record.connected_sum_of))
@@ -533,15 +537,12 @@ def build_corpus(records: list[KnotRecord], raw: dict[str, dict] | None = None) 
                     f"{sums[key]} and {record.name} are both the connected sum of {' # '.join(key)}"
                 )
             sums[key] = record.name
-
-    mutant_members: dict[str, int] = {}
-    for record in records:
         if record.mutant_class is not None:
             mutant_members[record.mutant_class] = mutant_members.get(record.mutant_class, 0) + 1
     for label, count in mutant_members.items():
         if count < 2:
             raise CorpusError(f"mutant class {label!r} has no peer record")
-    return Corpus(records, raw)
+    return corpus
 
 
 def _walk(roots: Iterable[str], children: Callable[[str], Iterable[str]]) -> tuple[list[str], list[str] | None]:

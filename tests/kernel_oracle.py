@@ -649,7 +649,7 @@ def union_find_braid_to_pd(braid: BraidWord) -> PDCode:
     if cycles != 1:
         raise DiagramError(f"braid closure has {cycles} components, expected a knot")
     if not braid.letters:
-        return PDCode.from_tuples([])
+        return PDCode([])
 
     # Wire the diagram: edge ids flow top to bottom, positions 0..m-1.
     # Each crossing records its four port edges; the trace closure
@@ -698,7 +698,7 @@ def union_find_braid_to_pd(braid: BraidWord) -> PDCode:
             tuples.append((nw, sw, se, ne))  # under NW->SE; CCW from NW
         else:
             tuples.append((ne, nw, sw, se))  # under NE->SW; CCW from NE
-    return PDCode.from_tuples(tuples)
+    return PDCode(tuples)
 
 
 
@@ -766,6 +766,4 @@ def union_find_seifert_circles(pd: PDCode) -> tuple[int, int]:
             union(a, d)
             union(b, c)
     circles = len({find(label) for label in range(1, 2 * n + 1)})
-    if (n - circles + 1) % 2 != 0:
-        raise DiagramError("Seifert resolution gave an odd n - s + 1")
     return circles, (n - circles + 1) // 2

@@ -44,6 +44,25 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+# Corpus files that cannot be read or decoded; None: the path is a directory.
+UNREADABLE_FILES = {
+    "directory": None,
+    "deep_array": b"[" * 100_000,
+    "deep_flags": b'[{"name": "k", "delta": "1", "flags": ' + b"[" * 5000 + b"]" * 5000 + b"}]",
+    "not_utf8": b'[{"name": "k", "delta": "1"}]\xff',
+    "long_integer": b'[{"name": "k", "determinant": ' + b"7" * 5000 + b"}]",
+}
+
+
+def unreadable_file(tmp_path, kind):
+    path = tmp_path / "corpus.json"
+    if UNREADABLE_FILES[kind] is None:
+        path.mkdir()
+    else:
+        path.write_bytes(UNREADABLE_FILES[kind])
+    return path
+
+
 class Sink:
     """A stdout that keeps only the count of characters written."""
 
@@ -573,6 +592,21 @@ class TestVerifyPaper:
             "chain_bounds",
         ]
         assert report.exit_code == 0
+
+
+class TestCorpusFileErrors:
+    @pytest.mark.parametrize("argv", [
+        ["poset", "{path}"],
+        ["check", "--corpus", "{path}", "3_1", "unknot"],
+        ["verify-paper", "--corpus", "{path}"],
+    ], ids=["poset", "check", "verify-paper"])
+    @pytest.mark.parametrize("kind", list(UNREADABLE_FILES))
+    def test_one_error_line_names_the_file(self, capsys, tmp_path, argv, kind):
+        path = unreadable_file(tmp_path, kind)
+        code, out, err = run(capsys, *(arg.format(path=path) for arg in argv))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"corpus file {path} " in err
 
 
 class TestUsage:

@@ -69,7 +69,7 @@ class TestParsePD:
 
     def test_crossing_of_three_labels_rejected(self):
         with pytest.raises(DiagramError, match=r"^crossing \(1, 2, 2\) does not have 4 arc labels$"):
-            PDCode.from_tuples([(1, 2, 2)])
+            PDCode([(1, 2, 2)])
 
     def test_under_strand_exit_rejected(self):
         with pytest.raises(DiagramError, match="must exit at"):
@@ -83,7 +83,28 @@ class TestParsePD:
         # the Hopf-link style code satisfies the local checks but not the
         # global traversal
         with pytest.raises(DiagramError, match="single-knot traversal"):
-            PDCode.from_tuples([(1, 3, 2, 4), (3, 1, 4, 2)])
+            PDCode([(1, 3, 2, 4), (3, 1, 4, 2)])
+
+    def test_one_crossing_with_two_labels_rejected(self):
+        with pytest.raises(DiagramError, match="arc 1 appears 1 times"):
+            PDCode([(1, 2, 3, 4)])
+
+    @pytest.mark.parametrize("label", [1.0, True])
+    def test_label_that_is_not_an_int_rejected(self, label):
+        # both compare equal to 1, so the label counts alone would pass them
+        crossings = [(label, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)]
+        with pytest.raises(DiagramError, match=rf"^arc label {label!r} in crossing .* is not an int$"):
+            PDCode(crossings)
+
+    def test_signs_are_derived_not_given(self):
+        with pytest.raises(TypeError):
+            PDCode(parse_pd(TREFOIL).crossings, (1, 1, 1))
+
+    def test_a_code_is_not_a_tuple(self):
+        pd = parse_pd(TREFOIL)
+        assert pd != (pd.crossings, pd.signs) and pd != pd.crossings
+        assert pd == PDCode(list(pd.crossings)) and pd != pd.mirror()
+        assert not isinstance(pd, tuple)
 
     def test_syntax_error(self):
         with pytest.raises(DiagramError, match="malformed"):
@@ -97,7 +118,7 @@ class TestParsePD:
         accepted = {}
         for labels in itertools.product(range(4), repeat=4):
             try:
-                accepted[labels] = PDCode.from_tuples([labels]).signs
+                accepted[labels] = PDCode([labels]).signs
             except DiagramError:
                 pass
         assert accepted == {
@@ -132,6 +153,7 @@ class TestParsePD:
                 continue  # multi-component closure
             for code in (pd, pd.mirror()):
                 assert parse_pd(str(code)) == code, word
+                assert PDCode(code.crossings).signs == code.signs, word
             closures += 1
         assert closures > 20
 
@@ -183,7 +205,7 @@ class TestBraid:
             except DiagramError:
                 continue  # multi-component closure
             # reparse from scratch: full validation must pass
-            reparsed = PDCode.from_tuples(pd.crossings)
+            reparsed = PDCode(pd.crossings)
             assert reparsed.signs == pd.signs
 
 
@@ -252,9 +274,3 @@ class TestSeifert:
             n = pd.crossing_count
             s, g = seifert_circles(pd)
             assert (n - s + 1) % 2 == 0 and g == (n - s + 1) // 2
-
-    def test_odd_parity_rejected(self):
-        # X(1,2,2,1) with the sign of X(1,1,2,2): only a code built without
-        # `from_tuples`, which derives the signs, gets this far
-        with pytest.raises(DiagramError, match="odd n - s \\+ 1"):
-            seifert_circles(PDCode(((1, 2, 2, 1),), (1,)))

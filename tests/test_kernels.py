@@ -93,7 +93,7 @@ class TestBracketSweep:
             assert kauffman_bracket(pd) == expected, braid
             mirror = pd.mirror()
             assert kauffman_bracket(mirror) == state_sum_bracket(mirror), braid
-            shuffled = PDCode.from_tuples(rng.sample(pd.crossings, len(pd.crossings)))
+            shuffled = PDCode(rng.sample(pd.crossings, len(pd.crossings)))
             assert kauffman_bracket(shuffled) == expected, braid
 
     def test_against_the_dict_sweep_up_to_24_crossings(self):
@@ -102,7 +102,7 @@ class TestBracketSweep:
             assert kauffman_bracket(pd) == expected, braid
             mirror = pd.mirror()
             assert kauffman_bracket(mirror) == dict_sweep_bracket(mirror), braid
-            shuffled = PDCode.from_tuples(rng.sample(pd.crossings, len(pd.crossings)))
+            shuffled = PDCode(rng.sample(pd.crossings, len(pd.crossings)))
             assert kauffman_bracket(shuffled) == expected, braid
 
     def test_digits_stay_below_half_the_base(self):
@@ -121,7 +121,7 @@ class TestBracketSweep:
         texts = ["X(1,1,2,2)", "X(1,2,2,1)", "X(2,1,3,2) X(4,4,1,3)"]
         diagrams = [parse_pd(text) for text in texts] + list(dense_diagrams())
         for rng, braid, pd in random_closures(20261020, 60, 24, min_strands=2):
-            shuffled = PDCode.from_tuples(rng.sample(pd.crossings, len(pd.crossings)))
+            shuffled = PDCode(rng.sample(pd.crossings, len(pd.crossings)))
             diagrams += [pd, pd.mirror(), shuffled]
         for pd in diagrams:
             assert _sweep_order(pd.crossings) == quadratic_sweep_order(pd.crossings), str(pd)
@@ -286,7 +286,7 @@ def as_dense(rows):
 def rotated(pd: PDCode, k: int) -> PDCode:
     """The same diagram with every arc label i renamed i + k mod 2n."""
     n2 = 2 * pd.crossing_count
-    return PDCode.from_tuples([tuple((x - 1 + k) % n2 + 1 for x in c) for c in pd.crossings])
+    return PDCode([tuple((x - 1 + k) % n2 + 1 for x in c) for c in pd.crossings])
 
 
 class TestLinearDeterminant:
@@ -313,7 +313,7 @@ class TestLinearDeterminant:
     def test_shuffled_and_relabelled_codes(self):
         for rng, braid, pd in random_closures(46, 12, 30):
             expected = linear_determinant(alexander_rows(pd)).normalize()
-            shuffled = PDCode.from_tuples(rng.sample(pd.crossings, len(pd.crossings)))
+            shuffled = PDCode(rng.sample(pd.crossings, len(pd.crossings)))
             moved = rotated(shuffled, rng.randrange(1, 2 * pd.crossing_count))
             got = linear_determinant(alexander_rows(moved))
             assert got == bareiss_determinant(alexander_matrix(in_walk_order(moved))), braid
@@ -629,6 +629,6 @@ class TestDiagramWalks:
             knots += 1
             same_invariants(pd)
             if pd.crossing_count:
-                shuffled = PDCode.from_tuples(rng.sample(pd.crossings, len(pd.crossings)))
+                shuffled = PDCode(rng.sample(pd.crossings, len(pd.crossings)))
                 same_invariants(rotated(shuffled, rng.randrange(2 * pd.crossing_count)))
         assert knots > 300 and errors > 300

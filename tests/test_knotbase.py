@@ -28,7 +28,7 @@ from knotdom.laurent import LaurentPoly, format_poly, parse_poly
 from knotdom.poset import build_graph
 
 from kernel_oracle import eager_build_corpus, eager_load_corpus
-from test_cli import run
+from test_cli import run, unreadable_file
 from test_kernels import random_closures
 from test_poset import random_corpus, satellite_chain
 
@@ -79,6 +79,28 @@ class TestLoadCorpus:
         path.write_text(json.dumps(payload))
         with pytest.raises(CorpusError, match="duplicate record name"):
             load_corpus(path)
+
+    def test_duplicate_names_rejected_in_code(self):
+        # the second record would replace the first in the name index
+        records = [
+            KnotRecord(name="a", delta=parse_poly("1 - t + t^2")),
+            KnotRecord(name="a", delta=parse_poly("1 - 3t + t^2")),
+        ]
+        with pytest.raises(CorpusError, match="^duplicate record name 'a'$"):
+            Corpus(records)
+
+    @pytest.mark.parametrize("kind, message", [
+        ("directory", "cannot be read: "),
+        ("deep_array", "is not valid JSON: maximum recursion depth"),
+        ("deep_flags", "is not valid JSON: maximum recursion depth"),
+        ("not_utf8", "is not valid JSON: 'utf-8' codec"),
+        ("long_integer", "is not valid JSON: Exceeds the limit"),
+    ])
+    def test_unreadable_file_named_in_error(self, tmp_path, kind, message):
+        path = unreadable_file(tmp_path, kind)
+        with pytest.raises(CorpusError) as error:
+            load_corpus(path)
+        assert str(error.value).startswith(f"corpus file {path} {message}")
 
     def test_dangling_reference_rejected(self, tmp_path):
         # the load leaves references to the first read
