@@ -6,7 +6,7 @@ Labels run 1..2n consecutively along the knot's orientation (wrapping
 counterclockwise starting at the incoming under-strand a; the under-strand
 exits at c = a+1.  The over-strand occupies b and d: the crossing is
 positive when b = d+1 and negative when d = b+1.  `PDCode(crossings)`
-checks all of this and accepts only knots (single-component diagrams).
+checks all this for one component; it does not check planarity.
 """
 from __future__ import annotations
 
@@ -20,9 +20,8 @@ class DiagramError(ValueError):
 
 
 class PDCode(_Frozen):
-    """A validated planar diagram code: crossings holds one tuple of int
-    labels per crossing, and the constructor derives signs[i], +1/-1 per
-    the b/d convention.  Two codes are equal when their crossings are.
+    """A validated PD code: one tuple of int labels per crossing, with
+    signs[i] (+1/-1 per the b/d convention) derived by the constructor.
     The empty code is the 0-crossing unknot diagram."""
 
     __slots__ = ("crossings", "signs")
@@ -48,6 +47,9 @@ class PDCode(_Frozen):
 
     def __str__(self) -> str:
         return " ".join(f"X({a},{b},{c},{d})" for a, b, c, d in self.crossings)
+
+    def __repr__(self) -> str:
+        return f"PDCode({self.crossings!r})"
 
 
 class BraidWord(_Frozen):
@@ -101,7 +103,7 @@ def _validate(crossings: tuple[tuple[int, int, int, int], ...]) -> tuple[int, ..
         if len(tup) != 4:
             raise DiagramError(f"crossing {tup} does not have 4 arc labels")
         for label in tup:
-            if not isinstance(label, int) or isinstance(label, bool):
+            if type(label) is not int:
                 raise DiagramError(f"arc label {label!r} in crossing {tup} is not an int")
             counts[label] = counts.get(label, 0) + 1
     for label in range(1, 2 * n + 1):
@@ -222,10 +224,9 @@ def braid_to_pd(braid: BraidWord) -> PDCode:
 
 
 def seifert_circles(pd: PDCode) -> tuple[int, int]:
-    """Count the circles of the orientation-respecting resolution and the
-    genus upper bound (n - s + 1) / 2 of the resulting Seifert surface.
-    Every PDCode is a knot diagram, so that surface is connected with one
-    boundary circle: s - n = 1 - 2g, and n - s + 1 = 2g is even."""
+    """Count the circles s of the oriented resolution and the genus bound
+    (n - s + 1) / 2 of its Seifert surface.  A PDCode is one oriented
+    component, so the surface is connected with one boundary: s - n = 1 - 2g."""
     n = pd.crossing_count
     if n == 0:
         return 1, 0

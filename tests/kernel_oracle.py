@@ -766,4 +766,6 @@ def union_find_seifert_circles(pd: PDCode) -> tuple[int, int]:
             union(a, d)
             union(b, c)
     circles = len({find(label) for label in range(1, 2 * n + 1)})
+    if (n - circles + 1) % 2 != 0:
+        raise DiagramError("Seifert resolution gave an odd n - s + 1")
     return circles, (n - circles + 1) // 2

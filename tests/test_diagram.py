@@ -105,6 +105,7 @@ class TestParsePD:
         assert pd != (pd.crossings, pd.signs) and pd != pd.crossings
         assert pd == PDCode(list(pd.crossings)) and pd != pd.mirror()
         assert not isinstance(pd, tuple)
+        assert repr(pd) == "PDCode(((1, 4, 2, 5), (3, 6, 4, 1), (5, 2, 6, 3)))"
 
     def test_syntax_error(self):
         with pytest.raises(DiagramError, match="malformed"):
