@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .diagram import BraidWord, PDCode, _succ, check_knot_closure
+from .diagram import BraidWord, PDCode, _succ
 from .laurent import LaurentPoly
 
 # `jones_polynomial` returns None above this many crossings, which keeps
@@ -202,11 +202,11 @@ def alexander_polynomial(pd: PDCode) -> LaurentPoly:
 
 
 def braid_alexander_polynomial(braid: BraidWord) -> LaurentPoly:
-    """Normalized Alexander polynomial of the braid's closure, which must
-    be a knot, from the reduced Burau representation psi of the m-strand
-    braid group: det(I - psi(beta)) = (1 + t + ... + t^(m-1)) delta(t) up
-    to a unit +-t^s (Burau 1936; Birman, *Braids, Links, and Mapping
-    Class Groups*, Thm. 3.11).
+    """Normalized Alexander polynomial of the braid's closure, a knot,
+    from the reduced Burau representation psi of the m-strand braid
+    group: det(I - psi(beta)) = (1 + t + ... + t^(m-1)) delta(t) up to a
+    unit +-t^s (Burau 1936; Birman, *Braids, Links, and Mapping Class
+    Groups*, Thm. 3.11).
 
     The (m-1) x (m-1) matrix S = X^k psi(beta)(X) is kept as integers,
     column by column, at X = 2^b, k the word's count of negative letters.
@@ -242,7 +242,6 @@ def braid_alexander_polynomial(braid: BraidWord) -> LaurentPoly:
       X^v vanish (a lowest nonzero digit d X^e has 2-adic valuation below
       (e + 1) b), and U(X) / X^v has the same digits, shifted.
     """
-    check_knot_closure(braid)
     m, letters = braid.strand_count, braid.letters
     size = m - 1
     if not size:
@@ -327,8 +326,6 @@ def kauffman_bracket(pd: PDCode) -> LaurentPoly:
       balanced base-X digits of the final value.
     """
     n = pd.crossing_count
-    if not n:
-        return LaurentPoly.const(1)
     bits, offset = 2 * n + 2, 3 * n
     states: dict[tuple, list] = {(): [{}, 1 << offset * bits]}
     frontier: set[int] = set()

@@ -6,7 +6,8 @@ Labels run 1..2n consecutively along the knot's orientation (wrapping
 counterclockwise starting at the incoming under-strand a; the under-strand
 exits at c = a+1.  The over-strand occupies b and d: the crossing is
 positive when b = d+1 and negative when d = b+1.  `PDCode(crossings)`
-checks all this for one component; it does not check planarity.
+checks all this for one component, and planarity; `BraidWord(...)`
+checks that its trace closure is a knot.
 """
 from __future__ import annotations
 
@@ -53,8 +54,8 @@ class PDCode(_Frozen):
 
 
 class BraidWord(_Frozen):
-    """A braid word: letter i stands for the generator sigma_|i| with
-    sign(i) as the crossing sign."""
+    """A braid word whose trace closure is a knot: letter i stands for the
+    generator sigma_|i| with sign(i) as the crossing sign."""
 
     __slots__ = ("strand_count", "letters")
 
@@ -64,6 +65,21 @@ class BraidWord(_Frozen):
         for letter in letters:
             if letter == 0 or abs(letter) >= strand_count:
                 raise DiagramError(f"letter {letter} out of range for {strand_count} strands")
+        # Each crossing joins at most two cycles of the strand permutation,
+        # so more strands than letters + 1 cannot close into a knot.
+        if (idle := strand_count - len(letters)) > 1:
+            raise DiagramError(f"braid closure has at least {idle} components, expected a knot")
+        perm = list(range(strand_count))
+        for letter in letters:
+            i = abs(letter) - 1
+            perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        cycles = 0
+        for j in range(strand_count):  # a cycle's strands are marked -1 as it is walked
+            cycles += perm[j] >= 0
+            while perm[j] >= 0:
+                perm[j], j = -1, perm[j]
+        if cycles != 1:
+            raise DiagramError(f"braid closure has {cycles} components, expected a knot")
         object.__setattr__(self, "strand_count", strand_count)
         object.__setattr__(self, "letters", letters)
 
@@ -137,6 +153,25 @@ def _validate(crossings: tuple[tuple[int, int, int, int], ...]) -> tuple[int, ..
     tails = sorted([tup[2] for tup in crossings] + over_out)
     if not heads == list(range(1, 2 * n + 1)) == tails:
         raise DiagramError("arc labeling is not a consistent single-knot traversal")
+
+    # Faces, on slots 4i + j (position j of crossing i): cross to the other
+    # end of the slot's label, then turn to the next slot of that crossing.
+    # The one component makes the code connected, so with n vertices and
+    # 2n edges it is planar exactly when it has n + 2 faces (Euler).
+    flat = [label for tup in crossings for label in tup]
+    ends = [0] * (2 * n + 1)  # the sum of each label's two slots
+    for slot, label in enumerate(flat):
+        ends[label] += slot
+    unseen = [True] * (4 * n)
+    faces = 0
+    for slot in range(4 * n):
+        faces += unseen[slot]
+        while unseen[slot]:
+            unseen[slot] = False
+            slot = ends[flat[slot]] - slot
+            slot += 1 if slot % 4 < 3 else -3
+    if n and faces != n + 2:
+        raise DiagramError(f"PD code is not planar: {faces} faces, expected {n + 2}")
     return tuple(signs)
 
 
@@ -157,38 +192,12 @@ def parse_braid(text: str) -> BraidWord:
     return BraidWord(strand_count, letters)
 
 
-def check_knot_closure(braid: BraidWord) -> None:
-    """Raise DiagramError unless the trace closure (strand i top joined to
-    strand i bottom) is a knot: one cycle of the strand permutation."""
-    m, letters = braid.strand_count, braid.letters
-    n = len(letters)
-    # Each crossing joins at most two cycles of the permutation, so more
-    # strands than letters + 1 cannot close into a knot.
-    if m > n + 1:
-        raise DiagramError(f"braid closure has at least {m - n} components, expected a knot")
-    perm = list(range(m))
-    for letter in letters:
-        i = abs(letter) - 1
-        perm[i], perm[i + 1] = perm[i + 1], perm[i]
-    seen: set[int] = set()
-    cycles = 0
-    for j in range(m):
-        cycles += j not in seen
-        while j not in seen:
-            seen.add(j)
-            j = perm[j]
-    if cycles != 1:
-        raise DiagramError(f"braid closure has {cycles} components, expected a knot")
-
-
 def braid_to_pd(braid: BraidWord) -> PDCode:
-    """PD code of the trace closure, which must be a knot
-    (`check_knot_closure`).
+    """PD code of the trace closure (strand i top to strand i bottom).
 
     >>> str(braid_to_pd(parse_braid("B2: 1 1 1")))
     'X(1,5,2,4) X(5,3,6,2) X(3,1,4,6)'
     """
-    check_knot_closure(braid)
     m, letters = braid.strand_count, braid.letters
     n = len(letters)
     if n == 0:

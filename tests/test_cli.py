@@ -284,6 +284,18 @@ class TestInvariants:
     def test_braid_of_no_strands_rejected(self, capsys):
         assert run(capsys, "invariants", "B0: ") == (EXIT_USAGE, "", "error: strand count must be >= 1, got 0\n")
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("B2: 1 1", "braid closure has 2 components, expected a knot"),
+            ("X(2,1,3,4) X(3,2,4,1)", "PD code is not planar: 2 faces, expected 4"),  # the virtual trefoil
+        ],
+        ids=["link-braid", "virtual-pd"],
+    )
+    def test_diagram_rejected_as_it_is_parsed(self, capsys, source, message):
+        # no `<braid>: ` or `<pd>: ` prefix: the text fails before any record is built
+        assert run(capsys, "invariants", source) == (EXIT_USAGE, "", f"error: {message}\n")
+
     def test_diagram_sources_resolve_no_corpus(self, capsys, monkeypatch):
         def refuse():
             raise AssertionError("resolved the bundled corpus path")

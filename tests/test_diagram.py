@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from knotdom.alexander import braid_alexander_polynomial
+from knotdom.alexander import jones_polynomial
 from knotdom.diagram import (
     BraidWord,
     DiagramError,
@@ -20,6 +20,32 @@ from kernel_oracle import union_find_wirtinger
 
 TREFOIL = "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"
 FIG8 = "X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)"
+# Gauss code O1 O2 U1 U2: the virtual trefoil (Kauffman, "Virtual knot
+# theory", 1999), which no planar diagram draws
+VIRTUAL_TREFOIL = "X(2,1,3,4) X(3,2,4,1)"
+
+
+def gauss_code_pd(rng: random.Random, n: int) -> list[tuple[int, int, int, int]]:
+    """The PD crossings of a random Gauss code on n crossings with random
+    signs: the traversal meets crossing k twice, over and under in a
+    random order, at random places; the arc into place p is labelled p
+    (2n for p = 0) and the arc out of it p + 1.  Most such codes are
+    virtual."""
+    places: dict[int, list[int]] = {}
+    order = [k for k in range(n) for _ in (0, 1)]
+    rng.shuffle(order)
+    for p, k in enumerate(order):
+        places.setdefault(k, []).append(p)
+    crossings = []
+    for first, second in places.values():
+        over, under = (first, second) if rng.random() < 0.5 else (second, first)
+        a, over_in = under or 2 * n, over or 2 * n
+        # positive: the over-strand runs d -> b; negative: b -> d
+        if rng.random() < 0.5:
+            crossings.append((a, over + 1, under + 1, over_in))
+        else:
+            crossings.append((a, over_in, under + 1, over + 1))
+    return crossings
 
 
 def integer_rank(rows):
@@ -129,6 +155,28 @@ class TestParsePD:
             (2, 2, 1, 1): (1,),
         }
 
+    def test_virtual_trefoil_rejected(self):
+        with pytest.raises(DiagramError, match=r"^PD code is not planar: 2 faces, expected 4$"):
+            parse_pd(VIRTUAL_TREFOIL)
+
+    def test_random_gauss_codes_accepted_only_when_planar(self):
+        # a virtual code can break the bracket's exponent check; every
+        # accepted code must give a Jones polynomial with V(1) = 1
+        rng = random.Random(2034)
+        accepted = rejected = 0
+        for _ in range(400):
+            crossings = gauss_code_pd(rng, rng.randint(1, 7))
+            try:
+                pd = PDCode(crossings)
+            except DiagramError as exc:
+                assert str(exc).startswith("PD code is not planar: "), crossings
+                rejected += 1
+                continue
+            for code in (pd, pd.mirror()):
+                assert jones_polynomial(code).eval_int(1) == 1, crossings
+            accepted += 1
+        assert accepted > 50 and rejected > 50
+
     def test_label_outside_range_reported_as_missing(self):
         # 7 takes both places of 3, so the count check names 3
         with pytest.raises(DiagramError, match="arc 3 appears 0 times"):
@@ -176,17 +224,15 @@ class TestBraid:
         assert pd.crossing_count == 1
 
     def test_two_component_closure_rejected(self):
-        for closure in (braid_to_pd, braid_alexander_polynomial):
-            with pytest.raises(DiagramError, match="2 components"):
-                closure(BraidWord(2, (1, -1)))
-            with pytest.raises(DiagramError, match="components"):
-                closure(BraidWord(3, ()))
+        with pytest.raises(DiagramError, match="^braid closure has 2 components, expected a knot$"):
+            BraidWord(2, (1, -1))
+        with pytest.raises(DiagramError, match="^braid closure has at least 3 components, expected a knot$"):
+            BraidWord(3, ())
 
     def test_idle_strands_rejected_before_any_work(self):
         # a closure has at least strands - letters components
-        for closure in (braid_to_pd, braid_alexander_polynomial):
-            with pytest.raises(DiagramError, match="at least 999999 components"):
-                closure(parse_braid("B1000000: 1"))
+        with pytest.raises(DiagramError, match="^braid closure has at least 999999 components, expected a knot$"):
+            parse_braid("B1000000: 1")
 
     def test_trefoil_closure(self):
         pd = braid_to_pd(BraidWord(2, (1, 1, 1)))

@@ -179,13 +179,13 @@ class TestEnrichment:
             enrich_record(KnotRecord(name="pd", diagram=parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")))
         monkeypatch.setattr(knotbase, "alexander_polynomial", fox)
         with pytest.raises(CorpusError, match=r"^link: braid closure has 2 components, expected a knot$"):
-            enrich_record(KnotRecord(name="link", braid=parse_braid("B2: 1 1")))
+            record_from_json({"name": "link", "braid": "B2: 1 1"})
 
     def test_diagram_and_braid_rejected(self):
         # built in code, as a corpus entry is checked: the braid closes
-        # into a 2-component link, so it must not go unread
+        # into the other trefoil, so it must not go unread
         record = KnotRecord(
-            name="k", diagram=parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"), braid=parse_braid("B2: 1 1")
+            name="k", diagram=parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)"), braid=parse_braid("B2: 1 1 1")
         )
         with pytest.raises(CorpusError, match=r"^k: gives both a diagram and a braid, expected at most one$"):
             enrich_record(record)
@@ -576,10 +576,15 @@ class TestEnrichOnFirstRead:
             [{"name": "x", "satellite_of": ["y", "3_1", 1]}, {"name": "y", "satellite_of": ["x", "3_1", 1]}],
             "circular composite references among ['x', 'y']",
         ),
-        # the braid closes into a 2-component link: it must not go unread
+        # the braid closes into the other trefoil: it must not go unread
         "diagram and braid": (
-            [{"name": "x", "diagram": "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "braid": "B2: 1 1"}],
+            [{"name": "x", "diagram": "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "braid": "B2: 1 1 1"}],
             "x: gives both a diagram and a braid, expected at most one",
+        ),
+        # a link braid is a parse error, met before any enrichment error
+        "link after a wrong delta": (
+            [{"name": "x", "diagram": "X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)", "delta": "1"}, {"name": "y", "braid": "B2: 1 1"}],
+            "y: braid closure has 2 components, expected a knot",
         ),
     }
 
@@ -821,6 +826,9 @@ class TestParseOnFirstRead:
         "flag": {"flags": {"fibred": "yes"}},
         "determinant": {"determinant": -3},
         "field": {"colour": "red"},
+        "link braid": {"braid": "B2: 1 1"},
+        # the virtual trefoil (Kauffman 1999): a Gauss code with no planar diagram
+        "virtual pd": {"diagram": "X(2,1,3,4) X(3,2,4,1)"},
     }
 
     @pytest.fixture(params=SYNTAX_ERRORS, ids=str)
@@ -868,7 +876,8 @@ class TestOneReadPath:
         **{
             f"invalid {key}": entries
             for key, (entries, _) in TestEnrichOnFirstRead.INVALID_RECORDS.items()
-            if key != "circular"  # names the cycle, not one record
+            # these name the cycle and the second record, not the first
+            if key not in ("circular", "link after a wrong delta")
         },
         **{
             f"value {message}": [{"name": "k", "delta": "1 - t + t^2", **fields}]
