@@ -9,7 +9,7 @@ from .alexander import (
     jones_polynomial,
     satellite_delta,
 )
-from .diagram import BraidWord, PDCode, braid_to_pd, parse_braid, parse_pd, seifert_circles
+from .diagram import BraidWord, PDCode, braid_to_pd, closed_braid, parse_braid, parse_pd, seifert_circles
 from .domination import Certificate, ObstructionReport, Verdict, scan
 from .knotbase import Corpus, CorpusError, Flags, KnotRecord, enrich_record, genus_interval, load_corpus
 from .laurent import LaurentPoly, divides, format_poly, is_prime_power, parse_poly
@@ -35,6 +35,7 @@ __all__ = [
     "braid_to_pd",
     "build_graph",
     "chain_length_bound",
+    "closed_braid",
     "connected_sum_delta",
     "determinant_invariant",
     "divides",

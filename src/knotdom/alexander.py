@@ -1,6 +1,6 @@
 """Alexander and Jones polynomials from diagram data.
 
-The Alexander polynomial of a PD code is computed classically: Fox
+The Alexander polynomial of a PD code can be computed classically: Fox
 derivatives of the Wirtinger relations with every meridian abelianized to
 t, one relation row and one generator column deleted, written row by row
 in one walk along the diagram (`alexander_rows`).  Every entry of that
@@ -8,12 +8,16 @@ minor is linear in t, so its determinant is taken without polynomial
 arithmetic: evaluated once, at t = 2^b over Z, by one sparse fraction-free
 elimination (Bareiss), with b chosen from Hadamard's bound so that every
 coefficient is below 2^(b-1) in absolute value, and read off the value as
-balanced base-2^b digits (`linear_determinant`).  A braid word takes the
-reduced Burau representation instead, det(I - psi(beta)) = (1 + t + ... +
+balanced base-2^b digits (`linear_determinant`).  A braid word, and a
+PD code that `closed_braid` reads back as one, can take the reduced
+Burau representation instead, det(I - psi(beta)) = (1 + t + ... +
 t^(m-1)) delta(t) up to a unit: its (m-1) x (m-1) matrix is kept at the
 same kind of evaluation point, each letter rewrites one column by shifts
 and adds, and the same elimination and digit reading finish it
-(`braid_alexander_polynomial`); the input kind alone picks the kernel.
+(`braid_alexander_polynomial`).  One rule on the word's strands and
+letters (`BURAU_WIDTH`) picks the kernel for PD and braid input alike:
+Burau for a narrow braid, Fox on the PD code for a wide one and for a
+code that is no closed braid (`closure_alexander_polynomial`).
 The Jones polynomial comes from the
 Kauffman bracket with the writhe correction (-A^3)^-w and the
 substitution t = A^-4, applied in one pass over the bracket's terms.  The
@@ -28,7 +32,7 @@ from __future__ import annotations
 
 from operator import itemgetter
 
-from .diagram import BraidWord, PDCode, _succ
+from .diagram import BraidWord, PDCode, _succ, closed_braid
 from .laurent import LaurentPoly
 
 # `jones_polynomial` returns None above this many crossings, which keeps
@@ -37,6 +41,30 @@ from .laurent import LaurentPoly
 # not the crossing count (under 1 ms per bracket on closures of 2- and
 # 3-braids of 25 to 41 crossings, 4 or 6 open ends, in CPython 3.11).
 JONES_CROSSING_BUDGET = 24
+
+# A closed m-braid of n crossings takes the Burau kernel when
+# m^3 <= BURAU_WIDTH * n, and the Fox minor of its PD code otherwise:
+# Burau's (m-1) x (m-1) matrix is dense, with entries of up to 2n^2 bits,
+# so it loses to Fox's sparse rows on wide braids unless they are long.
+# Fox's time over Burau's on seeded random knot braids (CPython 3.11; 2
+# to 10 braids per cell up to 200 crossings, one above; 40-strand words
+# completed to knots by joining letters; > where Fox was stopped, <
+# where Burau was), * where the rule takes Burau.  In every cell here,
+# the kernel taken was within 1.25 times the faster one.
+#
+#   m \ n   ~2m     50    100    200    300    400
+#     3    2.5*   7.8*    41*   170*          600*
+#     4    1.7*   8.0*    37*   140*         >400*
+#     6    1.7*   3.8*    15*    28*         >1.3*
+#     8    1.0    1.3*   4.8*    13*         >1.3*
+#    10    1.0    0.87*  2.1*   7.1*         >1.3*
+#    12    0.71   0.81   1.3*   3.4*         >1.3*
+#    15    0.67   0.66   0.57   1.4*         >1.3*
+#    20    0.43   0.45   0.58   0.88   0.96   2.0*
+#    25           0.45   0.29   0.57   0.69   0.93
+#    30                  0.23   0.46   0.36  <0.64
+#    40    0.24          0.24   0.22   0.26  <0.50
+BURAU_WIDTH = 21
 
 
 def alexander_rows(pd: PDCode) -> list[dict[int, tuple[int, int]]]:
@@ -197,7 +225,19 @@ def _permutation_sign(pivots: list[tuple[int, int]]) -> int:
 
 def alexander_polynomial(pd: PDCode) -> LaurentPoly:
     """Normalized Alexander polynomial of the diagram.  Satisfies
-    delta(1) = +-1 and has palindromic coefficients."""
+    delta(1) = +-1 and has palindromic coefficients.  A diagram that
+    `closed_braid` reads as a narrow braid takes the Burau kernel, any
+    other the Fox minor (`closure_alexander_polynomial`)."""
+    return closure_alexander_polynomial(pd, closed_braid(pd))
+
+
+def closure_alexander_polynomial(pd: PDCode, braid: BraidWord | None) -> LaurentPoly:
+    """Normalized Alexander polynomial of the knot that `pd` draws, given
+    `braid`, a word whose closure `pd` draws, or None: by the reduced
+    Burau kernel when the braid is narrow (`BURAU_WIDTH`), else by Fox
+    on `pd`."""
+    if braid is not None and braid.strand_count**3 <= BURAU_WIDTH * len(braid.letters):
+        return braid_alexander_polynomial(braid)
     return linear_determinant(alexander_rows(pd)).normalize()
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from . import alexander, poset
-from .diagram import parse_braid, parse_pd, seifert_circles
+from .diagram import parse_braid, parse_pd
 from .knotbase import CorpusError, KnotRecord, enrich_record, load_corpus, record_jones
 from .laurent import LaurentPoly, divides, format_poly, parse_poly
 
@@ -172,7 +172,8 @@ def _cmd_invariants(source: str, corpus: str | None, as_json: bool) -> int:
     if diagram is not None:
         info["crossings"] = diagram.crossing_count
         info["writhe"] = diagram.writhe()
-        info["seifert_circles"] = seifert_circles(diagram)[0]
+        # enrichment sets genus_upper to (n - s + 1) / 2 for the diagram's s circles
+        info["seifert_circles"] = diagram.crossing_count + 1 - 2 * record.genus_upper
     if as_json:
         _emit(info)
     else:

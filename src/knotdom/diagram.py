@@ -1,4 +1,5 @@
-"""Knot diagram input: PD codes, braid words, Seifert circles.
+"""Knot diagram input: PD codes, braid words, Seifert circles, and the
+braid word a closed-braid PD code draws (`closed_braid`).
 
 A planar diagram (PD) code lists one 4-tuple of arc labels per crossing.
 Labels run 1..2n consecutively along the knot's orientation (wrapping
@@ -59,7 +60,8 @@ class BraidWord(_Frozen):
 
     __slots__ = ("strand_count", "letters")
 
-    def __init__(self, strand_count: int, letters: tuple[int, ...]) -> None:
+    def __init__(self, strand_count: int, letters: tuple[int, ...] | list[int]) -> None:
+        letters = tuple(letters)
         if strand_count < 1:
             raise DiagramError(f"strand count must be >= 1, got {strand_count}")
         for letter in letters:
@@ -237,21 +239,112 @@ def seifert_circles(pd: PDCode) -> tuple[int, int]:
     (n - s + 1) / 2 of its Seifert surface.  A PDCode is one oriented
     component, so the surface is connected with one boundary: s - n = 1 - 2g."""
     n = pd.crossing_count
-    if n == 0:
-        return 1, 0
-    # The oriented smoothing sends each incoming label to the outgoing
-    # label on the same side of the crossing; the circles are the cycles
-    # of that permutation of the labels.
-    turn: dict[int, int] = {}
-    for (a, b, c, d), sign in zip(pd.crossings, pd.signs):
-        if sign > 0:  # over-strand runs d -> b
-            turn[a], turn[d] = b, c
-        else:  # over-strand runs b -> d
-            turn[a], turn[b] = d, c
-    circles = 0
-    while turn:
-        circles += 1
-        label = next(iter(turn))
-        while label in turn:
-            label = turn.pop(label)
+    circles = len(_smoothing(pd)[1]) if n else 1
     return circles, (n - circles + 1) // 2
+
+
+def _smoothing(pd: PDCode) -> tuple[list[int], list[list[int]]]:
+    """Walk the oriented smoothing, which sends each incoming label to the
+    outgoing label on the same side of its crossing; its cycles are the
+    Seifert circles.  Returns the circle of each smoothing arc, at 2k + 1
+    for the left arc of crossing k and 2k for the right one, and each
+    circle's crossings in the order it meets them.  The left arc runs
+    d -> c on a positive crossing (over-strand d -> b) and a -> d on a
+    negative one (over-strand b -> d)."""
+    n = pd.crossing_count
+    turn = [0] * (2 * n + 1)
+    slot = [0] * (2 * n + 1)  # the arc each incoming label takes
+    for k, (a, b, c, d) in enumerate(pd.crossings):
+        if pd.signs[k] > 0:
+            turn[a], turn[d], slot[a], slot[d] = b, c, 2 * k, 2 * k + 1
+        else:
+            turn[a], turn[b], slot[a], slot[b] = d, c, 2 * k + 1, 2 * k
+    circle_of = [0] * (2 * n)
+    sequences: list[list[int]] = []
+    for label in range(1, 2 * n + 1):
+        if turn[label]:
+            sequence = []
+            while turn[label]:
+                arc = slot[label]
+                circle_of[arc] = len(sequences)
+                sequence.append(arc >> 1)
+                turn[label], label = 0, turn[label]
+            sequences.append(sequence)
+    return circle_of, sequences
+
+
+def closed_braid(pd: PDCode) -> BraidWord | None:
+    """The braid word whose trace closure the diagram draws, one strand
+    per Seifert circle, or None when the diagram is not a closed braid.
+    The closure is the diagram up to isotopy of the sphere, so the word
+    closes into the same oriented knot.
+
+    The walk of the oriented smoothing (`_smoothing`) gives each Seifert
+    circle as the cyclic sequence of crossings it meets, and the circles
+    of each crossing's left and right arcs, which run side by side.  The
+    code is a closed braid exactly when no circle meets two different
+    circles on its left, nor two on its right (Yamada, Invent. Math. 89,
+    1987: the circles are then coherently nested):
+
+    - The Seifert circles are disjoint simple closed curves on the sphere,
+      since `PDCode` checks planarity, and a circle met on C's left lies in
+      the component of the complement of C on its left (Jordan).  So no
+      circle is its own neighbour or both neighbours of one circle, and
+      with at most one neighbour per side the circles form one chain (a
+      knot diagram is connected) or one cycle.  A cycle C_0, ..., C_(k-1),
+      each met on the left of the one before, cannot occur: C_2, ...,
+      C_(k-1) are joined to C_1 by crossings that C_0 does not meet, so
+      they lie on C_0's left with C_1, while C_(k-1) meets C_0 on C_0's
+      right.
+    - Along the chain C_0, ..., C_(m-1), C_0 with no circle on its right,
+      each circle separates the circles before it from those after it, so
+      the circles nest coaxially and alike oriented, and every crossing
+      lies in the annulus between two neighbours C_i and C_(i+1): it is
+      the letter (i + 1) sign.  Two neighbours meet their shared
+      crossings in the same cyclic order.
+    - The word starts as C_1's sequence, which holds every crossing of
+      C_0 too.  Each next circle's sequence is rotated to start at the
+      first crossing it shares with the word so far, and its other
+      crossings are inserted in order between the shared ones.  The word
+      then keeps every circle's sequence, cut just before its first
+      crossing in the word, and those cuts join into one path from C_0 to
+      C_(m-1) that passes no crossing: the word reads the cut-open braid.
+
+    >>> closed_braid(parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")).letters
+    (-1, -1, -1)
+    """
+    n = pd.crossing_count
+    if not n:
+        return BraidWord(1, ())
+    circle_of, sequences = _smoothing(pd)
+    m = len(sequences)
+    left_of, right_of = [-1] * m, [-1] * m
+    for k in range(n):
+        right, left = circle_of[2 * k], circle_of[2 * k + 1]
+        if left_of[right] != left:
+            if left_of[right] >= 0:
+                return None
+            left_of[right] = left
+        if right_of[left] != right:
+            if right_of[left] >= 0:
+                return None
+            right_of[left] = right
+    level = [0] * m
+    circle = left_of[right_of.index(-1)]
+    level[circle] = 1
+    word = sequences[circle]
+    for i in range(2, m):
+        circle = left_of[circle]
+        level[circle] = i
+        sequence = sequences[circle]
+        start = sequence.index(next(k for k in word if circle_of[2 * k + 1] == circle))
+        merged, j = [], 0
+        for k in sequence[start:] + sequence[:start]:
+            if circle_of[2 * k + 1] == circle:  # shared with the word
+                at = word.index(k, j) + 1
+                merged += word[j:at]
+                j = at
+            else:
+                merged.append(k)
+        word = merged + word[j:]
+    return BraidWord(m, tuple([(level[circle_of[2 * k]] + 1) * pd.signs[k] for k in word]))

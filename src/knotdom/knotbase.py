@@ -25,14 +25,13 @@ from pathlib import Path
 from typing import Callable, Iterable, NamedTuple
 
 from .alexander import (
-    alexander_polynomial,
-    braid_alexander_polynomial,
+    closure_alexander_polynomial,
     connected_sum_delta,
     determinant_invariant,
     jones_polynomial,
     satellite_delta,
 )
-from .diagram import BraidWord, PDCode, braid_to_pd, parse_braid, parse_pd, seifert_circles
+from .diagram import BraidWord, PDCode, braid_to_pd, closed_braid, parse_braid, parse_pd, seifert_circles
 from .laurent import LaurentPoly, _Frozen, format_poly, parse_poly
 
 
@@ -383,14 +382,15 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
     that declares none keeps None."""
     siblings = siblings or {}
     try:
-        diagram, delta = record.diagram, record.delta
-        if diagram is not None and record.braid is not None and not record.enriched:
+        diagram, braid, delta = record.diagram, record.braid, record.delta
+        if diagram is not None and braid is not None and not record.enriched:
             raise CorpusError("gives both a diagram and a braid, expected at most one")
+        if braid is None and diagram is not None:
+            braid = closed_braid(diagram)
+        elif diagram is None and braid is not None:
+            diagram = braid_to_pd(braid)
         if diagram is not None:
-            delta = _merge("delta", delta, alexander_polynomial(diagram))
-        elif record.braid is not None:
-            diagram = braid_to_pd(record.braid)
-            delta = _merge("delta", delta, braid_alexander_polynomial(record.braid))
+            delta = _merge("delta", delta, closure_alexander_polynomial(diagram, braid))
         if record.connected_sum_of is not None:
             summands = [_sibling(siblings, summand).delta for summand in record.connected_sum_of]
             delta = _merge("delta (connected sum)", delta, connected_sum_delta(*summands))
@@ -427,7 +427,9 @@ def enrich_record(record: KnotRecord, siblings: dict[str, KnotRecord] | None = N
 
         genus_upper = record.genus_upper
         if diagram is not None:
-            genus_upper = _merge("genus_upper", genus_upper, seifert_circles(diagram)[1])
+            # a closed m-braid has m Seifert circles
+            circles = seifert_circles(diagram)[0] if braid is None else braid.strand_count
+            genus_upper = _merge("genus_upper", genus_upper, (diagram.crossing_count - circles + 1) // 2)
 
         genus_exact = record.genus_exact
         if genus_exact is None and genus_upper is not None and genus_lower == genus_upper:

@@ -33,11 +33,12 @@ Miller-Rabin test, augmenting-path matching, Jones computed only where it
 is read, records parsed and enriched on first read and its walks along
 the diagram must agree with them.
 
-The braid oracle is the library's own Fox kernel on the closure's PD
-code, `alexander_polynomial(braid_to_pd(braid))`, which PD input still
-takes: braid input takes the reduced Burau kernel
-(`braid_alexander_polynomial`), and the two must agree on every braid
-(`test_kernels.TestBurauKernel`, `test_alexander.TestBurauKernel`, and
+The braid oracle is the library's own Fox kernel called directly,
+`fox_delta(pd)`: `alexander_polynomial` sends a narrow braid, and a PD
+code that reads back as one (`closed_braid`), to the reduced Burau
+kernel (`braid_alexander_polynomial`), so Fox and Burau must agree on
+every braid and braided code (`test_kernels.TestBurauKernel`,
+`test_kernels.TestClosedBraid`, `test_alexander.TestBurauKernel`, and
 the braid moves of `test_alexander`); `node_determinant` checks both on
 closures too large for the dense oracles.
 """
@@ -50,7 +51,14 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple
 
-from knotdom.alexander import JONES_CROSSING_BUDGET, _join, _permutation_sign, jones_polynomial
+from knotdom.alexander import (
+    JONES_CROSSING_BUDGET,
+    _join,
+    _permutation_sign,
+    alexander_rows,
+    jones_polynomial,
+    linear_determinant,
+)
 from knotdom.diagram import BraidWord, DiagramError, PDCode, _succ
 from knotdom.knotbase import Corpus, CorpusError, KnotRecord, _walk, build_corpus, enrich_record, record_from_json
 from knotdom.laurent import LaurentPoly, format_poly, is_prime
@@ -254,6 +262,12 @@ _FIRST_NODE = 2
 # The 61-bit primes of `node_determinant`, downward from 2^61 - 1, each
 # found on first use (importing the module searches for none).
 _PRIMES: list[int] = []
+
+
+def fox_delta(pd: PDCode) -> LaurentPoly:
+    """Normalized Alexander polynomial by the Fox minor, whatever the
+    diagram: the kernel `alexander_polynomial` skips for braided codes."""
+    return linear_determinant(alexander_rows(pd)).normalize()
 
 
 def node_determinant(rows: list[dict[int, tuple[int, int]]]) -> LaurentPoly:

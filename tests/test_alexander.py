@@ -21,7 +21,15 @@ from knotdom.alexander import (
 )
 from knotdom.diagram import BraidWord, braid_to_pd, parse_braid, parse_pd, seifert_circles
 from knotdom.laurent import LaurentPoly, parse_poly
-from kernel_oracle import alexander_matrix, bareiss_determinant, fox_matrix, in_walk_order, linear_rows, union_find_wirtinger
+from kernel_oracle import (
+    alexander_matrix,
+    bareiss_determinant,
+    fox_delta,
+    fox_matrix,
+    in_walk_order,
+    linear_rows,
+    union_find_wirtinger,
+)
 
 TREFOIL = parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")
 FIG8 = parse_pd("X(4,2,5,1) X(8,6,1,5) X(6,3,7,4) X(2,7,3,8)")
@@ -46,12 +54,12 @@ def P(text):
     return parse_poly(text)
 
 
-def fox_delta(braid):
-    return alexander_polynomial(braid_to_pd(braid))
+def braid_fox_delta(braid):
+    return fox_delta(braid_to_pd(braid))
 
 
 # Fox on the closure's PD code, and the reduced Burau kernel.
-BRAID_KERNELS = (fox_delta, braid_alexander_polynomial)
+BRAID_KERNELS = (braid_fox_delta, braid_alexander_polynomial)
 
 
 def cofactor_determinant(rows):
@@ -228,7 +236,7 @@ def knot_braids(draw, max_strands=5, max_letters=12):
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
 
 
-def braid_delta(strands, letters, kernel=fox_delta):
+def braid_delta(strands, letters, kernel=braid_fox_delta):
     return kernel(BraidWord(strands, tuple(letters)))
 
 
@@ -275,7 +283,7 @@ class TestBurauKernel:
         braids = {entry["name"]: parse_braid(entry["braid"]) for entry in entries if "braid" in entry}
         assert sorted(braids) == ["6_2", "granny", "trefoil_alt_diagram"]
         for name, braid in braids.items():
-            assert braid_alexander_polynomial(braid) == fox_delta(braid), name
+            assert braid_alexander_polynomial(braid) == braid_fox_delta(braid), name
 
 
 class TestFoxMatrix:

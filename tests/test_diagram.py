@@ -219,6 +219,13 @@ class TestBraid:
         with pytest.raises(DiagramError):
             BraidWord(3, (0,))
 
+    def test_letters_are_held_as_a_tuple(self):
+        # a checked word cannot change afterwards, and it hashes
+        braid = BraidWord(2, [1, 1, 1])
+        assert braid.letters == (1, 1, 1)
+        assert braid == BraidWord(2, (1, 1, 1))
+        assert hash(braid) == hash(BraidWord(2, (1, 1, 1)))
+
     def test_single_crossing_closure(self):
         pd = braid_to_pd(BraidWord(2, (1,)))
         assert pd.crossing_count == 1

@@ -2,8 +2,8 @@
 order, the Kronecker Alexander
 determinant, integer exact division and the diagram walks against the
 kernels they replaced (`kernel_oracle`), and the reduced Burau kernel of
-braid input against Fox on the closure's PD code, on seeded random
-input."""
+braid input, and of PD codes read back as braids, against Fox on the
+closure's PD code, on seeded random input."""
 import os
 import random
 import subprocess
@@ -17,7 +17,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import knotdom
+import knotdom.alexander
 from knotdom.alexander import (
+    BURAU_WIDTH,
+    JONES_CROSSING_BUDGET,
     _sweep_order,
     alexander_polynomial,
     alexander_rows,
@@ -26,7 +29,8 @@ from knotdom.alexander import (
     kauffman_bracket,
     linear_determinant,
 )
-from knotdom.diagram import BraidWord, DiagramError, PDCode, braid_to_pd, parse_pd, seifert_circles
+from knotdom.diagram import BraidWord, DiagramError, PDCode, braid_to_pd, closed_braid, parse_pd, seifert_circles
+from knotdom.knotbase import KnotRecord, enrich_record
 from knotdom.laurent import LaurentPoly, is_prime, parse_poly
 import kernel_oracle
 from kernel_oracle import (
@@ -37,6 +41,7 @@ from kernel_oracle import (
     bareiss_determinant,
     dict_sweep_bracket,
     exact_div,
+    fox_delta,
     fraction_divided_by,
     in_walk_order,
     linear_rows,
@@ -49,6 +54,7 @@ from kernel_oracle import (
     union_find_wirtinger,
 )
 from test_alexander import cofactor_determinant
+from test_diagram import gauss_code_pd
 
 
 def random_knot_braid(rng: random.Random, strands: int, length: int) -> BraidWord:
@@ -166,7 +172,7 @@ class TestBurauKernel:
     def test_random_closures_against_fox(self):
         count = 0
         for _, braid, pd in random_closures(20261026, 2000, 16, min_strands=2):
-            assert braid_alexander_polynomial(braid) == alexander_polynomial(pd), braid
+            assert braid_alexander_polynomial(braid) == fox_delta(pd), braid
             count += 1
         assert count == 2000
 
@@ -187,7 +193,7 @@ class TestBurauKernel:
         is an exact shift right, and long runs push the coefficients up."""
         letters = tuple(letter for letter, length in runs for _ in range(length))
         braid = BraidWord(strands, letters)
-        assert braid_alexander_polynomial(braid) == alexander_polynomial(braid_to_pd(braid)), runs
+        assert braid_alexander_polynomial(braid) == fox_delta(braid_to_pd(braid)), runs
 
     def test_all_negative_words(self):
         rng = random.Random(2026)
@@ -199,7 +205,7 @@ class TestBurauKernel:
                 pd = braid_to_pd(negative)
             except DiagramError:
                 continue
-            assert braid_alexander_polynomial(negative) == alexander_polynomial(pd), negative
+            assert braid_alexander_polynomial(negative) == fox_delta(pd), negative
 
     def test_digits_stay_below_half_the_base(self):
         """The docstring's bound on the densest closures here: every
@@ -210,13 +216,128 @@ class TestBurauKernel:
         for braid in braids:
             n = len(braid.letters)
             delta = braid_alexander_polynomial(braid)
-            assert delta == alexander_polynomial(braid_to_pd(braid)), braid
+            assert delta == fox_delta(braid_to_pd(braid)), braid
             assert max(abs(c) for _, c in delta.terms) <= 4 ** (n - 1) < 2 ** (2 * n - 1), braid
 
     def test_two_hundred_crossing_closure_against_the_node_oracle(self):
         braid = random_knot_braid(random.Random(201), 4, 201)
         rows = alexander_rows(braid_to_pd(braid))
         assert braid_alexander_polynomial(braid) == node_determinant(rows).normalize(), braid
+
+
+def connected_sum(p: PDCode, q: PDCode) -> PDCode:
+    """The PD code of p # q, joined at the arc into label 1 of each: the
+    arc 2n_p of p runs on into q, whose labels move up by 2n_p, and q's
+    last arc runs on into p's label 1."""
+    total = 2 * (p.crossing_count + q.crossing_count)
+
+    def incoming(crossing, sign):  # the under- and over-strand's entry labels
+        a, b, _, d = crossing
+        return {a, d if sign > 0 else b}
+
+    def rejoin(pd, shift, end, new_end):
+        return [
+            tuple(new_end if x + shift == end and x in incoming(c, sign) else x + shift for x in c)
+            for c, sign in zip(pd.crossings, pd.signs)
+        ]
+
+    n_p = 2 * p.crossing_count
+    return PDCode(rejoin(p, 0, n_p, total) + rejoin(q, n_p, total, n_p))
+
+
+class TestClosedBraid:
+    """`closed_braid` reads a braided PD code back as a braid word, and
+    `alexander_polynomial` routes it by `BURAU_WIDTH`."""
+
+    def test_seeded_closures_and_mirrors(self):
+        rng = random.Random(20261035)
+        for _ in range(300):
+            strands = rng.randint(2, 8)
+            braid = random_knot_braid(rng, strands, rng.randrange(strands - 1, 40, 2))
+            pd = braid_to_pd(braid)
+            for code in (pd, pd.mirror()):
+                read = closed_braid(code)
+                assert read.strand_count == strands == seifert_circles(code)[0], braid.letters
+                assert len(read.letters) == code.crossing_count, braid.letters
+                assert braid_alexander_polynomial(read) == alexander_polynomial(code) == fox_delta(code), braid.letters
+
+    def test_jones_of_the_word_read_back(self):
+        rng = random.Random(20261036)
+        for _ in range(60):
+            strands = rng.randint(2, 6)
+            braid = random_knot_braid(rng, strands, rng.randrange(strands - 1, JONES_CROSSING_BUDGET + 1, 2))
+            pd = braid_to_pd(braid)
+            for code in (pd, pd.mirror()):
+                assert jones_polynomial(braid_to_pd(closed_braid(code))) == jones_polynomial(code), braid.letters
+
+    def test_planar_gauss_codes(self):
+        """Random planar codes, most of them not closed braids: every one
+        read as a braid closes into the code's knot, by Fox, by its
+        Seifert circles and, up to 10 crossings, by Jones."""
+        rng = random.Random(20261037)
+        braided = codes = 0
+        while codes < 600:
+            try:
+                pd = PDCode(gauss_code_pd(rng, rng.randint(1, 9)))
+            except DiagramError:
+                continue
+            for code in (pd, pd.mirror()):
+                codes += 1
+                read = closed_braid(code)
+                assert alexander_polynomial(code) == fox_delta(code), str(code)
+                if read is None:
+                    continue
+                braided += 1
+                assert read.strand_count == seifert_circles(code)[0], str(code)
+                assert braid_alexander_polynomial(read) == fox_delta(code), str(code)
+                if code.crossing_count <= 10:
+                    assert jones_polynomial(braid_to_pd(read)) == jones_polynomial(code), str(code)
+        assert 100 < braided < codes - 100
+
+    def test_codes_that_are_not_closed_braids(self, corpus):
+        """5_2's bundled code has four Seifert circles, one meeting two
+        others on the same side; the granny knot drawn as two trefoil
+        closures side by side has a circle with both trefoils' other
+        circles on its one side."""
+        five2 = corpus.get("5_2").diagram
+        assert closed_braid(five2) is None and seifert_circles(five2)[0] == 4
+        trefoil = braid_to_pd(BraidWord(2, (1, 1, 1)))
+        granny = connected_sum(trefoil, trefoil)
+        assert closed_braid(granny) is None and seifert_circles(granny)[0] == 3
+        assert alexander_polynomial(granny) == fox_delta(trefoil) * fox_delta(trefoil)
+        # joined at the other circle of one trefoil, the sum is a closed 3-braid
+        turned = PDCode([tuple(x % 6 + 1 for x in c) for c in trefoil.crossings])
+        assert closed_braid(connected_sum(trefoil, turned)).strand_count == 3
+
+    def test_unknot_and_kinks(self):
+        assert closed_braid(parse_pd("")) == BraidWord(1, ())
+        assert closed_braid(parse_pd("X(1,1,2,2)")) == BraidWord(2, (1,))
+        assert closed_braid(parse_pd("X(1,2,2,1)")) == BraidWord(2, (-1,))
+
+    def test_four_hundred_crossing_code(self):
+        """Fox takes about a minute on this code; the reader and Burau
+        well under a second."""
+        braid = random_knot_braid(random.Random(401), 4, 401)
+        pd = braid_to_pd(braid)
+        assert closed_braid(pd).strand_count == 4
+        assert alexander_polynomial(pd) == braid_alexander_polynomial(braid)
+
+    @pytest.mark.parametrize("burau", [True, False])
+    def test_one_width_rule_for_pd_and_braid_input(self, monkeypatch, burau):
+        strands = 12
+        lowest = -(-(strands**3) // BURAU_WIDTH)  # the fewest letters Burau takes
+        length = lowest + (lowest - strands + 1) % 2 if burau else lowest - 1 - (lowest - strands) % 2
+        assert (strands**3 <= BURAU_WIDTH * length) == burau and length >= strands - 1
+        braid = random_knot_braid(random.Random(length), strands, length)
+        pd = braid_to_pd(braid)
+        called = []
+        for name in ("braid_alexander_polynomial", "linear_determinant"):
+            kernel = getattr(knotdom.alexander, name)
+            monkeypatch.setattr(knotdom.alexander, name, lambda *args, kernel=kernel, name=name: called.append(name) or kernel(*args))
+        expected = fox_delta(pd)
+        assert alexander_polynomial(pd) == expected
+        assert enrich_record(KnotRecord(name="wide", braid=braid)).delta == expected
+        assert called == ["braid_alexander_polynomial" if burau else "linear_determinant"] * 2
 
 
 def determinant_bound(rows):

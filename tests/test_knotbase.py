@@ -162,22 +162,26 @@ class TestEnrichment:
             enrich_record(record, siblings)
 
     def test_braid_records_take_the_burau_kernel(self, monkeypatch):
-        """A braid's delta comes from the reduced Burau kernel and is still
-        cross-checked against a declared one; a PD code's comes from Fox."""
-        fox = alexander.alexander_polynomial
-
-        def refuse(pd):
-            raise AssertionError("Fox kernel on a braid record")
-
-        monkeypatch.setattr(knotbase, "alexander_polynomial", refuse)
+        """A braid's delta, and that of a PD code read back as a braid,
+        comes from the reduced Burau kernel and is still cross-checked
+        against a declared one; a PD code that is no closed braid takes
+        Fox."""
+        calls = []
+        for kernel in ("braid_alexander_polynomial", "linear_determinant"):
+            monkeypatch.setattr(
+                alexander, kernel, lambda *args, f=getattr(alexander, kernel), kernel=kernel: calls.append(kernel) or f(*args)
+            )
         record = enrich_record(KnotRecord(name="fig8", braid=parse_braid("B3: 1 -2 1 -2")))
         assert record.delta == parse_poly("1 - 3t + t^2") and record.diagram.crossing_count == 4
         lying = KnotRecord(name="lying", braid=parse_braid("B3: 1 -2 1 -2"), delta=parse_poly("1 - t + t^2"))
         with pytest.raises(CorpusError, match=r"^lying: declared delta 1 - t \+ t\^2 != computed 1 - 3t \+ t\^2$"):
             enrich_record(lying)
-        with pytest.raises(AssertionError, match="Fox kernel"):
-            enrich_record(KnotRecord(name="pd", diagram=parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")))
-        monkeypatch.setattr(knotbase, "alexander_polynomial", fox)
+        assert calls == ["braid_alexander_polynomial"] * 2
+        trefoil = enrich_record(KnotRecord(name="pd", diagram=parse_pd("X(1,4,2,5) X(3,6,4,1) X(5,2,6,3)")))
+        assert trefoil.delta == parse_poly("1 - t + t^2") and trefoil.genus_upper == 1
+        five2 = parse_pd("X(1,4,2,5) X(3,8,4,9) X(5,10,6,1) X(9,6,10,7) X(7,2,8,3)")
+        assert enrich_record(KnotRecord(name="5_2", diagram=five2)).delta == parse_poly("2 - 3t + 2t^2")
+        assert calls == ["braid_alexander_polynomial"] * 3 + ["linear_determinant"]
         with pytest.raises(CorpusError, match=r"^link: braid closure has 2 components, expected a knot$"):
             record_from_json({"name": "link", "braid": "B2: 1 1"})
 
